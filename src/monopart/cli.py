@@ -15,12 +15,16 @@ import logging
 import os
 import re
 import sys
+from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, Iterator, TypeVar
 
 from . import fixturegen, graphbuild, infra, ingest, metrics, model, partitioner
 
 log = logging.getLogger(__name__)
+T = TypeVar("T")
 
 GRAPH_FILE = "graph.json"
 PARTITION_FILE = "partition.json"
@@ -36,11 +40,29 @@ def _fraction_arg(raw: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _read_bytes(path: str) -> bytes:
+@contextmanager
+def _naming(path: Path | str) -> Iterator[None]:
+    """Prefix any InputError raised inside with the file it concerns."""
+    try:
+        yield
+    except model.InputError as exc:
+        raise model.InputError(f"{path}: {exc}") from exc
+
+
+def _parse_input(path: str, parse: Callable[..., T], *args: object) -> T:
+    """Read the input file at ``path`` and parse its bytes."""
     p = Path(path)
     if not p.is_file():
         raise model.InputError(f"input file not found: {path}")
-    return p.read_bytes()
+    with _naming(path):
+        return parse(p.read_bytes(), *args)
+
+
+def _read_json(path: Path) -> object:
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise model.InputError(f"{path}: not a readable JSON document: {exc}") from exc
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -67,40 +89,41 @@ def _load_graph(out_dir: Path) -> tuple[model.ApplicationGraph, list[ingest.Depe
     path = out_dir / GRAPH_FILE
     if not path.is_file():
         raise model.InputError(f"graph artifact not found: {path} (run ingest first)")
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    g = model.graph_from_doc(doc)
-    problems = model.validate_graph(g)
-    if problems:
-        raise model.InputError(f"{path}: " + "; ".join(problems))
-    deps = ingest.dependencies_from_doc(doc.get("dependencies", []))
-    return g, deps
+    doc = _read_json(path)
+    with _naming(path):
+        g = model.graph_from_doc(doc)
+        problems = model.validate_graph(g)
+        if problems:
+            raise model.InputError("; ".join(problems))
+        return g, ingest.dependencies_from_doc(doc.get("dependencies", []))
 
 
 def _load_partition(out_dir: Path, g: model.ApplicationGraph, path: str | None = None) -> model.PartitionSet:
     p_path = Path(path) if path else out_dir / PARTITION_FILE
     if not p_path.is_file():
         raise model.InputError(f"partition artifact not found: {p_path} (run partition first)")
-    doc = json.loads(p_path.read_text(encoding="utf-8"))
-    return model.partition_from_doc(doc, g)
+    doc = _read_json(p_path)
+    with _naming(p_path):
+        return model.partition_from_doc(doc, g)
 
 
 def _load_prices(path: str | None) -> model.PriceTable:
     if path is None:
         return model.PriceTable.default()
-    return infra.load_price_table(_read_bytes(path))
+    return _parse_input(path, infra.load_price_table)
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    deps = ingest.parse_dependency_xml(_read_bytes(args.deps))
+    deps = _parse_input(args.deps, ingest.parse_dependency_xml)
     manifest = ingest.InfraManifest()
     if args.manifest:
-        manifest = ingest.parse_infra_yaml(_read_bytes(args.manifest))
+        manifest = _parse_input(args.manifest, ingest.parse_infra_yaml)
     flows: list[ingest.FlowRecord] = []
     if args.traces:
         if not args.flow_rules:
             raise model.InputError("--traces requires --flow-rules")
-        rules = ingest.load_flow_rules(_read_bytes(args.flow_rules))
-        parsed = ingest.parse_traces(_read_bytes(args.traces), rules)
+        rules = _parse_input(args.flow_rules, ingest.load_flow_rules)
+        parsed = _parse_input(args.traces, ingest.parse_traces, rules)
         if parsed.skipped:
             print(f"skipped trace lines: {parsed.skipped}", file=sys.stderr)
         flows = ingest.group_flows(parsed.records)
@@ -143,28 +166,23 @@ def cmd_partition(args: argparse.Namespace) -> int:
 
     if args.sweep_k:
         lo, hi = _parse_sweep(args.sweep_k)
-        cfg = partitioner.ObjectiveConfig(
-            k=max(lo, 1),
-            alpha=args.alpha,
-            epsilon=args.epsilon,
-            seed=args.seed,
-            restarts=args.restarts,
-        )
+        k0 = max(lo, 1)
+    elif args.k is None:
+        raise model.InputError("one of --k or --sweep-k is required")
+    else:
+        k0 = args.k
+    cfg = partitioner.ObjectiveConfig(
+        k=k0,
+        alpha=args.alpha,
+        epsilon=args.epsilon,
+        seed=args.seed,
+        restarts=args.restarts,
+    )
+    if args.sweep_k:
         k, p = partitioner.sweep_k(g, prices, cfg, lo, hi)
-        cfg = partitioner.ObjectiveConfig(
-            k=k, alpha=args.alpha, epsilon=args.epsilon, seed=args.seed, restarts=args.restarts
-        )
+        cfg = replace(cfg, k=k)
         print(f"sweep selected k={k}")
     else:
-        if args.k is None:
-            raise model.InputError("one of --k or --sweep-k is required")
-        cfg = partitioner.ObjectiveConfig(
-            k=args.k,
-            alpha=args.alpha,
-            epsilon=args.epsilon,
-            seed=args.seed,
-            restarts=args.restarts,
-        )
         p = partitioner.partition_graph(g, prices, cfg)
 
     obj = partitioner.objective(g, p, prices, cfg)
@@ -173,7 +191,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
     report = infra.build_infra_report(
         g, p, prices, compute_floor=not args.no_compute_floor, shared_database=args.shared_db
     )
-    _write_json(out_dir, INFRA_REPORT_FILE, infra.report_to_doc(report), args.force)
+    _write_json(out_dir, INFRA_REPORT_FILE, infra.infra_report_to_doc(report), args.force)
 
     cut = metrics.edge_cut(g, p)
     ngm = metrics.compute_ngm(g, p) if g.class_edges else Fraction(0)
@@ -205,7 +223,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     prices = _load_prices(args.prices)
     truth = None
     if args.truth:
-        truth = metrics.load_ground_truth(_read_bytes(args.truth))
+        truth = _parse_input(args.truth, metrics.load_ground_truth)
     report = metrics.evaluate(
         g, p, deps, truth, prices, compute_floor=not args.no_compute_floor
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .ingest import InfraManifest, manifest_to_yaml
 from .model import InputError, ResourceKind
 
 # kind rotation for generated resources; compute stays out so the
@@ -142,24 +143,12 @@ def generate_fixture(spec: FixtureSpec) -> Fixture:
             for i in chosen:
                 binding_rows.append((names[i], res_name))
 
-    yaml_lines = ["resources:"] if resource_rows else ["resources: []"]
-    for res_name, kind in resource_rows:
-        yaml_lines.append(f"  - name: {res_name}")
-        yaml_lines.append(f"    kind: {kind.value}")
-    if binding_rows:
-        yaml_lines.append("bindings:")
-        for cls, res in binding_rows:
-            yaml_lines.append(f"  - class: {cls}")
-            yaml_lines.append(f"    resource: {res}")
-    else:
-        yaml_lines.append("bindings: []")
-    manifest_yaml = "\n".join(yaml_lines) + "\n"
-
+    manifest = InfraManifest(resources=tuple(resource_rows), bindings=tuple(binding_rows))
     truth_yaml = "".join(f"{names[i]}: m{cluster_of[i]}\n" for i in range(n))
 
     return Fixture(
         deps_xml=deps_xml,
-        manifest_yaml=manifest_yaml,
+        manifest_yaml=manifest_to_yaml(manifest),
         truth_yaml=truth_yaml,
         cluster_of=tuple(cluster_of),
     )

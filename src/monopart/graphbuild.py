@@ -21,7 +21,6 @@ from .model import (
     ResourceEdge,
     ResourceNode,
     as_fraction,
-    bindings_by_class,
     fraction_str,
 )
 
@@ -172,16 +171,6 @@ def build_graph(
         beta=cfg.beta_flow,
         resource_increment=cfg.shared_resource_increment,
     )
-
-
-def shared_resources(g: ApplicationGraph, u: int, v: int) -> set[int]:
-    """Resource ids bound to both class ``u`` and class ``v``."""
-    n = len(g.classes)
-    for cid in (u, v):
-        if not 0 <= cid < n:
-            raise InputError(f"unknown class id {cid}")
-    by_class = bindings_by_class(g)
-    return by_class[u] & by_class[v]
 
 
 # 12-color palette for partition fills in DOT output (cycled when k > 12)

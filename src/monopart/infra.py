@@ -9,6 +9,7 @@ the partitioner's objective charges.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,11 +23,9 @@ from .model import (
     PriceTable,
     ResourceKind,
     as_fraction,
-    factor_from_counts,
-    factor_from_doc,
+    check_partition,
     factor_to_doc,
     fraction_str,
-    validate_partition,
 )
 
 
@@ -40,6 +39,20 @@ def _touched_resources(
     return touched
 
 
+def _factor(
+    g: ApplicationGraph, resource_ids: set[int], compute_floor: bool
+) -> InfrastructureFactor:
+    """Count resources by kind; ``compute_floor`` raises n_ec to 1."""
+    counts = Counter(g.resources[rid].kind for rid in resource_ids)
+    n_ec = counts[ResourceKind.COMPUTE]
+    return InfrastructureFactor(
+        max(n_ec, 1) if compute_floor else n_ec,
+        counts[ResourceKind.FILE_STORAGE],
+        counts[ResourceKind.DATABASE],
+        counts[ResourceKind.CACHE],
+    )
+
+
 def predict_infrastructure_factor(
     g: ApplicationGraph,
     p: PartitionSet,
@@ -51,23 +64,12 @@ def predict_infrastructure_factor(
 
     Counts each distinct resource with a binding into the partition once,
     under the component for its kind; with ``compute_floor`` (default) n_ec
-    is raised to 1 for a non-empty partition.
+    is raised to 1 (a valid partition is never empty).
     """
     if not 0 <= partition_index < p.k:
         raise InputError(f"partition index {partition_index} out of range for k={p.k}")
-    problems = validate_partition(g, p)
-    if problems:
-        raise InputError("; ".join(problems))
-    touched = _touched_resources(g, p)[partition_index]
-    counts: dict[ResourceKind, int] = {}
-    for rid in touched:
-        kind = g.resources[rid].kind
-        counts[kind] = counts.get(kind, 0) + 1
-    factor = factor_from_counts(counts)
-    non_empty = any(a == partition_index for a in p.assignment)
-    if compute_floor and non_empty and factor.n_ec == 0:
-        factor = InfrastructureFactor(1, factor.n_s3, factor.n_db, factor.n_ca)
-    return factor
+    check_partition(g, p)
+    return _factor(g, _touched_resources(g, p)[partition_index], compute_floor)
 
 
 def monolith_baseline(
@@ -78,15 +80,7 @@ def monolith_baseline(
     Only resources with at least one binding count as used; this keeps the
     totals-dominate-baseline invariant when unused resources are declared.
     """
-    used = {edge.resource for edge in g.resource_edges}
-    counts: dict[ResourceKind, int] = {}
-    for rid in used:
-        kind = g.resources[rid].kind
-        counts[kind] = counts.get(kind, 0) + 1
-    factor = factor_from_counts(counts)
-    if compute_floor and factor.n_ec == 0:
-        factor = InfrastructureFactor(1, factor.n_s3, factor.n_db, factor.n_ca)
-    return factor
+    return _factor(g, {edge.resource for edge in g.resource_edges}, compute_floor)
 
 
 def infra_cost(f: InfrastructureFactor, prices: PriceTable) -> Fraction:
@@ -143,9 +137,7 @@ def build_infra_report(
     lowest-index partition touching it. It changes reporting only, never
     the partitioner's objective.
     """
-    problems = validate_partition(g, p)
-    if problems:
-        raise InputError("; ".join(problems))
+    check_partition(g, p)
     touched = _touched_resources(g, p)
 
     if shared_database:
@@ -163,13 +155,7 @@ def build_infra_report(
     per_partition = []
     total = InfrastructureFactor()
     for idx in range(p.k):
-        counts: dict[ResourceKind, int] = {}
-        for rid in touched[idx]:
-            kind = g.resources[rid].kind
-            counts[kind] = counts.get(kind, 0) + 1
-        factor = factor_from_counts(counts)
-        if compute_floor and factor.n_ec == 0:
-            factor = InfrastructureFactor(1, factor.n_s3, factor.n_db, factor.n_ca)
+        factor = _factor(g, touched[idx], compute_floor)
         names = tuple(sorted(g.resources[rid].name for rid in touched[idx]))
         per_partition.append((idx, factor, names))
         total = total + factor
@@ -210,7 +196,7 @@ def load_price_table(data: bytes | str) -> PriceTable:
     return PriceTable(**values)
 
 
-def report_to_doc(report: PartitionInfraReport) -> dict:
+def infra_report_to_doc(report: PartitionInfraReport) -> dict:
     return {
         "schema_version": 1,
         "per_partition": [
@@ -227,23 +213,3 @@ def report_to_doc(report: PartitionInfraReport) -> dict:
         "baseline_cost": fraction_str(report.baseline_cost),
     }
 
-
-def infra_report_from_doc(doc: dict) -> PartitionInfraReport:
-    try:
-        per_partition = tuple(
-            (
-                int(entry["partition"]),
-                factor_from_doc(entry["factor"]),
-                tuple(str(n) for n in entry["resources"]),
-            )
-            for entry in doc["per_partition"]
-        )
-        return PartitionInfraReport(
-            per_partition=per_partition,
-            total=factor_from_doc(doc["total"]),
-            monolith_baseline=factor_from_doc(doc["monolith_baseline"]),
-            total_cost=as_fraction(doc["total_cost"]),
-            baseline_cost=as_fraction(doc["baseline_cost"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed infrastructure report: {exc}") from exc

@@ -105,7 +105,9 @@ def _as_text(data: bytes | str) -> str:
     return data
 
 
-def _parse_relation(raw: str) -> Relation:
+def _parse_relation(raw: object) -> Relation:
+    if not isinstance(raw, str):
+        raise InputError(f"relation must be a string, got {raw!r}")
     try:
         return Relation(raw.strip().lower())
     except ValueError:
@@ -160,21 +162,25 @@ def _dependencies_from_json(text: str) -> list[DependencyRecord]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON at line {exc.lineno}: {exc.msg}") from exc
-    if isinstance(doc, dict) and "classes" in doc:
-        entries = doc["classes"]
-    else:
-        raise InputError('dependency JSON must be an object with a "classes" array')
+    entries = doc.get("classes") if isinstance(doc, dict) else None
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise InputError('dependency JSON must be an object with a "classes" array of objects')
     records: list[DependencyRecord] = []
     for entry in entries:
         from_name = str(entry.get("name", "")).strip()
         if not from_name:
             raise InputError("dependency JSON entry without a class name")
-        for dep in entry.get("dependsOn", []):
+        depends_on = entry.get("dependsOn", [])
+        if not isinstance(depends_on, list):
+            raise InputError(f'"dependsOn" of {from_name!r} must be an array')
+        for dep in depends_on:
             if isinstance(dep, str):
                 to_name, relation = dep.strip(), Relation.CALL
-            else:
+            elif isinstance(dep, dict):
                 to_name = str(dep.get("name", "")).strip()
                 relation = _parse_relation(str(dep.get("relation", "call")))
+            else:
+                raise InputError(f"dependency of {from_name!r} is not an object or a name: {dep!r}")
             if not to_name:
                 raise InputError(f"dependency of {from_name!r} without a name")
             if from_name == to_name:
@@ -256,12 +262,10 @@ def parse_infra_yaml(data: bytes | str) -> InfraManifest:
 
 def manifest_to_yaml(manifest: InfraManifest) -> str:
     """Emit a manifest in the schema `parse_infra_yaml` reads (round-trips)."""
-    lines = ["resources:"]
+    lines = ["resources:" if manifest.resources else "resources: []"]
     for name, kind in manifest.resources:
         lines.append(f"  - name: {name}")
         lines.append(f"    kind: {kind.value}")
-    if not manifest.resources:
-        lines = ["resources: []"]
     if manifest.bindings:
         lines.append("bindings:")
         for cls, res in manifest.bindings:
@@ -369,17 +373,3 @@ def group_flows(records: list[TraceRecord] | tuple[TraceRecord, ...]) -> list[Fl
         flows.append(FlowRecord(id=hint, members=tuple(members)))
     return flows
 
-
-def trace_records_to_doc(records: list[TraceRecord] | tuple[TraceRecord, ...]) -> list[dict]:
-    return [
-        {"flow": r.flow_hint, "seq": r.seq, "class": r.class_name} for r in records
-    ]
-
-
-def trace_records_from_doc(doc: list) -> list[TraceRecord]:
-    try:
-        return [
-            TraceRecord(str(e["flow"]), int(e["seq"]), str(e["class"])) for e in doc
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed trace record list: {exc}") from exc

@@ -18,7 +18,7 @@ from .model import (
     InputError,
     PartitionSet,
     PriceTable,
-    validate_partition,
+    check_partition,
 )
 
 
@@ -48,12 +48,6 @@ def load_ground_truth(data: bytes | str) -> GroundTruth:
     if not isinstance(doc, dict) or not doc:
         raise InputError("ground truth must be a non-empty mapping")
     return GroundTruth({str(k): str(v) for k, v in doc.items()})
-
-
-def _check_partition(g: ApplicationGraph, p: PartitionSet) -> None:
-    problems = validate_partition(g, p)
-    if problems:
-        raise InputError("; ".join(problems))
 
 
 def compute_f1(
@@ -96,7 +90,7 @@ def compute_ngm(
     fraction of edge-endpoint weight attached to c; with ``weighted`` off
     every class edge counts 1.
     """
-    _check_partition(g, p)
+    check_partition(g, p)
     if not g.class_edges:
         raise InputError("modularity undefined: graph has no class edges")
     intra = [Fraction(0)] * p.k
@@ -165,7 +159,7 @@ def cluster_stats(p: PartitionSet) -> ClusterStats:
 
 def edge_cut(g: ApplicationGraph, p: PartitionSet) -> Fraction:
     """Total weight of class edges crossing partitions."""
-    _check_partition(g, p)
+    check_partition(g, p)
     return sum(
         (e.weight for e in g.class_edges if p.assignment[e.u] != p.assignment[e.v]),
         Fraction(0),
@@ -183,7 +177,7 @@ def evaluate(
     compute_floor: bool = True,
 ) -> EvaluationReport:
     """Assemble the full evaluation report for one partitioning."""
-    _check_partition(g, p)
+    check_partition(g, p)
     prices = prices if prices is not None else PriceTable.default()
     names = g.names()
     if g.class_edges:

@@ -193,18 +193,6 @@ def bindings_by_class(g: ApplicationGraph) -> list[set[int]]:
     return bound
 
 
-def clients_by_resource(g: ApplicationGraph) -> list[set[int]]:
-    """Class ids bound to each resource, indexed by resource id."""
-    clients: list[set[int]] = [set() for _ in g.resources]
-    for re_ in g.resource_edges:
-        clients[re_.resource].add(re_.cls)
-    return clients
-
-
-def total_edge_weight(g: ApplicationGraph) -> Fraction:
-    return sum((e.weight for e in g.class_edges), Fraction(0))
-
-
 # ---------------------------------------------------------------------------
 # partitions
 # ---------------------------------------------------------------------------
@@ -256,6 +244,13 @@ def validate_partition(g: ApplicationGraph, p: PartitionSet) -> list[str]:
     return problems
 
 
+def check_partition(g: ApplicationGraph, p: PartitionSet) -> None:
+    """Raise :class:`InputError` naming every violation of the partition contract."""
+    problems = validate_partition(g, p)
+    if problems:
+        raise InputError("invalid partition: " + "; ".join(problems))
+
+
 # ---------------------------------------------------------------------------
 # infrastructure factors and prices
 # ---------------------------------------------------------------------------
@@ -283,23 +278,6 @@ class InfrastructureFactor:
     def dominates(self, other: "InfrastructureFactor") -> bool:
         """Component-wise >= comparison."""
         return all(a >= b for a, b in zip(self.as_tuple(), other.as_tuple()))
-
-
-FACTOR_FIELD_BY_KIND: dict[ResourceKind, str] = {
-    ResourceKind.COMPUTE: "n_ec",
-    ResourceKind.FILE_STORAGE: "n_s3",
-    ResourceKind.DATABASE: "n_db",
-    ResourceKind.CACHE: "n_ca",
-}
-
-
-def factor_from_counts(counts: Mapping[ResourceKind, int]) -> InfrastructureFactor:
-    return InfrastructureFactor(
-        n_ec=counts.get(ResourceKind.COMPUTE, 0),
-        n_s3=counts.get(ResourceKind.FILE_STORAGE, 0),
-        n_db=counts.get(ResourceKind.DATABASE, 0),
-        n_ca=counts.get(ResourceKind.CACHE, 0),
-    )
 
 
 @dataclass(frozen=True)
@@ -548,21 +526,23 @@ def partition_from_doc(doc: Mapping, g: ApplicationGraph) -> PartitionSet:
         raw = doc["assignment"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed partition document: {exc}") from exc
+    if not isinstance(raw, Mapping):
+        raise InputError("partition assignment must map class names to partition indices")
     ids = g.id_by_name()
     assignment = [-1] * len(g.classes)
     for name, part in raw.items():
         if name not in ids:
             raise InputError(f"partition references unknown class {name!r}")
-        assignment[ids[name]] = int(part)
+        if not isinstance(part, int) or isinstance(part, bool):
+            raise InputError(f"class {name!r} has non-integer partition {part!r}")
+        assignment[ids[name]] = part
     for cid, part in enumerate(assignment):
         if part < 0:
             raise InputError(
                 f"partition is missing class {g.classes[cid].name!r}"
             )
     p = PartitionSet(k=k, assignment=tuple(assignment))
-    problems = validate_partition(g, p)
-    if problems:
-        raise InputError("invalid partition: " + "; ".join(problems))
+    check_partition(g, p)
     return p
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .infra import duplication_cost
-from .metrics import compute_ngm
+from .metrics import compute_ngm, edge_cut
 from .model import (
     ApplicationGraph,
     ClassEdge,
@@ -28,7 +28,7 @@ from .model import (
     adjacency,
     as_fraction,
     bindings_by_class,
-    validate_partition,
+    check_partition,
 )
 
 log = logging.getLogger(__name__)
@@ -65,6 +65,11 @@ class ObjectiveConfig:
             raise InputError(f"restarts must be >= 1, got {self.restarts}")
         if not 0 <= self.seed < 2**64:
             raise InputError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        if self.seed + self.restarts > 2**64:
+            raise InputError(
+                f"seed {self.seed} with {self.restarts} restarts leaves the 64-bit seed "
+                "range: seed + restarts must be <= 2**64 (lower --seed or --restarts)"
+            )
 
 
 @dataclass(frozen=True)
@@ -81,26 +86,15 @@ def _balance_cap(g: ApplicationGraph, cfg: ObjectiveConfig) -> Fraction:
     return (1 + cfg.epsilon) * (-(-total // cfg.k))
 
 
-def _cut(g: ApplicationGraph, assignment: tuple[int, ...] | list[int]) -> Fraction:
-    return sum(
-        (e.weight for e in g.class_edges if assignment[e.u] != assignment[e.v]),
-        Fraction(0),
-    )
-
-
 def objective(
     g: ApplicationGraph,
     p: PartitionSet,
     prices: PriceTable,
     cfg: ObjectiveConfig,
 ) -> Fraction:
-    """alpha * edge_cut + (1 - alpha) * duplication_cost."""
-    problems = validate_partition(g, p)
-    if problems:
-        raise InputError("; ".join(problems))
-    return cfg.alpha * _cut(g, p.assignment) + (1 - cfg.alpha) * duplication_cost(
-        g, p, prices
-    )
+    """alpha * edge_cut + (1 - alpha) * duplication_cost; ``edge_cut``
+    rejects an invalid partition."""
+    return cfg.alpha * edge_cut(g, p) + (1 - cfg.alpha) * duplication_cost(g, p, prices)
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +205,7 @@ def coarsen(
 # initial partition and balance repair
 # ---------------------------------------------------------------------------
 
-def initial_partition(
-    coarse: ApplicationGraph, cfg: ObjectiveConfig, prices: PriceTable | None = None
-) -> PartitionSet:
+def initial_partition(coarse: ApplicationGraph, cfg: ObjectiveConfig) -> PartitionSet:
     """Greedy graph growing from k seeded start vertices.
 
     Regions grow by repeatedly taking the (vertex, region) pair with the
@@ -334,9 +326,7 @@ def refine(
     when a pass applies nothing, or after 10 passes; the objective never
     increases.
     """
-    problems = validate_partition(g, p)
-    if problems:
-        raise InputError("; ".join(problems))
+    check_partition(g, p)
     n = len(g.classes)
     k = p.k
     if k == 1:
@@ -431,7 +421,7 @@ def _single_run(
     graphs = [g] + [level.graph for level in levels]
 
     coarsest = graphs[-1]
-    p = initial_partition(coarsest, cfg, prices)
+    p = initial_partition(coarsest, cfg)
     assign = _rebalance(coarsest, list(p.assignment), cfg)
     p = refine(coarsest, PartitionSet(cfg.k, tuple(assign)), cfg, prices)
 
@@ -462,7 +452,9 @@ def partition_graph(
     best_p: PartitionSet | None = None
     best_obj: Fraction | None = None
     for i in range(cfg.restarts):
-        run_cfg = replace(cfg, seed=cfg.seed + i)
+        # restarts=1: each run is one seed, so the seed-range check in
+        # ObjectiveConfig sees only that seed
+        run_cfg = replace(cfg, seed=cfg.seed + i, restarts=1)
         p = _single_run(g, prices, run_cfg)
         obj = objective(g, p, prices, cfg)
         if best_obj is None or obj < best_obj:

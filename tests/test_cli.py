@@ -149,6 +149,13 @@ class TestPartition:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_seed_at_top_of_range(self, workdir, capsys):
+        # the last 8 seeds of the 64-bit range with the default 8 restarts;
+        # one seed higher is refused (see test_bad_input_exits_2_naming_it)
+        run_ingest(workdir)
+        code = main(["partition", "--k", "2", "--seed", str(2**64 - 8), "--out", str(workdir / "out")])
+        assert code == 0, capsys.readouterr().err
+
     def test_missing_graph(self, tmp_path, capsys):
         code = main(["partition", "--k", "2", "--out", str(tmp_path / "out")])
         assert code == 2
@@ -378,6 +385,72 @@ class TestGenerate:
             ]
         )
         assert code == 2
+
+
+def _corrupt_graph(out: Path) -> tuple[list[str], str]:
+    (out / GRAPH_FILE).write_text('{"classes": [')
+    return ["partition", "--k", "2"], str(out / GRAPH_FILE)
+
+
+def _truncated_partition(out: Path) -> tuple[list[str], str]:
+    assert main(["partition", "--k", "2", "--out", str(out)]) == 0
+    text = (out / PARTITION_FILE).read_text()
+    (out / PARTITION_FILE).write_text(text[: len(text) // 2])
+    return ["evaluate"], str(out / PARTITION_FILE)
+
+
+def _deps_classes_not_objects(out: Path) -> tuple[list[str], str]:
+    deps = out.parent / "deps.json"
+    deps.write_text('{"classes":[1,2]}')
+    return ["ingest", "--deps", str(deps), "--force"], str(deps)
+
+
+def _assignment_list(out: Path) -> tuple[list[str], str]:
+    path = out.parent / "list.json"
+    path.write_text('{"k": 2, "assignment": [0, 1]}')
+    return ["dot", "--partition", str(path)], str(path)
+
+
+def _assignment_not_integer(out: Path) -> tuple[list[str], str]:
+    path = out.parent / "str.json"
+    assignment = {"web.Shop": 0, "web.Cart": 1, "data.Orders": "x"}
+    path.write_text(json.dumps({"k": 2, "assignment": assignment}))
+    return ["dot", "--partition", str(path)], str(path)
+
+
+def _relation_not_string(out: Path) -> tuple[list[str], str]:
+    doc = json.loads((out / GRAPH_FILE).read_text())
+    doc["dependencies"][0]["relation"] = 5
+    (out / GRAPH_FILE).write_text(json.dumps(doc))
+    return ["partition", "--k", "2"], str(out / GRAPH_FILE)
+
+
+def _seed_past_restarts(out: Path) -> tuple[list[str], str]:
+    return ["partition", "--k", "2", "--seed", str(2**64 - 2)], "--seed"
+
+
+@pytest.mark.parametrize(
+    "make_case",
+    [
+        _corrupt_graph,
+        _truncated_partition,
+        _deps_classes_not_objects,
+        _assignment_list,
+        _assignment_not_integer,
+        _relation_not_string,
+        _seed_past_restarts,
+    ],
+    ids=lambda f: f.__name__.lstrip("_"),
+)
+def test_bad_input_exits_2_naming_it(workdir, capsys, make_case):
+    out = workdir / "out"
+    assert run_ingest(workdir) == 0
+    argv, named = make_case(out)
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
 
 
 class TestSubprocessSmoke:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import check_dot
 
-from monopart.graphbuild import WeightConfig, build_graph, shared_resources, to_dot
+from monopart.graphbuild import WeightConfig, build_graph, to_dot
 from monopart.ingest import (
     DependencyRecord,
     FlowRecord,
@@ -196,40 +196,6 @@ def test_random_inputs_build_valid_graphs(deps, bindings, flow_sets):
     # recomposition spot check
     for e in g.class_edges:
         assert e.weight == e.relation_base + e.shared_resource_count + e.flow_cooccurrence
-
-
-class TestSharedResources:
-    MANIFEST = """
-    resources:
-      - {name: db1, kind: database}
-      - {name: s3a, kind: s3}
-      - {name: cacheA, kind: cache}
-    bindings:
-      - {class: A, resource: db1}
-      - {class: A, resource: s3a}
-      - {class: B, resource: db1}
-      - {class: B, resource: cacheA}
-    """
-
-    def graph(self):
-        return build_graph(
-            [dep("A", "B"), dep("A", "C")], parse_infra_yaml(self.MANIFEST)
-        )
-
-    def test_both_bound(self):
-        g = self.graph()
-        ids = g.id_by_name()
-        res = shared_resources(g, ids["A"], ids["B"])
-        assert {g.resources[r].name for r in res} == {"db1"}
-
-    def test_one_unbound(self):
-        g = self.graph()
-        ids = g.id_by_name()
-        assert shared_resources(g, ids["A"], ids["C"]) == set()
-
-    def test_unknown_id(self):
-        with pytest.raises(InputError):
-            shared_resources(self.graph(), 0, 99)
 
 
 class TestToDot:

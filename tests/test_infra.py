@@ -11,11 +11,10 @@ from monopart.infra import (
     build_infra_report,
     duplication_cost,
     infra_cost,
-    infra_report_from_doc,
+    infra_report_to_doc,
     load_price_table,
     monolith_baseline,
     predict_infrastructure_factor,
-    report_to_doc,
 )
 from monopart.model import (
     ApplicationGraph,
@@ -27,6 +26,7 @@ from monopart.model import (
     ResourceEdge,
     ResourceKind,
     ResourceNode,
+    fraction_str,
 )
 
 PRICES = PriceTable.default()
@@ -230,10 +230,32 @@ class TestReport:
         assert report.per_partition[0][1].n_db == 1
         assert report.per_partition[1][1].n_db == 0
 
-    def test_doc_round_trip(self):
-        g = eight_class_graph()
-        report = build_infra_report(g, THREE_WAY, PRICES)
-        assert infra_report_from_doc(report_to_doc(report)) == report
+    def test_doc_fields(self):
+        report = build_infra_report(eight_class_graph(), THREE_WAY, PRICES)
+        doc = infra_report_to_doc(report)
+        assert doc["schema_version"] == 1
+        assert doc["per_partition"] == [
+            {
+                "partition": 0,
+                "factor": {"n_ec": 1, "n_s3": 2, "n_db": 1, "n_ca": 0},
+                "resources": ["db1", "s3a", "s3b"],
+            },
+            {
+                "partition": 1,
+                "factor": {"n_ec": 1, "n_s3": 1, "n_db": 1, "n_ca": 0},
+                "resources": ["db1", "s3b"],
+            },
+            {
+                "partition": 2,
+                "factor": {"n_ec": 1, "n_s3": 0, "n_db": 0, "n_ca": 1},
+                "resources": ["cacheA"],
+            },
+        ]
+        assert doc["total"] == {"n_ec": 3, "n_s3": 3, "n_db": 2, "n_ca": 1}
+        assert doc["monolith_baseline"] == {"n_ec": 1, "n_s3": 2, "n_db": 1, "n_ca": 1}
+        assert doc["total_cost"] == fraction_str(report.total_cost)
+        assert doc["baseline_cost"] == fraction_str(report.baseline_cost)
+        assert report.total_cost == infra_cost(report.total, PRICES)
 
 
 class TestLoadPriceTable:

@@ -20,8 +20,6 @@ from monopart.ingest import (
     parse_dependency_xml,
     parse_infra_yaml,
     parse_traces,
-    trace_records_from_doc,
-    trace_records_to_doc,
 )
 from monopart.model import InputError, ResourceKind
 
@@ -239,10 +237,6 @@ class TestParseTraces:
     def test_missing_class_group_rejected(self):
         with pytest.raises(InputError, match="'class'"):
             parse_traces("A\n", FlowRuleConfig(line_regex=r"(?P<flow>\w+)"))
-
-    def test_doc_round_trip(self):
-        records = parse_traces("[F1] A\n[F2] B\n", RULES).records
-        assert tuple(trace_records_from_doc(trace_records_to_doc(records))) == records
 
 
 class TestGroupFlows:

@@ -162,18 +162,18 @@ class TestCoarsen:
 class TestInitialPartition:
     def test_k_equals_vertex_count(self):
         g = graph_from_edges(4, {(0, 1): 1})
-        p = initial_partition(g, ObjectiveConfig(k=4, seed=0), PRICES)
+        p = initial_partition(g, ObjectiveConfig(k=4, seed=0))
         assert sorted(p.assignment) == [0, 1, 2, 3]
 
     def test_k_one(self):
         g = graph_from_edges(4, {(0, 1): 1})
-        p = initial_partition(g, ObjectiveConfig(k=1, seed=0), PRICES)
+        p = initial_partition(g, ObjectiveConfig(k=1, seed=0))
         assert p.assignment == (0, 0, 0, 0)
 
     def test_k_exceeding_vertices(self):
         g = graph_from_edges(2, {(0, 1): 1})
         with pytest.raises(InputError):
-            initial_partition(g, ObjectiveConfig(k=3, seed=0), PRICES)
+            initial_partition(g, ObjectiveConfig(k=3, seed=0))
 
     def test_balance_on_unit_weights(self):
         rng = random.Random(11)
@@ -182,7 +182,7 @@ class TestInitialPartition:
             g = graph_from_edges(n, random_edge_set(rng, n))
             k = rng.randint(1, n)
             cfg = ObjectiveConfig(k=k, epsilon=Fraction(1, 10), seed=trial)
-            p = initial_partition(g, cfg, PRICES)
+            p = initial_partition(g, cfg)
             cap = (1 + cfg.epsilon) * (-(-n // k))
             assert validate_partition(g, p) == []
             assert max(p.sizes()) <= cap
@@ -196,7 +196,7 @@ class TestInitialPartition:
         hits = 0
         for i in range(8):
             cfg = ObjectiveConfig(k=2, alpha=1, epsilon=Fraction(1, 10), seed=i)
-            p = initial_partition(g, cfg, PRICES)
+            p = initial_partition(g, cfg)
             hits += edge_cut(g, p) == 1
         assert hits == 6
 
