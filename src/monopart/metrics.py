@@ -4,6 +4,7 @@ Newman-Girvan modularity, interface number, cluster statistics."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -93,25 +94,29 @@ def compute_ngm(
     check_partition(g, p)
     if not g.class_edges:
         raise InputError("modularity undefined: graph has no class edges")
-    intra = [Fraction(0)] * p.k
-    degree = [Fraction(0)] * p.k
-    total = Fraction(0)
-    for e in g.class_edges:
-        w = e.weight if weighted else Fraction(1)
-        total += w
-        cu, cv = p.assignment[e.u], p.assignment[e.v]
+    # Sums run on weights scaled by the LCM of their denominators; the
+    # scale cancels in Q, which is built as one Fraction at the end.
+    if weighted:
+        scale = math.lcm(*(e.weight.denominator for e in g.class_edges))
+        weights = [e.weight.numerator * (scale // e.weight.denominator) for e in g.class_edges]
+    else:
+        weights = [1] * len(g.class_edges)
+    intra = [0] * p.k
+    degree = [0] * p.k
+    assignment = p.assignment
+    for e, w in zip(g.class_edges, weights):
+        cu, cv = assignment[e.u], assignment[e.v]
         degree[cu] += w
         degree[cv] += w
         if cu == cv:
             intra[cu] += w
+    total = sum(weights)
     if total == 0:
         raise InputError("modularity undefined: total edge weight is zero")
-    q = Fraction(0)
-    for c in range(p.k):
-        e_cc = intra[c] / total
-        a_c = degree[c] / (2 * total)
-        q += e_cc - a_c * a_c
-    return q
+    # Q = sum_c intra_c / total - (degree_c / (2 total))^2
+    return Fraction(
+        sum(4 * total * i - d * d for i, d in zip(intra, degree)), 4 * total * total
+    )
 
 
 def compute_ifn(

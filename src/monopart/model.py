@@ -3,10 +3,14 @@
 Everything here is an immutable value object plus invariant validation and
 the canonical JSON interchange. No parsing, no algorithms.
 
-Numeric policy: all weights and costs are exact rationals
-(:class:`fractions.Fraction`), serialized as decimal strings when the value
-has a finite decimal expansion and as ``"p/q"`` otherwise. This keeps every
-artifact bit-identical across platforms.
+Numeric policy: rationals at the boundaries, integers inside. Every weight
+and cost a user supplies or an artifact records is an exact rational
+(:class:`fractions.Fraction`), serialized as a decimal string when the value
+has a finite decimal expansion and as ``"p/q"`` otherwise; this keeps every
+artifact bit-identical across platforms. Counts, ids and class weights are
+integers, and a non-integral value for one is rejected, never truncated.
+The partitioner scales the rational weights to integers once on entry
+(see :mod:`monopart.partitioner`) and hands back exact rationals.
 """
 
 from __future__ import annotations
@@ -50,6 +54,16 @@ def as_fraction(value: int | float | str | Fraction) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"not a rational number: {value!r}") from exc
     raise InputError(f"not a rational number: {value!r}")
+
+
+def as_int(value: object, what: str) -> int:
+    """``value`` if it is an integer (booleans excluded), else :class:`InputError`.
+
+    Unlike ``int()`` this never truncates: ``3.9`` and ``"2.7"`` are rejected.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InputError(f"{what} must be an integer, got {value!r}")
 
 
 def fraction_str(x: Fraction) -> str:
@@ -456,29 +470,33 @@ def graph_from_doc(doc: Mapping) -> ApplicationGraph:
     _check_schema_version(doc, "graph document")
     try:
         classes = tuple(
-            ClassNode(int(c["id"]), str(c["name"]), int(c.get("weight", 1)))
+            ClassNode(
+                as_int(c["id"], "class id"),
+                str(c["name"]),
+                as_int(c.get("weight", 1), "class weight"),
+            )
             for c in doc.get("classes", [])
         )
         resources = tuple(
-            ResourceNode(int(r["id"]), str(r["name"]), ResourceKind(r["kind"]))
+            ResourceNode(as_int(r["id"], "resource id"), str(r["name"]), ResourceKind(r["kind"]))
             for r in doc.get("resources", [])
         )
         flows = tuple(
-            FunctionalFlow(str(f["id"]), tuple(int(x) for x in f["members"]))
+            FunctionalFlow(str(f["id"]), tuple(as_int(x, "flow member") for x in f["members"]))
             for f in doc.get("flows", [])
         )
         resource_edges = tuple(
-            ResourceEdge(int(e["resource"]), int(e["class"]))
+            ResourceEdge(as_int(e["resource"], "resource id"), as_int(e["class"], "class id"))
             for e in doc.get("resource_edges", [])
         )
         class_edges = tuple(
             ClassEdge(
-                int(e["u"]),
-                int(e["v"]),
+                as_int(e["u"], "class id"),
+                as_int(e["v"], "class id"),
                 as_fraction(e["weight"]),
                 as_fraction(e.get("relation_base", 0)),
-                int(e.get("shared_resource_count", 0)),
-                int(e.get("flow_cooccurrence", 0)),
+                as_int(e.get("shared_resource_count", 0), "shared_resource_count"),
+                as_int(e.get("flow_cooccurrence", 0), "flow_cooccurrence"),
             )
             for e in doc.get("class_edges", [])
         )
@@ -522,7 +540,7 @@ def partition_from_doc(doc: Mapping, g: ApplicationGraph) -> PartitionSet:
         raise InputError("partition document must be a JSON object")
     _check_schema_version(doc, "partition document")
     try:
-        k = int(doc["k"])
+        k = as_int(doc["k"], "partition count k")
         raw = doc["assignment"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed partition document: {exc}") from exc
@@ -533,9 +551,7 @@ def partition_from_doc(doc: Mapping, g: ApplicationGraph) -> PartitionSet:
     for name, part in raw.items():
         if name not in ids:
             raise InputError(f"partition references unknown class {name!r}")
-        if not isinstance(part, int) or isinstance(part, bool):
-            raise InputError(f"class {name!r} has non-integer partition {part!r}")
-        assignment[ids[name]] = part
+        assignment[ids[name]] = as_int(part, f"partition of class {name!r}")
     for cid, part in enumerate(assignment):
         if part < 0:
             raise InputError(
@@ -553,7 +569,7 @@ def factor_to_doc(f: InfrastructureFactor) -> dict:
 def factor_from_doc(doc: Mapping) -> InfrastructureFactor:
     try:
         return InfrastructureFactor(
-            int(doc["n_ec"]), int(doc["n_s3"]), int(doc["n_db"]), int(doc["n_ca"])
+            *(as_int(doc[field], field) for field in ("n_ec", "n_s3", "n_db", "n_ca"))
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed infrastructure factor: {exc}") from exc
@@ -574,17 +590,19 @@ def report_to_doc(r: EvaluationReport) -> dict:
 
 
 def report_from_doc(doc: Mapping) -> EvaluationReport:
+    if not isinstance(doc, Mapping):
+        raise InputError("evaluation document must be a JSON object")
     _check_schema_version(doc, "evaluation document")
     try:
         return EvaluationReport(
             f1=None if doc.get("f1") is None else as_fraction(doc["f1"]),
             ngm=as_fraction(doc["ngm"]),
-            ifn_total=int(doc["ifn_total"]),
+            ifn_total=as_int(doc["ifn_total"], "ifn_total"),
             ifn_mean=as_fraction(doc["ifn_mean"]),
             edge_cut=as_fraction(doc["edge_cut"]),
             infra_total=factor_from_doc(doc["infra_total"]),
             infra_cost=as_fraction(doc["infra_cost"]),
-            cluster_sizes=tuple(int(x) for x in doc["cluster_sizes"]),
+            cluster_sizes=tuple(as_int(x, "cluster size") for x in doc["cluster_sizes"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed evaluation document: {exc}") from exc

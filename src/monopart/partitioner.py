@@ -6,11 +6,23 @@ standard multilevel one: heavy-edge-matching coarsening, greedy graph
 growing on the coarsest level, then balance-constrained boundary
 refinement while projecting back. Several seeded restarts run and the
 lowest objective wins (ties go to the lowest seed).
+
+Numeric policy: rationals at the boundaries, integers inside. The graph,
+prices and alpha arrive as exact rationals, and each restart is scored by
+the exact rational :func:`objective`. In between, :func:`scale` converts
+everything once: edge weights are multiplied by L, the LCM of their
+denominators, and unit prices by U, the LCM of theirs; with alpha = a/d, a
+move's gain times d*L*U is the integer ``a*U*dcut + (d-a)*L*ddup`` in the
+scaled units. Loads are integers, so the balance cap is the floor of the
+rational one. Multiplying every compared quantity by the same positive
+constant keeps each comparison and tie-break, so the integer kernels
+choose exactly the partitions rational arithmetic would.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -19,16 +31,14 @@ from .infra import duplication_cost
 from .metrics import compute_ngm, edge_cut
 from .model import (
     ApplicationGraph,
-    ClassEdge,
-    ClassNode,
     InputError,
     PartitionSet,
     PriceTable,
-    ResourceEdge,
     adjacency,
     as_fraction,
     bindings_by_class,
     check_partition,
+    validate_partition,
 )
 
 log = logging.getLogger(__name__)
@@ -73,17 +83,80 @@ class ObjectiveConfig:
 
 
 @dataclass(frozen=True)
-class CoarseLevel:
-    """One coarsening step: the contracted graph plus the projection from
-    the finer level's class ids onto the coarse ids."""
+class Level:
+    """One level of the multilevel hierarchy in integer form.
 
-    graph: ApplicationGraph
+    ``weights[v]`` is vertex v's balance weight (the summed weights of the
+    classes it stands for); ``adj[v]`` lists its ``(neighbour, weight)``
+    pairs sorted by neighbour, with edge weights scaled to integers by
+    :func:`scale`; ``res_of[v]`` holds the sorted ids of the resources bound
+    to any class it stands for.
+    """
+
+    weights: list[int]
+    adj: list[list[tuple[int, int]]]
+    res_of: list[tuple[int, ...]]
+
+    @property
+    def classes(self) -> list[int]:
+        """One entry per vertex, as ``ApplicationGraph.classes`` has one per
+        class, so :func:`check_partition` accepts a level."""
+        return self.weights
+
+
+@dataclass(frozen=True)
+class Gains:
+    """The blended objective over the common denominator ``d*L*U`` (see the
+    module docstring): a move gains ``cut`` per unit of scaled edge weight
+    it takes out of the cut, and ``dup[rid]`` per copy of resource ``rid``
+    it removes."""
+
+    cut: int
+    dup: list[int]
+
+
+@dataclass(frozen=True)
+class CoarseLevel:
+    """One coarsening step: the contracted level plus the projection from
+    the finer level's vertex ids onto the coarse ids."""
+
+    graph: Level
     projection: tuple[int, ...]
 
 
-def _balance_cap(g: ApplicationGraph, cfg: ObjectiveConfig) -> Fraction:
-    total = sum(c.weight for c in g.classes)
-    return (1 + cfg.epsilon) * (-(-total // cfg.k))
+def scale(g: ApplicationGraph, prices: PriceTable, cfg: ObjectiveConfig) -> tuple[Level, Gains]:
+    """The finest level of ``g`` and the objective's gains, as integers.
+
+    Edge weights are multiplied by L, the LCM of their denominators, and
+    unit prices by U, the LCM of theirs. With alpha = a/d a move's gain
+    times d*L*U is ``a*U * scaled cut gain + (d-a)*L * scaled dup gain``.
+    """
+    lcm_edges = math.lcm(*(e.weight.denominator for e in g.class_edges))
+    unit = [prices.unit_cost(r.kind) for r in g.resources]
+    lcm_prices = math.lcm(*(u.denominator for u in unit))
+    level = Level(
+        weights=[c.weight for c in g.classes],
+        adj=[
+            [(u, w.numerator * (lcm_edges // w.denominator)) for u, w in row]
+            for row in adjacency(g)
+        ],
+        res_of=[tuple(sorted(bound)) for bound in bindings_by_class(g)],
+    )
+    a, d = cfg.alpha.numerator, cfg.alpha.denominator
+    gains = Gains(
+        cut=a * lcm_prices,
+        dup=[(d - a) * lcm_edges * u.numerator * (lcm_prices // u.denominator) for u in unit],
+    )
+    return level, gains
+
+
+def _balance_cap(weights: list[int], cfg: ObjectiveConfig) -> int:
+    """Largest load a partition may carry: floor((1 + epsilon) * ceil(total / k)).
+    Loads are integers, so the floor admits exactly the loads the rational
+    cap does."""
+    per_part = -(-sum(weights) // cfg.k)
+    eps = cfg.epsilon
+    return (eps.denominator + eps.numerator) * per_part // eps.denominator
 
 
 def objective(
@@ -101,56 +174,27 @@ def objective(
 # coarsening
 # ---------------------------------------------------------------------------
 
-def _contract(g: ApplicationGraph, proj: list[int], coarse_count: int) -> ApplicationGraph:
-    groups: list[list[int]] = [[] for _ in range(coarse_count)]
-    for fine, coarse in enumerate(proj):
-        groups[coarse].append(fine)
-    classes = tuple(
-        ClassNode(
-            id=cid,
-            name=g.classes[min(members)].name,
-            weight=sum(g.classes[v].weight for v in members),
-        )
-        for cid, members in enumerate(groups)
-    )
-
-    merged: dict[tuple[int, int], list] = {}
-    for e in g.class_edges:
-        cu, cv = proj[e.u], proj[e.v]
-        if cu == cv:
-            continue
-        pair = (cu, cv) if cu < cv else (cv, cu)
-        acc = merged.get(pair)
-        if acc is None:
-            merged[pair] = [e.weight, e.relation_base, e.shared_resource_count, e.flow_cooccurrence]
-        else:
-            acc[0] += e.weight
-            acc[1] += e.relation_base
-            acc[2] += e.shared_resource_count
-            acc[3] += e.flow_cooccurrence
-    class_edges = tuple(
-        ClassEdge(u=u, v=v, weight=w, relation_base=b, shared_resource_count=s, flow_cooccurrence=f)
-        for (u, v), (w, b, s, f) in sorted(merged.items())
-    )
-
-    resource_edges = tuple(
-        ResourceEdge(resource=rid, cls=cid)
-        for rid, cid in sorted({(re_.resource, proj[re_.cls]) for re_ in g.resource_edges})
-    )
-
-    return ApplicationGraph(
-        classes=classes,
-        resources=g.resources,
-        flows=(),
-        resource_edges=resource_edges,
-        class_edges=class_edges,
-        beta=g.beta,
-        resource_increment=g.resource_increment,
+def _contract(level: Level, proj: list[int], coarse_count: int) -> Level:
+    weights = [0] * coarse_count
+    merged: list[dict[int, int]] = [{} for _ in range(coarse_count)]
+    bound: list[set[int]] = [set() for _ in range(coarse_count)]
+    for v, cv in enumerate(proj):
+        weights[cv] += level.weights[v]
+        bound[cv].update(level.res_of[v])
+        row = merged[cv]
+        for u, w in level.adj[v]:
+            cu = proj[u]
+            if cu != cv:
+                row[cu] = row.get(cu, 0) + w
+    return Level(
+        weights=weights,
+        adj=[sorted(row.items()) for row in merged],
+        res_of=[tuple(sorted(b)) for b in bound],
     )
 
 
 def coarsen(
-    g: ApplicationGraph, max_levels: int, min_size: int, seed: int
+    level: Level, max_levels: int, min_size: int, seed: int
 ) -> list[CoarseLevel]:
     """Successive heavy-edge-matching contractions.
 
@@ -159,14 +203,14 @@ def coarsen(
     Stops at ``max_levels``, at ``min_size`` vertices, or when no pair
     matches.
     """
-    if not g.classes:
+    if not level.weights:
         raise InputError("cannot coarsen an empty graph")
     levels: list[CoarseLevel] = []
-    current = g
+    current = level
     rng = random.Random(seed)
-    while len(levels) < max_levels and len(current.classes) > min_size:
-        n = len(current.classes)
-        adj = adjacency(current)
+    while len(levels) < max_levels and len(current.weights) > min_size:
+        n = len(current.weights)
+        adj = current.adj
         order = list(range(n))
         rng.shuffle(order)
         match = [-1] * n
@@ -174,10 +218,9 @@ def coarsen(
         for v in order:
             if match[v] != -1:
                 continue
-            best = -1
-            best_w: Fraction | None = None
+            best = best_w = -1
             for u, w in adj[v]:
-                if u != v and match[u] == -1 and (best_w is None or w > best_w):
+                if match[u] == -1 and (best == -1 or w > best_w):
                     best, best_w = u, w
             if best != -1:
                 match[v] = best
@@ -205,7 +248,7 @@ def coarsen(
 # initial partition and balance repair
 # ---------------------------------------------------------------------------
 
-def initial_partition(coarse: ApplicationGraph, cfg: ObjectiveConfig) -> PartitionSet:
+def initial_partition(coarse: Level, cfg: ObjectiveConfig) -> PartitionSet:
     """Greedy graph growing from k seeded start vertices.
 
     Regions grow by repeatedly taking the (vertex, region) pair with the
@@ -214,14 +257,14 @@ def initial_partition(coarse: ApplicationGraph, cfg: ObjectiveConfig) -> Partiti
     connection go to the lightest region. Growth is cut-driven; the
     infrastructure term enters during refinement.
     """
-    n = len(coarse.classes)
+    weights = coarse.weights
+    n = len(weights)
     k = cfg.k
     if k > n:
         raise InputError(f"k={k} exceeds vertex count {n}")
     rng = random.Random(cfg.seed)
-    weights = [c.weight for c in coarse.classes]
-    cap = _balance_cap(coarse, cfg)
-    adj = adjacency(coarse)
+    cap = _balance_cap(weights, cfg)
+    adj = coarse.adj
 
     assign = [-1] * n
     load = [0] * k
@@ -230,7 +273,7 @@ def initial_partition(coarse: ApplicationGraph, cfg: ObjectiveConfig) -> Partiti
         load[region] = weights[v]
 
     # conn[v][r]: total edge weight from unassigned v into region r
-    conn = [[Fraction(0)] * k for _ in range(n)]
+    conn = [[0] * k for _ in range(n)]
     for v in range(n):
         if assign[v] != -1:
             for u, w in adj[v]:
@@ -239,7 +282,7 @@ def initial_partition(coarse: ApplicationGraph, cfg: ObjectiveConfig) -> Partiti
 
     for _ in range(n - k):
         best_v = best_r = -1
-        best_w = Fraction(0)
+        best_w = 0
         for v in range(n):
             if assign[v] != -1:
                 continue
@@ -260,19 +303,17 @@ def initial_partition(coarse: ApplicationGraph, cfg: ObjectiveConfig) -> Partiti
     return PartitionSet(k=k, assignment=tuple(assign))
 
 
-def _rebalance(
-    g: ApplicationGraph, assign: list[int], cfg: ObjectiveConfig
-) -> list[int]:
+def _rebalance(level: Level, assign: list[int], cfg: ObjectiveConfig) -> list[int]:
     """Move vertices out of over-cap partitions, cheapest cut damage first.
 
     Always succeeds on unit vertex weights; on lumpy coarse levels it is
     best-effort (finer levels repair the rest).
     """
-    n = len(g.classes)
+    weights = level.weights
+    n = len(weights)
     k = cfg.k
-    weights = [c.weight for c in g.classes]
-    cap = _balance_cap(g, cfg)
-    adj = adjacency(g)
+    cap = _balance_cap(weights, cfg)
+    adj = level.adj
     load = [0] * k
     size = [0] * k
     for v, r in enumerate(assign):
@@ -283,11 +324,11 @@ def _rebalance(
         src = min(range(k), key=lambda r: (-load[r], r))
         if load[src] <= cap or size[src] < 2:
             break
-        best: tuple[Fraction, int, int] | None = None  # (cut increase, vertex, target)
+        best: tuple[int, int, int] | None = None  # (cut increase, vertex, target)
         for v in range(n):
             if assign[v] != src:
                 continue
-            conn = [Fraction(0)] * k
+            conn = [0] * k
             for u, w in adj[v]:
                 conn[assign[u]] += w
             for dst in range(k):
@@ -312,10 +353,10 @@ def _rebalance(
 # ---------------------------------------------------------------------------
 
 def refine(
-    g: ApplicationGraph,
+    level: Level,
     p: PartitionSet,
     cfg: ObjectiveConfig,
-    prices: PriceTable,
+    gains: Gains,
 ) -> PartitionSet:
     """Boundary refinement sweeps under the blended objective.
 
@@ -326,22 +367,22 @@ def refine(
     when a pass applies nothing, or after 10 passes; the objective never
     increases.
     """
-    check_partition(g, p)
-    n = len(g.classes)
+    check_partition(level, p)
     k = p.k
     if k == 1:
         return p
+    weights = level.weights
+    n = len(weights)
     assign = list(p.assignment)
-    weights = [c.weight for c in g.classes]
-    cap = _balance_cap(g, cfg)
-    adj = adjacency(g)
-    res_of = bindings_by_class(g)
-    unit = [prices.unit_cost(r.kind) for r in g.resources]
-    alpha = cfg.alpha
-    beta = 1 - alpha
+    cap = _balance_cap(weights, cfg)
+    adj = level.adj
+    res_of = level.res_of
+    cut_gain = gains.cut
+    dup = gains.dup
+    dup_on = any(dup)
 
-    # res_count[rid]: partition -> number of bound client classes in it
-    res_count: list[dict[int, int]] = [dict() for _ in g.resources]
+    # res_count[rid]: partition -> number of bound client vertices in it
+    res_count: list[dict[int, int]] = [{} for _ in dup]
     for v in range(n):
         for rid in res_of[v]:
             counts = res_count[rid]
@@ -365,28 +406,26 @@ def refine(
             src = assign[v]
             if size[src] < 2:
                 continue
-            conn = [Fraction(0)] * k
+            conn = [0] * k
+            targets = set()
             for u, w in adj[v]:
-                conn[assign[u]] += w
-            targets = {assign[u] for u, _w in adj[v]}
-            for rid in res_of[v]:
+                part = assign[u]
+                conn[part] += w
+                targets.add(part)
+            res = res_of[v]
+            for rid in res:
                 targets.update(res_count[rid])
             targets.discard(src)
-            best_gain = Fraction(0)
+            # dup saved at src: resources whose last client there is v
+            saved = sum(dup[rid] for rid in res if res_count[rid][src] == 1) if dup_on else 0
+            best_gain = 0
             best_dst = -1
             for dst in sorted(targets):
                 if load[dst] + weights[v] > cap:
                     continue
-                gain = alpha * (conn[dst] - conn[src])
-                if beta and res_of[v]:
-                    dup_delta = Fraction(0)
-                    for rid in res_of[v]:
-                        counts = res_count[rid]
-                        if counts.get(src, 0) == 1:
-                            dup_delta += unit[rid]
-                        if counts.get(dst, 0) == 0:
-                            dup_delta -= unit[rid]
-                    gain += beta * dup_delta
+                gain = cut_gain * (conn[dst] - conn[src])
+                if dup_on and res:
+                    gain += saved - sum(dup[rid] for rid in res if dst not in res_count[rid])
                 if gain > best_gain:
                     best_gain, best_dst = gain, dst
             if best_dst == -1:
@@ -397,7 +436,7 @@ def refine(
             load[dst] += weights[v]
             size[src] -= 1
             size[dst] += 1
-            for rid in res_of[v]:
+            for rid in res:
                 counts = res_count[rid]
                 counts[src] -= 1
                 if counts[src] == 0:
@@ -413,25 +452,43 @@ def refine(
 # driver
 # ---------------------------------------------------------------------------
 
-def _single_run(
-    g: ApplicationGraph, prices: PriceTable, cfg: ObjectiveConfig
-) -> PartitionSet:
+def _single_run(level: Level, gains: Gains, cfg: ObjectiveConfig) -> PartitionSet:
     min_size = max(8, 4 * cfg.k)
-    levels = coarsen(g, max_levels=_MAX_LEVELS, min_size=min_size, seed=cfg.seed)
-    graphs = [g] + [level.graph for level in levels]
+    levels = coarsen(level, max_levels=_MAX_LEVELS, min_size=min_size, seed=cfg.seed)
+    graphs = [level] + [lv.graph for lv in levels]
 
     coarsest = graphs[-1]
     p = initial_partition(coarsest, cfg)
     assign = _rebalance(coarsest, list(p.assignment), cfg)
-    p = refine(coarsest, PartitionSet(cfg.k, tuple(assign)), cfg, prices)
+    p = refine(coarsest, PartitionSet(cfg.k, tuple(assign)), cfg, gains)
 
     for li in range(len(levels) - 1, -1, -1):
-        fine = graphs[li]
-        proj = levels[li].projection
-        fine_assign = [p.assignment[proj[v]] for v in range(len(fine.classes))]
-        fine_assign = _rebalance(fine, fine_assign, cfg)
-        p = refine(fine, PartitionSet(cfg.k, tuple(fine_assign)), cfg, prices)
+        fine_assign = [p.assignment[c] for c in levels[li].projection]
+        fine_assign = _rebalance(graphs[li], fine_assign, cfg)
+        p = refine(graphs[li], PartitionSet(cfg.k, tuple(fine_assign)), cfg, gains)
     return p
+
+
+def _check_result(g: ApplicationGraph, p: PartitionSet, cfg: ObjectiveConfig) -> None:
+    """The postconditions of one restart. A violation is a bug in the
+    partitioner, not bad input, so it raises ``RuntimeError``; classes of
+    weight above 1 can make the cap unreachable, which is only logged."""
+    problems = validate_partition(g, p)
+    if problems:
+        raise RuntimeError("partitioner produced an invalid partition: " + "; ".join(problems))
+    weights = [c.weight for c in g.classes]
+    cap = _balance_cap(weights, cfg)
+    load = [0] * p.k
+    for w, part in zip(weights, p.assignment):
+        load[part] += w
+    if max(load) <= cap:
+        return
+    if all(w == 1 for w in weights):
+        raise RuntimeError(f"partitioner exceeded the balance cap: largest load {max(load)} > cap {cap}")
+    log.warning(
+        "largest partition load %d exceeds the balance cap %d (class weights are not all 1)",
+        max(load), cap,
+    )
 
 
 def partition_graph(
@@ -441,21 +498,24 @@ def partition_graph(
 
     Runs the coarsen / grow / refine pipeline once per restart with seeds
     ``cfg.seed + i`` and returns the result with the lowest objective,
-    ties to the lowest seed. The result is balanced with no empty
-    partition.
+    ties to the lowest seed. Each restart's result is checked before it is
+    scored: no empty partition, and on unit class weights no load above the
+    balance cap.
     """
     n = len(g.classes)
     if n == 0:
         raise InputError("cannot partition an empty graph")
     if cfg.k > n:
         raise InputError(f"k={cfg.k} exceeds class count {n}")
+    level, gains = scale(g, prices, cfg)
     best_p: PartitionSet | None = None
     best_obj: Fraction | None = None
     for i in range(cfg.restarts):
         # restarts=1: each run is one seed, so the seed-range check in
         # ObjectiveConfig sees only that seed
         run_cfg = replace(cfg, seed=cfg.seed + i, restarts=1)
-        p = _single_run(g, prices, run_cfg)
+        p = _single_run(level, gains, run_cfg)
+        _check_result(g, p, cfg)
         obj = objective(g, p, prices, cfg)
         if best_obj is None or obj < best_obj:
             best_p, best_obj = p, obj

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -11,6 +12,8 @@ from conftest import FIXTURES_DIR
 
 from oracles import check_dot
 
+from monopart import partitioner
+from monopart.model import PartitionSet
 from monopart.cli import (
     DOT_FILE,
     EVALUATION_FILE,
@@ -155,6 +158,14 @@ class TestPartition:
         run_ingest(workdir)
         code = main(["partition", "--k", "2", "--seed", str(2**64 - 8), "--out", str(workdir / "out")])
         assert code == 0, capsys.readouterr().err
+
+    def test_postcondition_violation_exits_1(self, workdir, caplog, monkeypatch):
+        run_ingest(workdir)
+        monkeypatch.setattr(partitioner, "_single_run", lambda *a: PartitionSet(2, (0, 0, 0)))
+        code = main(["partition", "--k", "2", "--out", str(workdir / "out")])
+        assert code == 1
+        assert "partition 1 is empty" in caplog.text
+        assert not (workdir / "out" / PARTITION_FILE).exists()
 
     def test_missing_graph(self, tmp_path, capsys):
         code = main(["partition", "--k", "2", "--out", str(tmp_path / "out")])
@@ -429,6 +440,28 @@ def _seed_past_restarts(out: Path) -> tuple[list[str], str]:
     return ["partition", "--k", "2", "--seed", str(2**64 - 2)], "--seed"
 
 
+def _partition_k(k: object) -> Callable[[Path], tuple[list[str], str]]:
+    def case(out: Path) -> tuple[list[str], str]:
+        path = out.parent / "k.json"
+        assignment = {"web.Shop": 0, "web.Cart": 1, "data.Orders": 2}
+        path.write_text(json.dumps({"k": k, "assignment": assignment}))
+        return ["dot", "--partition", str(path)], str(path)
+
+    case.__name__ = f"partition_k_{type(k).__name__}"
+    return case
+
+
+def _first_class(field: str, value: object) -> Callable[[Path], tuple[list[str], str]]:
+    def case(out: Path) -> tuple[list[str], str]:
+        doc = json.loads((out / GRAPH_FILE).read_text())
+        doc["classes"][0][field] = value
+        (out / GRAPH_FILE).write_text(json.dumps(doc))
+        return ["partition", "--k", "2"], str(out / GRAPH_FILE)
+
+    case.__name__ = f"class_{field}_{type(value).__name__}"
+    return case
+
+
 @pytest.mark.parametrize(
     "make_case",
     [
@@ -439,6 +472,14 @@ def _seed_past_restarts(out: Path) -> tuple[list[str], str]:
         _assignment_not_integer,
         _relation_not_string,
         _seed_past_restarts,
+        _partition_k(3.9),
+        _partition_k("2.7"),
+        _partition_k(True),
+        _first_class("weight", 2.7),
+        _first_class("weight", "2.7"),
+        _first_class("weight", True),
+        _first_class("id", 0.0),
+        _first_class("id", True),
     ],
     ids=lambda f: f.__name__.lstrip("_"),
 )

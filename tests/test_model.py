@@ -302,3 +302,15 @@ class TestInterchange:
             f1=None,
         )
         assert report_from_doc(report_to_doc(r)) == r
+
+    @pytest.mark.parametrize("doc", [[], "report", 3])
+    def test_report_doc_must_be_a_mapping(self, doc):
+        with pytest.raises(InputError, match="evaluation document"):
+            report_from_doc(doc)
+
+    @pytest.mark.parametrize("value", [3.9, "2", True])
+    def test_partition_doc_rejects_non_integer_k(self, value):
+        g = two_class_graph()
+        doc = {"schema_version": 1, "k": value, "assignment": {"A": 0, "B": 0}}
+        with pytest.raises(InputError, match="must be an integer"):
+            partition_from_doc(doc, g)

@@ -1,9 +1,12 @@
 """Multilevel partitioner: objective, coarsening, growing, refinement."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import clique_pair_xml, graph_from_edges, random_edge_set
 
@@ -22,6 +25,7 @@ from monopart.model import (
     ResourceNode,
     validate_partition,
 )
+from monopart import partitioner
 from monopart.partitioner import (
     ObjectiveConfig,
     coarsen,
@@ -29,10 +33,21 @@ from monopart.partitioner import (
     objective,
     partition_graph,
     refine,
+    scale,
     sweep_k,
 )
 
 PRICES = PriceTable.default()
+
+
+def level_of(g):
+    """The finest integer level of ``g`` (prices and alpha do not enter it)."""
+    return scale(g, PRICES, ObjectiveConfig(k=1))[0]
+
+
+def refine_graph(g, p, cfg, prices=PRICES):
+    level, gains = scale(g, prices, cfg)
+    return refine(level, p, cfg, gains)
 
 
 class TestObjectiveConfig:
@@ -102,29 +117,69 @@ class TestObjective:
         assert objective(g, p, PRICES, cfg) == Fraction(1, 4) * 3 + Fraction(3, 4) * 2
 
 
+class TestScale:
+    def test_weights_prices_and_alpha_over_common_denominators(self):
+        g = ApplicationGraph(
+            classes=(ClassNode(0, "A"), ClassNode(1, "B"), ClassNode(2, "C", weight=2)),
+            resources=(
+                ResourceNode(0, "c1", ResourceKind.CACHE),
+                ResourceNode(1, "s1", ResourceKind.FILE_STORAGE),
+            ),
+            resource_edges=(ResourceEdge(0, 2), ResourceEdge(1, 0), ResourceEdge(0, 0)),
+            class_edges=graph_from_edges(3, {(0, 1): Fraction(1, 2), (1, 2): Fraction(2, 3)}).class_edges,
+        )
+        prices = PriceTable(cache=Fraction(3, 10), file_storage=Fraction(1, 6))
+        level, gains = scale(g, prices, ObjectiveConfig(k=2, alpha=Fraction(1, 3)))
+        # L = 6, U = 30, alpha = 1/3
+        assert level.weights == [1, 1, 2]
+        assert level.adj == [[(1, 3)], [(0, 3), (2, 4)], [(1, 4)]]
+        assert level.res_of == [(0, 1), (), (0,)]
+        assert gains.cut == 1 * 30
+        assert gains.dup == [2 * 6 * 9, 2 * 6 * 5]
+
+    def test_gain_is_objective_drop_times_common_denominator(self):
+        # one move of B from partition 1 to 0: cut falls by 1/2 - 2/3, and
+        # the cache c1 loses its copy in partition 1
+        g = ApplicationGraph(
+            classes=(ClassNode(0, "A"), ClassNode(1, "B"), ClassNode(2, "C")),
+            resources=(ResourceNode(0, "c1", ResourceKind.CACHE),),
+            resource_edges=(ResourceEdge(0, 0), ResourceEdge(0, 1)),
+            class_edges=graph_from_edges(3, {(0, 1): Fraction(1, 2), (1, 2): Fraction(2, 3)}).class_edges,
+        )
+        prices = PriceTable(cache=Fraction(3, 10))
+        cfg = ObjectiveConfig(k=2, alpha=Fraction(1, 3), epsilon=Fraction(1))
+        level, gains = scale(g, prices, cfg)
+        before, after = PartitionSet(2, (0, 1, 1)), PartitionSet(2, (0, 0, 1))
+        drop = objective(g, before, prices, cfg) - objective(g, after, prices, cfg)
+        cut_gain = 3 - 4  # scaled weight into partition 0 minus into partition 1
+        assert gains.cut * cut_gain + gains.dup[0] == drop * 3 * 6 * 10
+        assert drop > 0
+        assert refine(level, before, cfg, gains) == after
+
+
 class TestCoarsen:
     def test_heavy_edges_contract_first(self):
         g = graph_from_edges(4, {(0, 1): 5, (1, 2): 1, (2, 3): 5})
-        levels = coarsen(g, max_levels=1, min_size=2, seed=0)
+        levels = coarsen(level_of(g), max_levels=1, min_size=2, seed=0)
         assert len(levels) == 1
         proj = levels[0].projection
         assert proj[0] == proj[1] and proj[2] == proj[3] and proj[0] != proj[2]
 
     def test_edgeless_graph_never_contracts(self):
         g = graph_from_edges(5, {})
-        assert coarsen(g, max_levels=3, min_size=2, seed=1) == []
+        assert coarsen(level_of(g), max_levels=3, min_size=2, seed=1) == []
 
     def test_vertex_weight_conservation(self):
         rng = random.Random(5)
         g = graph_from_edges(30, random_edge_set(rng, 30))
-        for level in coarsen(g, max_levels=10, min_size=4, seed=9):
-            assert sum(c.weight for c in level.graph.classes) == 30
+        for level in coarsen(level_of(g), max_levels=10, min_size=4, seed=9):
+            assert sum(level.graph.weights) == 30
 
     def test_projection_total_and_surjective(self):
         rng = random.Random(6)
         g = graph_from_edges(20, random_edge_set(rng, 20))
         fine_count = 20
-        for level in coarsen(g, max_levels=10, min_size=4, seed=2):
+        for level in coarsen(level_of(g), max_levels=10, min_size=4, seed=2):
             coarse_count = len(level.graph.classes)
             assert len(level.projection) == fine_count
             assert set(level.projection) == set(range(coarse_count))
@@ -132,25 +187,31 @@ class TestCoarsen:
 
     def test_coarse_edge_weight_matches_crossing_fine_weight(self):
         rng = random.Random(7)
-        edges = random_edge_set(rng, 12)
+        edges = {pair: w / 6 for pair, w in random_edge_set(rng, 12).items()}
         g = graph_from_edges(12, edges)
-        levels = coarsen(g, max_levels=1, min_size=2, seed=3)
+        levels = coarsen(level_of(g), max_levels=1, min_size=2, seed=3)
         if not levels:
             pytest.skip("matching made no progress")
         proj = levels[0].projection
         coarse = levels[0].graph
-        for ce in coarse.class_edges:
-            expected = sum(
-                w
-                for (u, v), w in edges.items()
-                if {proj[u], proj[v]} == {ce.u, ce.v}
-            )
-            assert ce.weight == expected
+        crossing = {}
+        for (u, v), w in edges.items():
+            if proj[u] != proj[v]:
+                pair = frozenset((proj[u], proj[v]))
+                crossing[pair] = crossing.get(pair, 0) + w
+        lcm = math.lcm(*(w.denominator for w in edges.values()))
+        scaled = {
+            frozenset((cu, cv)): Fraction(w, lcm)
+            for cu, row in enumerate(coarse.adj)
+            for cv, w in row
+        }
+        assert scaled == crossing
+        assert all(row == sorted(row) for row in coarse.adj)
 
     def test_stops_at_min_size(self):
         rng = random.Random(8)
         g = graph_from_edges(40, random_edge_set(rng, 40))
-        levels = coarsen(g, max_levels=20, min_size=10, seed=4)
+        levels = coarsen(level_of(g), max_levels=20, min_size=10, seed=4)
         assert len(levels[-1].graph.classes) <= max(
             10, len(levels[-2].graph.classes) if len(levels) > 1 else 40
         )
@@ -162,18 +223,18 @@ class TestCoarsen:
 class TestInitialPartition:
     def test_k_equals_vertex_count(self):
         g = graph_from_edges(4, {(0, 1): 1})
-        p = initial_partition(g, ObjectiveConfig(k=4, seed=0))
+        p = initial_partition(level_of(g), ObjectiveConfig(k=4, seed=0))
         assert sorted(p.assignment) == [0, 1, 2, 3]
 
     def test_k_one(self):
         g = graph_from_edges(4, {(0, 1): 1})
-        p = initial_partition(g, ObjectiveConfig(k=1, seed=0))
+        p = initial_partition(level_of(g), ObjectiveConfig(k=1, seed=0))
         assert p.assignment == (0, 0, 0, 0)
 
     def test_k_exceeding_vertices(self):
         g = graph_from_edges(2, {(0, 1): 1})
         with pytest.raises(InputError):
-            initial_partition(g, ObjectiveConfig(k=3, seed=0))
+            initial_partition(level_of(g), ObjectiveConfig(k=3, seed=0))
 
     def test_balance_on_unit_weights(self):
         rng = random.Random(11)
@@ -182,7 +243,7 @@ class TestInitialPartition:
             g = graph_from_edges(n, random_edge_set(rng, n))
             k = rng.randint(1, n)
             cfg = ObjectiveConfig(k=k, epsilon=Fraction(1, 10), seed=trial)
-            p = initial_partition(g, cfg)
+            p = initial_partition(level_of(g), cfg)
             cap = (1 + cfg.epsilon) * (-(-n // k))
             assert validate_partition(g, p) == []
             assert max(p.sizes()) <= cap
@@ -196,7 +257,7 @@ class TestInitialPartition:
         hits = 0
         for i in range(8):
             cfg = ObjectiveConfig(k=2, alpha=1, epsilon=Fraction(1, 10), seed=i)
-            p = initial_partition(g, cfg)
+            p = initial_partition(level_of(g), cfg)
             hits += edge_cut(g, p) == 1
         assert hits == 6
 
@@ -206,7 +267,7 @@ class TestRefine:
         g = graph_from_edges(4, {(0, 1): 3, (2, 3): 3, (1, 2): 1})
         p = PartitionSet(2, (0, 0, 1, 1))
         cfg = ObjectiveConfig(k=2, alpha=1, seed=0)
-        assert refine(g, p, cfg, PRICES) == p
+        assert refine_graph(g, p, cfg) == p
 
     def test_pure_infra_move_joins_database_clients(self):
         # A alone holds the db1 binding in partition 1; every other client
@@ -224,7 +285,7 @@ class TestRefine:
         p = PartitionSet(2, (1, 0, 0, 1))
         cfg = ObjectiveConfig(k=2, alpha=0, epsilon=Fraction(1), seed=0)
         before = objective(g, p, PRICES, cfg)
-        after_p = refine(g, p, cfg, PRICES)
+        after_p = refine_graph(g, p, cfg)
         after = objective(g, after_p, PRICES, cfg)
         assert after_p.assignment[0] == 0
         assert before - after == PRICES.unit_cost(ResourceKind.DATABASE)
@@ -243,7 +304,7 @@ class TestRefine:
                 continue
             cfg = ObjectiveConfig(k=k, alpha=Fraction(1, 2), epsilon=Fraction(1, 2), seed=trial)
             before = objective(g, p, PRICES, cfg)
-            after = objective(g, refine(g, p, cfg, PRICES), PRICES, cfg)
+            after = objective(g, refine_graph(g, p, cfg), PRICES, cfg)
             assert after <= before
 
 
@@ -284,6 +345,27 @@ class TestPartitionGraph:
             assert validate_partition(g, p) == []
             cap = (1 + cfg.epsilon) * (-(-n // k))
             assert max(p.sizes()) <= cap
+
+    def test_invalid_result_is_an_internal_error(self, monkeypatch):
+        g = graph_from_edges(4, {(0, 1): 1, (2, 3): 1})
+        monkeypatch.setattr(partitioner, "_single_run", lambda *a: PartitionSet(2, (0, 0, 0, 0)))
+        with pytest.raises(RuntimeError, match="partition 1 is empty"):
+            partition_graph(g, PRICES, ObjectiveConfig(k=2, seed=0))
+
+    def test_cap_exceeded_on_unit_weights_is_an_internal_error(self, monkeypatch):
+        g = graph_from_edges(4, {(0, 1): 1, (2, 3): 1})
+        monkeypatch.setattr(partitioner, "_single_run", lambda *a: PartitionSet(2, (0, 0, 0, 1)))
+        with pytest.raises(RuntimeError, match="largest load 3 > cap 2"):
+            partition_graph(g, PRICES, ObjectiveConfig(k=2, epsilon=0, seed=0))
+
+    def test_cap_missed_on_lumpy_weights_is_logged(self, caplog):
+        g = ApplicationGraph(
+            classes=(ClassNode(0, "A", weight=5), ClassNode(1, "B"), ClassNode(2, "C")),
+            class_edges=graph_from_edges(3, {(0, 1): 1, (1, 2): 1}).class_edges,
+        )
+        p = partition_graph(g, PRICES, ObjectiveConfig(k=2, epsilon=0, seed=0, restarts=1))
+        assert validate_partition(g, p) == []
+        assert "largest partition load 5 exceeds the balance cap 4" in caplog.text
 
     def test_determinism(self):
         rng = random.Random(19)
@@ -338,6 +420,64 @@ class TestPartitionGraph:
             results[alpha] = build_infra_report(g, p, PRICES).total.n_db
         assert results[0] == 1
         assert results[1] == 2
+
+
+@st.composite
+def problems(draw):
+    """A random graph with fractional edge weights and resource bindings,
+    fractional prices, and a config with k <= n."""
+    n = draw(st.integers(min_value=2, max_value=14))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    weight = st.fractions(min_value=0, max_value=5, max_denominator=12)
+    edges = draw(st.dictionaries(st.sampled_from(pairs), weight, max_size=3 * n))
+    kinds = draw(st.lists(st.sampled_from(list(ResourceKind)), max_size=4))
+    bindings = draw(st.sets(
+        st.tuples(st.integers(0, max(len(kinds) - 1, 0)), st.integers(0, n - 1)),
+        max_size=3 * n,
+    )) if kinds else set()
+    g = ApplicationGraph(
+        classes=tuple(ClassNode(i, f"N{i}") for i in range(n)),
+        resources=tuple(ResourceNode(i, f"r{i}", kind) for i, kind in enumerate(kinds)),
+        resource_edges=tuple(ResourceEdge(r, c) for r, c in sorted(bindings)),
+        class_edges=graph_from_edges(n, edges).class_edges,
+    )
+    price = st.fractions(min_value=0, max_value=3, max_denominator=10)
+    prices = PriceTable(
+        compute=draw(price), database=draw(price), cache=draw(price), file_storage=draw(price)
+    )
+    cfg = ObjectiveConfig(
+        k=draw(st.integers(min_value=1, max_value=n)),
+        alpha=draw(st.fractions(min_value=0, max_value=1, max_denominator=9)),
+        epsilon=draw(st.fractions(min_value=0, max_value=1, max_denominator=9)),
+        seed=draw(st.integers(min_value=0, max_value=2**32)),
+        restarts=draw(st.integers(min_value=1, max_value=3)),
+    )
+    return g, prices, cfg
+
+
+class TestProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(problems())
+    def test_partition_valid_within_cap_and_deterministic(self, problem):
+        g, prices, cfg = problem
+        p = partition_graph(g, prices, cfg)
+        assert validate_partition(g, p) == []
+        n = len(g.classes)
+        assert max(p.sizes()) <= (1 + cfg.epsilon) * (-(-n // cfg.k))
+        assert partition_graph(g, prices, cfg) == p
+
+    @settings(max_examples=150, deadline=None)
+    @given(problems(), st.randoms(use_true_random=False))
+    def test_refine_never_raises_objective(self, problem, rnd):
+        g, prices, cfg = problem
+        n, k = len(g.classes), cfg.k
+        assignment = [rnd.randrange(k) for _ in range(n)]
+        for part, cid in enumerate(rnd.sample(range(n), k)):  # no empty partition
+            assignment[cid] = part
+        p = PartitionSet(k, tuple(assignment))
+        after = refine_graph(g, p, cfg, prices)
+        assert validate_partition(g, after) == []
+        assert objective(g, after, prices, cfg) <= objective(g, p, prices, cfg)
 
 
 class TestSweep:
