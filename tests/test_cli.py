@@ -13,7 +13,6 @@ from conftest import FIXTURES_DIR
 from oracles import check_dot
 
 from monopart import partitioner
-from monopart.model import PartitionSet
 from monopart.cli import (
     DOT_FILE,
     EVALUATION_FILE,
@@ -22,6 +21,7 @@ from monopart.cli import (
     PARTITION_FILE,
     main,
 )
+from monopart.model import PartitionSet
 
 DEPS_XML = """\
 <dependencies>
