@@ -95,7 +95,13 @@ def _load_graph(out_dir: Path) -> tuple[model.ApplicationGraph, list[ingest.Depe
         problems = model.validate_graph(g)
         if problems:
             raise model.InputError("; ".join(problems))
-        return g, ingest.dependencies_from_doc(doc.get("dependencies", []))
+        deps = ingest.dependencies_from_doc(doc.get("dependencies", []))
+        names = g.id_by_name()
+        for rec in deps:
+            for name in (rec.from_class, rec.to_class):
+                if name not in names:
+                    raise model.InputError(f"dependency names unknown class {name!r}")
+        return g, deps
 
 
 def _load_partition(out_dir: Path, g: model.ApplicationGraph, path: str | None = None) -> model.PartitionSet:
@@ -224,6 +230,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     truth = None
     if args.truth:
         truth = _parse_input(args.truth, metrics.load_ground_truth)
+        if truth.assignment.keys().isdisjoint(g.id_by_name()):
+            raise model.InputError(f"{args.truth}: names no class of {GRAPH_FILE}")
     report = metrics.evaluate(
         g, p, deps, truth, prices, compute_floor=not args.no_compute_floor
     )

@@ -8,6 +8,7 @@ functional-flow co-occurrence.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -120,12 +121,18 @@ def build_graph(
         for flow in flows
     )
 
-    # accumulate edge components per unordered pair
-    relation_base: dict[tuple[int, int], Fraction] = {}
+    # accumulate edge components per unordered pair; relation bases are
+    # summed as integers over the LCM of the three base-weight denominators
+    bases = {rel: cfg.base_weight(rel) for rel in Relation}
+    base_scale = math.lcm(*(b.denominator for b in bases.values()))
+    scaled_base = {
+        rel: b.numerator * (base_scale // b.denominator) for rel, b in bases.items()
+    }
+    relation_base: dict[tuple[int, int], int] = {}
     for rec in deps:
         u, v = id_by_name[rec.from_class], id_by_name[rec.to_class]
         pair = (u, v) if u < v else (v, u)
-        relation_base[pair] = relation_base.get(pair, Fraction(0)) + cfg.base_weight(rec.relation)
+        relation_base[pair] = relation_base.get(pair, 0) + scaled_base[rec.relation]
 
     shared: dict[tuple[int, int], int] = {}
     clients: dict[int, set[int]] = {r.id: set() for r in resources}
@@ -145,12 +152,19 @@ def build_graph(
                 cooccur[(u, v)] = cooccur.get((u, v), 0) + 1
 
     pairs = sorted(set(relation_base) | set(shared) | set(cooccur))
+    # Few distinct (base, shared, flow) triples occur; each one's Fractions
+    # are built once.
+    components: dict[tuple[int, int, int], tuple[Fraction, Fraction]] = {}
     class_edges = []
     for u, v in pairs:
-        base = relation_base.get((u, v), Fraction(0))
         n_shared = shared.get((u, v), 0)
         n_flow = cooccur.get((u, v), 0)
-        weight = base + cfg.shared_resource_increment * n_shared + cfg.beta_flow * n_flow
+        key = (relation_base.get((u, v), 0), n_shared, n_flow)
+        if key not in components:
+            base = Fraction(key[0], base_scale)
+            weight = base + cfg.shared_resource_increment * n_shared + cfg.beta_flow * n_flow
+            components[key] = (base, weight)
+        base, weight = components[key]
         class_edges.append(
             ClassEdge(
                 u=u,

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import yaml
 
+from .ingest import _as_text
 from .model import (
     ApplicationGraph,
     InfrastructureFactor,
@@ -138,6 +139,17 @@ def build_infra_report(
     the partitioner's objective.
     """
     check_partition(g, p)
+    return _infra_report(g, p, prices, compute_floor, shared_database)
+
+
+def _infra_report(
+    g: ApplicationGraph,
+    p: PartitionSet,
+    prices: PriceTable,
+    compute_floor: bool,
+    shared_database: bool,
+) -> PartitionInfraReport:
+    """:func:`build_infra_report` on a partition already checked against ``g``."""
     touched = _touched_resources(g, p)
 
     if shared_database:
@@ -173,10 +185,8 @@ def build_infra_report(
 def load_price_table(data: bytes | str) -> PriceTable:
     """Read a price table from YAML with keys compute, database, cache,
     file_storage; missing keys keep their defaults."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
-        doc = yaml.safe_load(data)
+        doc = yaml.safe_load(_as_text(data))
     except yaml.YAMLError as exc:
         raise InputError(f"malformed YAML: {exc}") from exc
     if doc is None:

@@ -5,14 +5,15 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import yaml
 
-from .infra import build_infra_report
-from .ingest import DependencyRecord
+from .infra import _infra_report
+from .ingest import DependencyRecord, _as_text
 from .model import (
     ApplicationGraph,
     EvaluationReport,
@@ -36,9 +37,7 @@ class GroundTruth:
 
 def load_ground_truth(data: bytes | str) -> GroundTruth:
     """Read ground truth from YAML or JSON: a flat ``{class: label}`` map."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    text = data
+    text = _as_text(data)
     try:
         if text.lstrip()[:1] == "{":
             doc = json.loads(text)
@@ -58,28 +57,30 @@ def compute_f1(
 
     Over unordered pairs of classes present in both: a pair is positive in
     a clustering when both classes share a cluster. F1 is the standard
-    harmonic mean 2PR/(P+R); 0 when no pair is co-located in both.
-    Classes absent from the truth are excluded from pair enumeration.
+    harmonic mean 2PR/(P+R) = 2TP/(predicted pairs + true pairs); 0 when no
+    pair is co-located in both. Classes absent from the truth are excluded.
+
+    Pairs are counted, not enumerated: a group of n classes holds C(n, 2)
+    pairs, so TP sums over the (predicted, true) cells of the contingency
+    table and the two pair totals over its rows and columns.
     """
-    common = [cid for cid in range(len(names)) if names[cid] in truth.assignment]
+    labels = truth.assignment
+    common = [
+        (p.assignment[cid], labels[name]) for cid, name in enumerate(names) if name in labels
+    ]
     if not common:
         raise InputError("no classes in common between partition and ground truth")
-    tp = fp = fn = 0
-    for i, u in enumerate(common):
-        for v in common[i + 1 :]:
-            same_pred = p.assignment[u] == p.assignment[v]
-            same_true = truth.assignment[names[u]] == truth.assignment[names[v]]
-            if same_pred and same_true:
-                tp += 1
-            elif same_pred:
-                fp += 1
-            elif same_true:
-                fn += 1
+    tp = _pairs(Counter(common))
     if tp == 0:
         return Fraction(0)
-    precision = Fraction(tp, tp + fp)
-    recall = Fraction(tp, tp + fn)
-    return 2 * precision * recall / (precision + recall)
+    predicted = _pairs(Counter(part for part, _ in common))
+    actual = _pairs(Counter(label for _, label in common))
+    return Fraction(2 * tp, predicted + actual)
+
+
+def _pairs(group_sizes: Counter) -> int:
+    """Unordered pairs inside the groups: the sum of C(n, 2) over the sizes."""
+    return sum(n * (n - 1) // 2 for n in group_sizes.values())
 
 
 def compute_ngm(
@@ -92,6 +93,11 @@ def compute_ngm(
     every class edge counts 1.
     """
     check_partition(g, p)
+    return _modularity(g, p, weighted)
+
+
+def _modularity(g: ApplicationGraph, p: PartitionSet, weighted: bool) -> Fraction:
+    """:func:`compute_ngm` on a partition already checked against ``g``."""
     if not g.class_edges:
         raise InputError("modularity undefined: graph has no class edges")
     # Sums run on weights scaled by the LCM of their denominators; the
@@ -165,6 +171,11 @@ def cluster_stats(p: PartitionSet) -> ClusterStats:
 def edge_cut(g: ApplicationGraph, p: PartitionSet) -> Fraction:
     """Total weight of class edges crossing partitions."""
     check_partition(g, p)
+    return _cut(g, p)
+
+
+def _cut(g: ApplicationGraph, p: PartitionSet) -> Fraction:
+    """:func:`edge_cut` on a partition already checked against ``g``."""
     return sum(
         (e.weight for e in g.class_edges if p.assignment[e.u] != p.assignment[e.v]),
         Fraction(0),
@@ -181,22 +192,25 @@ def evaluate(
     weighted_ngm: bool = True,
     compute_floor: bool = True,
 ) -> EvaluationReport:
-    """Assemble the full evaluation report for one partitioning."""
+    """Assemble the full evaluation report for one partitioning.
+
+    The partition is checked once, here; the metrics below take it as valid.
+    """
     check_partition(g, p)
     prices = prices if prices is not None else PriceTable.default()
     names = g.names()
     if g.class_edges:
-        ngm = compute_ngm(g, p, weighted=weighted_ngm)
+        ngm = _modularity(g, p, weighted_ngm)
     else:
         ngm = Fraction(0)
     ifn_total, ifn_mean, _per = compute_ifn(deps, p, names)
-    report = build_infra_report(g, p, prices, compute_floor=compute_floor)
+    report = _infra_report(g, p, prices, compute_floor, shared_database=False)
     f1 = compute_f1(p, truth, names) if truth is not None else None
     return EvaluationReport(
         ngm=ngm,
         ifn_total=ifn_total,
         ifn_mean=ifn_mean,
-        edge_cut=edge_cut(g, p),
+        edge_cut=_cut(g, p),
         infra_total=report.total,
         infra_cost=report.total_cost,
         cluster_sizes=cluster_stats(p).sizes,

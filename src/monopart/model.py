@@ -15,6 +15,7 @@ The partitioner scales the rational weights to integers once on entry
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -374,6 +375,18 @@ def validate_graph(g: ApplicationGraph) -> list[str]:
         else:
             seen_res.add(r.name)
 
+    # Recomposition runs on integers: every rational is scaled by L, the LCM
+    # of all the denominators involved, so each edge is checked exactly as
+    # weight*L == base*L + inc*L*shared + beta*L*flow.
+    inc, beta = g.resource_increment, g.beta
+    scale = math.lcm(
+        inc.denominator,
+        beta.denominator,
+        *{e.weight.denominator for e in g.class_edges},
+        *{e.relation_base.denominator for e in g.class_edges},
+    )
+    inc_l = inc.numerator * (scale // inc.denominator)
+    beta_l = beta.numerator * (scale // beta.denominator)
     seen_pairs: set[tuple[int, int]] = set()
     for e in g.class_edges:
         if not (0 <= e.u < n) or not (0 <= e.v < n):
@@ -386,18 +399,20 @@ def validate_graph(g: ApplicationGraph) -> list[str]:
         if pair in seen_pairs:
             problems.append(f"parallel class edge on pair {pair}")
         seen_pairs.add(pair)
-        if e.weight < 0 or e.relation_base < 0:
+        weight, base = e.weight, e.relation_base
+        if weight.numerator < 0 or base.numerator < 0:
             problems.append(f"class edge {pair} has a negative component")
         if e.shared_resource_count < 0 or e.flow_cooccurrence < 0:
             problems.append(f"class edge {pair} has a negative component")
-        recomposed = (
-            e.relation_base
-            + g.resource_increment * e.shared_resource_count
-            + g.beta * e.flow_cooccurrence
+        recomposed_l = (
+            base.numerator * (scale // base.denominator)
+            + inc_l * e.shared_resource_count
+            + beta_l * e.flow_cooccurrence
         )
-        if e.weight != recomposed:
+        if weight.numerator * (scale // weight.denominator) != recomposed_l:
+            recomposed = Fraction(recomposed_l, scale)
             problems.append(
-                f"class edge {pair} weight {e.weight} != recomposed {recomposed}"
+                f"class edge {pair} weight {weight} != recomposed {recomposed}"
             )
 
     seen_bindings: set[tuple[int, int]] = set()
@@ -468,6 +483,18 @@ def graph_from_doc(doc: Mapping) -> ApplicationGraph:
     if not isinstance(doc, Mapping):
         raise InputError("graph document must be a JSON object")
     _check_schema_version(doc, "graph document")
+    # Weights repeat a handful of distinct strings; each is parsed once per
+    # document. Only strings are shared: 1, 1.0 and True hash alike.
+    parsed: dict[str, Fraction] = {}
+
+    def rational(value: object) -> Fraction:
+        if type(value) is not str:
+            return as_fraction(value)
+        x = parsed.get(value)
+        if x is None:
+            x = parsed[value] = as_fraction(value)
+        return x
+
     try:
         classes = tuple(
             ClassNode(
@@ -493,8 +520,8 @@ def graph_from_doc(doc: Mapping) -> ApplicationGraph:
             ClassEdge(
                 as_int(e["u"], "class id"),
                 as_int(e["v"], "class id"),
-                as_fraction(e["weight"]),
-                as_fraction(e.get("relation_base", 0)),
+                rational(e["weight"]),
+                rational(e.get("relation_base", 0)),
                 as_int(e.get("shared_resource_count", 0), "shared_resource_count"),
                 as_int(e.get("flow_cooccurrence", 0), "flow_cooccurrence"),
             )
@@ -508,8 +535,8 @@ def graph_from_doc(doc: Mapping) -> ApplicationGraph:
         flows=flows,
         resource_edges=resource_edges,
         class_edges=class_edges,
-        beta=as_fraction(doc.get("beta", 1)),
-        resource_increment=as_fraction(doc.get("resource_increment", 1)),
+        beta=rational(doc.get("beta", 1)),
+        resource_increment=rational(doc.get("resource_increment", 1)),
     )
 
 

@@ -88,6 +88,66 @@ def pairwise_f1_reference(
     return 2 * precision * recall / (precision + recall)
 
 
+def pairwise_f1_enumerated(
+    assignment: tuple[int, ...], truth: dict[str, str], names: list[str]
+) -> Fraction:
+    """Brute-force pairwise F1: walk every pair of classes present in both
+    clusterings and tally it as a true positive, false positive or false
+    negative."""
+    common = [cid for cid in range(len(names)) if names[cid] in truth]
+    tp = fp = fn = 0
+    for i, u in enumerate(common):
+        for v in common[i + 1 :]:
+            same_pred = assignment[u] == assignment[v]
+            same_true = truth[names[u]] == truth[names[v]]
+            if same_pred and same_true:
+                tp += 1
+            elif same_pred:
+                fp += 1
+            elif same_true:
+                fn += 1
+    if tp == 0:
+        return Fraction(0)
+    precision = Fraction(tp, tp + fp)
+    recall = Fraction(tp, tp + fn)
+    return 2 * precision * recall / (precision + recall)
+
+
+def class_edge_problems_reference(g) -> list[str]:
+    """The class-edge checks of ``validate_graph`` with each weight
+    recomposed in Fraction arithmetic; the same messages in the same order.
+    On a graph whose classes, resources and flows are well formed this is
+    the whole problem list."""
+    problems: list[str] = []
+    n = len(g.classes)
+    seen_pairs: set[tuple[int, int]] = set()
+    for e in g.class_edges:
+        if not (0 <= e.u < n) or not (0 <= e.v < n):
+            problems.append(f"class edge ({e.u}, {e.v}) references a missing class id")
+            continue
+        if e.u == e.v:
+            problems.append(f"class edge ({e.u}, {e.v}) is a self-loop")
+            continue
+        pair = (min(e.u, e.v), max(e.u, e.v))
+        if pair in seen_pairs:
+            problems.append(f"parallel class edge on pair {pair}")
+        seen_pairs.add(pair)
+        if e.weight < 0 or e.relation_base < 0:
+            problems.append(f"class edge {pair} has a negative component")
+        if e.shared_resource_count < 0 or e.flow_cooccurrence < 0:
+            problems.append(f"class edge {pair} has a negative component")
+        recomposed = (
+            e.relation_base
+            + g.resource_increment * e.shared_resource_count
+            + g.beta * e.flow_cooccurrence
+        )
+        if e.weight != recomposed:
+            problems.append(
+                f"class edge {pair} weight {e.weight} != recomposed {recomposed}"
+            )
+    return problems
+
+
 # ---------------------------------------------------------------------------
 # minimal DOT grammar checker (graphviz is not installed in CI)
 # ---------------------------------------------------------------------------

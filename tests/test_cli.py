@@ -12,7 +12,7 @@ from conftest import FIXTURES_DIR
 
 from oracles import check_dot
 
-from monopart import partitioner
+from monopart import model, partitioner
 from monopart.cli import (
     DOT_FILE,
     EVALUATION_FILE,
@@ -247,6 +247,24 @@ class TestEvaluate:
         )
         assert code == 2
 
+    def test_partition_checked_at_most_twice(self, tmp_path, monkeypatch):
+        """Once when partition.json is loaded, once on entry to evaluate."""
+        app, out = FIXTURES_DIR / "jpetstore", str(tmp_path / "out")
+        deps, manifest = str(app / "deps.xml"), str(app / "manifest.yaml")
+        assert main(["ingest", "--deps", deps, "--manifest", manifest, "--out", out]) == 0
+        assert main(["partition", "--k", "3", "--out", out]) == 0
+        original, calls = model.check_partition, []
+
+        def counting(g, p):
+            calls.append(p)
+            original(g, p)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("monopart") and getattr(module, "check_partition", None) is original:
+                monkeypatch.setattr(module, "check_partition", counting)
+        assert main(["evaluate", "--truth", str(app / "truth.yaml"), "--out", out]) == 0
+        assert 1 <= len(calls) <= 2
+
 
 class TestDot:
     def test_plain_export(self, workdir, capsys):
@@ -462,6 +480,40 @@ def _first_class(field: str, value: object) -> Callable[[Path], tuple[list[str],
     return case
 
 
+def _truth_not_utf8(out: Path) -> tuple[list[str], str]:
+    assert main(["partition", "--k", "2", "--out", str(out)]) == 0
+    path = out.parent / "truth.yaml"
+    path.write_bytes(b"web.Shop: \xff\n")
+    return ["evaluate", "--truth", str(path), "--force"], str(path)
+
+
+def _prices_not_utf8(out: Path) -> tuple[list[str], str]:
+    path = out.parent / "prices.yaml"
+    path.write_bytes(b"cache: \xff\n")
+    return ["partition", "--k", "2", "--prices", str(path)], str(path)
+
+
+def _truth_names_no_class(out: Path) -> tuple[list[str], str]:
+    assert main(["partition", "--k", "2", "--out", str(out)]) == 0
+    path = out.parent / "truth.yaml"
+    path.write_text("ghost.One: a\nghost.Two: a\n")
+    return ["evaluate", "--truth", str(path), "--force"], str(path)
+
+
+def _dependency_unknown_class(command: str) -> Callable[[Path], tuple[list[str], str]]:
+    def case(out: Path) -> tuple[list[str], str]:
+        assert main(["partition", "--k", "2", "--out", str(out)]) == 0
+        doc = json.loads((out / GRAPH_FILE).read_text())
+        doc["dependencies"][0]["to"] = "zz"
+        (out / GRAPH_FILE).write_text(json.dumps(doc))
+        return [command, "--force", *(["--k", "2"] if command == "partition" else [])], str(
+            out / GRAPH_FILE
+        )
+
+    case.__name__ = f"dependency_unknown_class_{command}"
+    return case
+
+
 @pytest.mark.parametrize(
     "make_case",
     [
@@ -480,6 +532,12 @@ def _first_class(field: str, value: object) -> Callable[[Path], tuple[list[str],
         _first_class("weight", True),
         _first_class("id", 0.0),
         _first_class("id", True),
+        _truth_not_utf8,
+        _prices_not_utf8,
+        _truth_names_no_class,
+        _dependency_unknown_class("partition"),
+        _dependency_unknown_class("dot"),
+        _dependency_unknown_class("evaluate"),
     ],
     ids=lambda f: f.__name__.lstrip("_"),
 )

@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import networkx as nx
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_from_edges, random_edge_set
 
-from oracles import modularity_matrix_form, pairwise_f1_reference
+from oracles import modularity_matrix_form, pairwise_f1_enumerated, pairwise_f1_reference
 
 from monopart.ingest import DependencyRecord
 from monopart.metrics import (
@@ -48,7 +48,45 @@ class TestLoadGroundTruth:
             load_ground_truth("")
 
 
+@st.composite
+def f1_cases(draw) -> tuple[PartitionSet, dict[str, str], list[str]]:
+    """A prediction over C0..Cn-1 and a truth over some of those classes plus
+    classes the graph lacks; either side may be one cluster, all singletons
+    or random."""
+
+    def labels(count: int) -> list[int]:
+        shape = draw(st.sampled_from(("one cluster", "singletons", "random")))
+        if shape == "one cluster":
+            return [0] * count
+        if shape == "singletons":
+            return list(range(count))
+        return draw(st.lists(st.integers(0, 3), min_size=count, max_size=count))
+
+    n = draw(st.integers(1, 12))
+    names = [f"C{i}" for i in range(n)]
+    raw = labels(n)
+    order = sorted(set(raw))
+    p = PartitionSet(len(order), tuple(order.index(x) for x in raw))
+    kept = [name for name in names if draw(st.booleans())]
+    truth_names = kept + [f"ghost{i}" for i in range(draw(st.integers(0, 3)))]
+    truth = {name: f"g{label}" for name, label in zip(truth_names, labels(len(truth_names)))}
+    return p, truth, names
+
+
 class TestPairwiseF1:
+    @settings(max_examples=300)
+    @given(f1_cases())
+    def test_contingency_count_equals_pair_enumeration(self, case):
+        p, truth, names = case
+        assume(truth)
+        if truth.keys().isdisjoint(names):
+            with pytest.raises(InputError):
+                compute_f1(p, GroundTruth(truth), names)
+            return
+        assert compute_f1(p, GroundTruth(truth), names) == pairwise_f1_enumerated(
+            p.assignment, truth, names
+        )
+
     def test_perfect_match(self):
         p = PartitionSet(2, (0, 0, 1, 1))
         truth = GroundTruth({"A": "x", "B": "x", "C": "y", "D": "y"})

@@ -3,8 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from oracles import class_edge_problems_reference
 
 from monopart.model import (
     ApplicationGraph,
@@ -148,6 +150,41 @@ class TestValidateGraph:
         )
         problems = validate_graph(g)
         assert problems and any("(0, 1)" in p for p in problems)
+
+
+@st.composite
+def recomposition_graphs(draw) -> ApplicationGraph:
+    """Graphs with fractional beta, increment and bases whose class edges may
+    carry perturbed weights, negative components, repeated pairs or ids past
+    the last class."""
+    rationals = st.fractions(min_value=-2, max_value=5, max_denominator=12)
+    n = draw(st.integers(2, 6))
+    beta, increment = draw(rationals), draw(rationals)
+    edges = []
+    for _ in range(draw(st.integers(0, 8))):
+        u = draw(st.integers(0, n - 1))
+        v = draw(st.integers(u + 1, n))
+        base = draw(rationals)
+        shared, flow = draw(st.integers(-1, 3)), draw(st.integers(-1, 3))
+        weight = base + increment * shared + beta * flow
+        if draw(st.booleans()):
+            weight += draw(rationals)
+        edges.append(ClassEdge(u, v, weight, base, shared, flow))
+        if draw(st.integers(0, 4)) == 0:
+            edges.append(edges[-1])
+    return ApplicationGraph(
+        classes=tuple(ClassNode(i, f"N{i}") for i in range(n)),
+        class_edges=tuple(edges),
+        beta=beta,
+        resource_increment=increment,
+    )
+
+
+class TestRecompositionOracle:
+    @settings(max_examples=300)
+    @given(recomposition_graphs())
+    def test_problems_match_fraction_recomposition(self, g):
+        assert validate_graph(g) == class_edge_problems_reference(g)
 
 
 class TestValidatePartition:
