@@ -192,15 +192,15 @@ def cmd_partition(args: argparse.Namespace) -> int:
         p = partitioner.partition_graph(g, prices, cfg)
 
     obj = partitioner.objective(g, p, prices, cfg)
-    p_doc = model.partition_to_doc(p, g, objective=obj, seed=args.seed)
-    _write_json(out_dir, PARTITION_FILE, p_doc, args.force)
     report = infra.build_infra_report(
         g, p, prices, compute_floor=not args.no_compute_floor, shared_database=args.shared_db
     )
+    cut = metrics.edge_cut(g, p)
+    ngm = metrics.compute_ngm(g, p)
+    p_doc = model.partition_to_doc(p, g, objective=obj, seed=args.seed)
+    _write_json(out_dir, PARTITION_FILE, p_doc, args.force)
     _write_json(out_dir, INFRA_REPORT_FILE, infra.infra_report_to_doc(report), args.force)
 
-    cut = metrics.edge_cut(g, p)
-    ngm = metrics.compute_ngm(g, p) if g.class_edges else Fraction(0)
     print(f"k: {p.k}")
     print(f"objective: {model.fraction_str(obj)}")
     print(f"edge_cut: {model.fraction_str(cut)}")

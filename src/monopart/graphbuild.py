@@ -8,7 +8,6 @@ functional-flow co-occurrence.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,6 +22,7 @@ from .model import (
     ResourceNode,
     as_fraction,
     fraction_str,
+    to_integers,
 )
 
 log = logging.getLogger(__name__)
@@ -123,11 +123,8 @@ def build_graph(
 
     # accumulate edge components per unordered pair; relation bases are
     # summed as integers over the LCM of the three base-weight denominators
-    bases = {rel: cfg.base_weight(rel) for rel in Relation}
-    base_scale = math.lcm(*(b.denominator for b in bases.values()))
-    scaled_base = {
-        rel: b.numerator * (base_scale // b.denominator) for rel, b in bases.items()
-    }
+    base_scale, scaled = to_integers([cfg.base_weight(rel) for rel in Relation])
+    scaled_base = dict(zip(Relation, scaled))
     relation_base: dict[tuple[int, int], int] = {}
     for rec in deps:
         u, v = id_by_name[rec.from_class], id_by_name[rec.to_class]

@@ -17,6 +17,7 @@ import yaml
 
 from .ingest import _as_text
 from .model import (
+    SCHEMA_VERSION,
     ApplicationGraph,
     InfrastructureFactor,
     InputError,
@@ -102,14 +103,15 @@ def duplication_cost(
     number of partitions holding at least one bound client; unbound
     resources contribute 0. Independent of the compute floor.
     """
-    copies: dict[int, set[int]] = {}
-    for edge in g.resource_edges:
-        copies.setdefault(edge.resource, set()).add(p.assignment[edge.cls])
-    total = Fraction(0)
-    for rid, parts in copies.items():
-        if len(parts) > 1:
-            total += (len(parts) - 1) * prices.unit_cost(g.resources[rid].kind)
-    return total
+    copies = Counter(rid for touched in _touched_resources(g, p) for rid in touched)
+    return sum(
+        (
+            (n - 1) * prices.unit_cost(g.resources[rid].kind)
+            for rid, n in copies.items()
+            if n > 1
+        ),
+        Fraction(0),
+    )
 
 
 @dataclass(frozen=True)
@@ -208,7 +210,7 @@ def load_price_table(data: bytes | str) -> PriceTable:
 
 def infra_report_to_doc(report: PartitionInfraReport) -> dict:
     return {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "per_partition": [
             {
                 "partition": idx,

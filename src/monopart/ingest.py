@@ -289,8 +289,12 @@ def load_flow_rules(data: bytes | str) -> FlowRuleConfig:
         raise InputError(f"malformed YAML: {exc}") from exc
     if not isinstance(doc, dict) or "line_regex" not in doc:
         raise InputError("flow rules must be a mapping with a line_regex key")
-    entry_points = tuple(str(e) for e in doc.get("entry_points") or ())
-    return FlowRuleConfig(line_regex=str(doc["line_regex"]), entry_points=entry_points)
+    entry_points = doc.get("entry_points")
+    if not isinstance(entry_points, (list, type(None))):
+        raise InputError(f"flow rule entry_points must be a list, got {entry_points!r}")
+    return FlowRuleConfig(
+        line_regex=str(doc["line_regex"]), entry_points=tuple(str(e) for e in entry_points or ())
+    )
 
 
 def parse_traces(data: bytes | str, rules: FlowRuleConfig) -> TraceParseResult:

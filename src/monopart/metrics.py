@@ -1,14 +1,13 @@
 """Decomposition quality metrics: pairwise F1 against ground truth,
-Newman-Girvan modularity, interface number, cluster statistics."""
+Newman-Girvan modularity, interface number, edge cut."""
 
 from __future__ import annotations
 
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import yaml
 
@@ -21,6 +20,7 @@ from .model import (
     PartitionSet,
     PriceTable,
     check_partition,
+    to_integers,
 )
 
 
@@ -83,6 +83,54 @@ def _pairs(group_sizes: Counter) -> int:
     return sum(n * (n - 1) // 2 for n in group_sizes.values())
 
 
+class _EdgeTally(NamedTuple):
+    """Class-edge weight per partition, in integers over the scale L.
+
+    ``total`` is the whole weight, ``intra[c]`` the weight inside partition
+    c and ``attached[c]`` the edge-endpoint weight attached to it (an edge
+    inside c counts twice), each times L.
+    """
+
+    scale: int
+    total: int
+    intra: list[int]
+    attached: list[int]
+
+    def cut(self) -> Fraction:
+        """Weight of the edges between partitions."""
+        return Fraction(self.total - sum(self.intra), self.scale)
+
+    def modularity(self) -> Fraction:
+        """Q = sum_c intra_c / total - (attached_c / (2 total))^2, or 0
+        when there is no edge weight; the scale cancels."""
+        total = self.total
+        if total == 0:
+            return Fraction(0)
+        return Fraction(
+            sum(4 * total * i - a * a for i, a in zip(self.intra, self.attached)),
+            4 * total * total,
+        )
+
+
+def _tally(g: ApplicationGraph, p: PartitionSet, weighted: bool = True) -> _EdgeTally:
+    """One pass over the class edges of a partition already checked against
+    ``g``; with ``weighted`` off every edge weighs 1."""
+    if weighted:
+        scale, weights = to_integers([e.weight for e in g.class_edges])
+    else:
+        scale, weights = 1, [1] * len(g.class_edges)
+    intra = [0] * p.k
+    attached = [0] * p.k
+    assignment = p.assignment
+    for e, w in zip(g.class_edges, weights):
+        cu, cv = assignment[e.u], assignment[e.v]
+        attached[cu] += w
+        attached[cv] += w
+        if cu == cv:
+            intra[cu] += w
+    return _EdgeTally(scale, sum(weights), intra, attached)
+
+
 def compute_ngm(
     g: ApplicationGraph, p: PartitionSet, *, weighted: bool = True
 ) -> Fraction:
@@ -90,39 +138,10 @@ def compute_ngm(
 
     e_cc is the fraction of edge weight inside partition c, a_c the
     fraction of edge-endpoint weight attached to c; with ``weighted`` off
-    every class edge counts 1.
+    every class edge counts 1. A graph without edge weight scores 0.
     """
     check_partition(g, p)
-    return _modularity(g, p, weighted)
-
-
-def _modularity(g: ApplicationGraph, p: PartitionSet, weighted: bool) -> Fraction:
-    """:func:`compute_ngm` on a partition already checked against ``g``."""
-    if not g.class_edges:
-        raise InputError("modularity undefined: graph has no class edges")
-    # Sums run on weights scaled by the LCM of their denominators; the
-    # scale cancels in Q, which is built as one Fraction at the end.
-    if weighted:
-        scale = math.lcm(*(e.weight.denominator for e in g.class_edges))
-        weights = [e.weight.numerator * (scale // e.weight.denominator) for e in g.class_edges]
-    else:
-        weights = [1] * len(g.class_edges)
-    intra = [0] * p.k
-    degree = [0] * p.k
-    assignment = p.assignment
-    for e, w in zip(g.class_edges, weights):
-        cu, cv = assignment[e.u], assignment[e.v]
-        degree[cu] += w
-        degree[cv] += w
-        if cu == cv:
-            intra[cu] += w
-    total = sum(weights)
-    if total == 0:
-        raise InputError("modularity undefined: total edge weight is zero")
-    # Q = sum_c intra_c / total - (degree_c / (2 total))^2
-    return Fraction(
-        sum(4 * total * i - d * d for i, d in zip(intra, degree)), 4 * total * total
-    )
+    return _tally(g, p, weighted).modularity()
 
 
 def compute_ifn(
@@ -149,37 +168,10 @@ def compute_ifn(
     return total, Fraction(total, p.k), per_partition
 
 
-@dataclass(frozen=True)
-class ClusterStats:
-    sizes: tuple[int, ...]
-    minimum: int
-    maximum: int
-    mean: Fraction
-
-
-def cluster_stats(p: PartitionSet) -> ClusterStats:
-    """Partition sizes in ascending index order, with min/max/mean."""
-    sizes = p.sizes()
-    return ClusterStats(
-        sizes=tuple(sizes),
-        minimum=min(sizes),
-        maximum=max(sizes),
-        mean=Fraction(sum(sizes), len(sizes)),
-    )
-
-
 def edge_cut(g: ApplicationGraph, p: PartitionSet) -> Fraction:
     """Total weight of class edges crossing partitions."""
     check_partition(g, p)
-    return _cut(g, p)
-
-
-def _cut(g: ApplicationGraph, p: PartitionSet) -> Fraction:
-    """:func:`edge_cut` on a partition already checked against ``g``."""
-    return sum(
-        (e.weight for e in g.class_edges if p.assignment[e.u] != p.assignment[e.v]),
-        Fraction(0),
-    )
+    return _tally(g, p).cut()
 
 
 def evaluate(
@@ -189,7 +181,6 @@ def evaluate(
     truth: GroundTruth | None = None,
     prices: PriceTable | None = None,
     *,
-    weighted_ngm: bool = True,
     compute_floor: bool = True,
 ) -> EvaluationReport:
     """Assemble the full evaluation report for one partitioning.
@@ -199,21 +190,18 @@ def evaluate(
     check_partition(g, p)
     prices = prices if prices is not None else PriceTable.default()
     names = g.names()
-    if g.class_edges:
-        ngm = _modularity(g, p, weighted_ngm)
-    else:
-        ngm = Fraction(0)
+    tally = _tally(g, p)
     ifn_total, ifn_mean, _per = compute_ifn(deps, p, names)
     report = _infra_report(g, p, prices, compute_floor, shared_database=False)
     f1 = compute_f1(p, truth, names) if truth is not None else None
     return EvaluationReport(
-        ngm=ngm,
+        ngm=tally.modularity(),
         ifn_total=ifn_total,
         ifn_mean=ifn_mean,
-        edge_cut=_cut(g, p),
+        edge_cut=tally.cut(),
         infra_total=report.total,
         infra_cost=report.total_cost,
-        cluster_sizes=cluster_stats(p).sizes,
+        cluster_sizes=tuple(p.sizes()),
         f1=f1,
     )
 

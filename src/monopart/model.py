@@ -9,8 +9,9 @@ and cost a user supplies or an artifact records is an exact rational
 has a finite decimal expansion and as ``"p/q"`` otherwise; this keeps every
 artifact bit-identical across platforms. Counts, ids and class weights are
 integers, and a non-integral value for one is rejected, never truncated.
-The partitioner scales the rational weights to integers once on entry
-(see :mod:`monopart.partitioner`) and hands back exact rationals.
+Loops over weights and prices run on integers: :func:`to_integers` turns
+the rationals into integers over their common denominator, and a Fraction
+is built again only for a result.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 SCHEMA_VERSION = 1
 
@@ -65,6 +66,17 @@ def as_int(value: object, what: str) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise InputError(f"{what} must be an integer, got {value!r}")
+
+
+def to_integers(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """L, the least common denominator of ``values``, and each value times L.
+
+    Sums and comparisons of the integers are exact and, divided by L, give
+    those of the rationals; an empty input has L = 1.
+    """
+    ratios = [x.as_integer_ratio() for x in values]
+    scale = math.lcm(*{d for _n, d in ratios})
+    return scale, [n * (scale // d) for n, d in ratios]
 
 
 def fraction_str(x: Fraction) -> str:
@@ -189,12 +201,13 @@ class ApplicationGraph:
         return {c.name: c.id for c in self.classes}
 
 
-def adjacency(g: ApplicationGraph) -> list[list[tuple[int, Fraction]]]:
-    """Per-class adjacency lists ``[(neighbor, weight), ...]`` sorted by id."""
-    adj: list[list[tuple[int, Fraction]]] = [[] for _ in g.classes]
-    for e in g.class_edges:
-        adj[e.u].append((e.v, e.weight))
-        adj[e.v].append((e.u, e.weight))
+def adjacency(g: ApplicationGraph, values: Sequence[int]) -> list[list[tuple[int, int]]]:
+    """Per-class adjacency lists ``[(neighbor, value), ...]`` sorted by id,
+    where ``values[i]`` belongs to ``g.class_edges[i]``."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in g.classes]
+    for e, value in zip(g.class_edges, values):
+        adj[e.u].append((e.v, value))
+        adj[e.v].append((e.u, value))
     for lst in adj:
         lst.sort(key=lambda t: t[0])
     return adj
@@ -378,17 +391,17 @@ def validate_graph(g: ApplicationGraph) -> list[str]:
     # Recomposition runs on integers: every rational is scaled by L, the LCM
     # of all the denominators involved, so each edge is checked exactly as
     # weight*L == base*L + inc*L*shared + beta*L*flow.
-    inc, beta = g.resource_increment, g.beta
-    scale = math.lcm(
-        inc.denominator,
-        beta.denominator,
-        *{e.weight.denominator for e in g.class_edges},
-        *{e.relation_base.denominator for e in g.class_edges},
-    )
-    inc_l = inc.numerator * (scale // inc.denominator)
-    beta_l = beta.numerator * (scale // beta.denominator)
+    edges = g.class_edges
+    scale, scaled = to_integers([
+        g.resource_increment,
+        g.beta,
+        *(e.weight for e in edges),
+        *(e.relation_base for e in edges),
+    ])
+    inc_l, beta_l = scaled[0], scaled[1]
+    weights_l, bases_l = scaled[2 : 2 + len(edges)], scaled[2 + len(edges) :]
     seen_pairs: set[tuple[int, int]] = set()
-    for e in g.class_edges:
+    for e, weight_l, base_l in zip(edges, weights_l, bases_l):
         if not (0 <= e.u < n) or not (0 <= e.v < n):
             problems.append(f"class edge ({e.u}, {e.v}) references a missing class id")
             continue
@@ -399,20 +412,15 @@ def validate_graph(g: ApplicationGraph) -> list[str]:
         if pair in seen_pairs:
             problems.append(f"parallel class edge on pair {pair}")
         seen_pairs.add(pair)
-        weight, base = e.weight, e.relation_base
-        if weight.numerator < 0 or base.numerator < 0:
+        if weight_l < 0 or base_l < 0:
             problems.append(f"class edge {pair} has a negative component")
         if e.shared_resource_count < 0 or e.flow_cooccurrence < 0:
             problems.append(f"class edge {pair} has a negative component")
-        recomposed_l = (
-            base.numerator * (scale // base.denominator)
-            + inc_l * e.shared_resource_count
-            + beta_l * e.flow_cooccurrence
-        )
-        if weight.numerator * (scale // weight.denominator) != recomposed_l:
+        recomposed_l = base_l + inc_l * e.shared_resource_count + beta_l * e.flow_cooccurrence
+        if weight_l != recomposed_l:
             recomposed = Fraction(recomposed_l, scale)
             problems.append(
-                f"class edge {pair} weight {weight} != recomposed {recomposed}"
+                f"class edge {pair} weight {e.weight} != recomposed {recomposed}"
             )
 
     seen_bindings: set[tuple[int, int]] = set()
@@ -593,15 +601,6 @@ def factor_to_doc(f: InfrastructureFactor) -> dict:
     return {"n_ec": f.n_ec, "n_s3": f.n_s3, "n_db": f.n_db, "n_ca": f.n_ca}
 
 
-def factor_from_doc(doc: Mapping) -> InfrastructureFactor:
-    try:
-        return InfrastructureFactor(
-            *(as_int(doc[field], field) for field in ("n_ec", "n_s3", "n_db", "n_ca"))
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed infrastructure factor: {exc}") from exc
-
-
 def report_to_doc(r: EvaluationReport) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -614,22 +613,3 @@ def report_to_doc(r: EvaluationReport) -> dict:
         "infra_cost": fraction_str(r.infra_cost),
         "cluster_sizes": list(r.cluster_sizes),
     }
-
-
-def report_from_doc(doc: Mapping) -> EvaluationReport:
-    if not isinstance(doc, Mapping):
-        raise InputError("evaluation document must be a JSON object")
-    _check_schema_version(doc, "evaluation document")
-    try:
-        return EvaluationReport(
-            f1=None if doc.get("f1") is None else as_fraction(doc["f1"]),
-            ngm=as_fraction(doc["ngm"]),
-            ifn_total=as_int(doc["ifn_total"], "ifn_total"),
-            ifn_mean=as_fraction(doc["ifn_mean"]),
-            edge_cut=as_fraction(doc["edge_cut"]),
-            infra_total=factor_from_doc(doc["infra_total"]),
-            infra_cost=as_fraction(doc["infra_cost"]),
-            cluster_sizes=tuple(as_int(x, "cluster size") for x in doc["cluster_sizes"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed evaluation document: {exc}") from exc

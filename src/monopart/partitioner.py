@@ -22,7 +22,6 @@ choose exactly the partitions rational arithmetic would.
 from __future__ import annotations
 
 import logging
-import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -38,6 +37,7 @@ from .model import (
     as_fraction,
     bindings_by_class,
     check_partition,
+    to_integers,
     validate_partition,
 )
 
@@ -131,21 +131,17 @@ def scale(g: ApplicationGraph, prices: PriceTable, cfg: ObjectiveConfig) -> tupl
     unit prices by U, the LCM of theirs. With alpha = a/d a move's gain
     times d*L*U is ``a*U * scaled cut gain + (d-a)*L * scaled dup gain``.
     """
-    lcm_edges = math.lcm(*(e.weight.denominator for e in g.class_edges))
-    unit = [prices.unit_cost(r.kind) for r in g.resources]
-    lcm_prices = math.lcm(*(u.denominator for u in unit))
+    lcm_edges, edge_weights = to_integers([e.weight for e in g.class_edges])
+    lcm_prices, unit = to_integers([prices.unit_cost(r.kind) for r in g.resources])
     level = Level(
         weights=[c.weight for c in g.classes],
-        adj=[
-            [(u, w.numerator * (lcm_edges // w.denominator)) for u, w in row]
-            for row in adjacency(g)
-        ],
+        adj=adjacency(g, edge_weights),
         res_of=[tuple(sorted(bound)) for bound in bindings_by_class(g)],
     )
     a, d = cfg.alpha.numerator, cfg.alpha.denominator
     gains = Gains(
         cut=a * lcm_prices,
-        dup=[(d - a) * lcm_edges * u.numerator * (lcm_prices // u.denominator) for u in unit],
+        dup=[(d - a) * lcm_edges * u for u in unit],
     )
     return level, gains
 
@@ -538,7 +534,7 @@ def sweep_k(
     best: tuple[Fraction, int, PartitionSet] | None = None
     for k in range(k_lo, min(k_hi, n) + 1):
         p = partition_graph(g, prices, replace(cfg, k=k))
-        q = compute_ngm(g, p) if g.class_edges else Fraction(0)
+        q = compute_ngm(g, p)
         log.info("sweep k=%d: NGM %s", k, q)
         if best is None or q > best[0]:
             best = (q, k, p)

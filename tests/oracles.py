@@ -148,6 +148,28 @@ def class_edge_problems_reference(g) -> list[str]:
     return problems
 
 
+def edge_cut_reference(g, assignment) -> Fraction:
+    """Edge cut as a Fraction sum over the edges whose endpoints sit in
+    different partitions."""
+    return sum(
+        (e.weight for e in g.class_edges if assignment[e.u] != assignment[e.v]),
+        Fraction(0),
+    )
+
+
+def duplication_cost_reference(g, assignment, prices) -> Fraction:
+    """Duplication premium from a set of client partitions per resource:
+    (copies - 1) times the unit price of each resource in several."""
+    copies: dict[int, set[int]] = {}
+    for edge in g.resource_edges:
+        copies.setdefault(edge.resource, set()).add(assignment[edge.cls])
+    total = Fraction(0)
+    for rid, parts in copies.items():
+        if len(parts) > 1:
+            total += (len(parts) - 1) * prices.unit_cost(g.resources[rid].kind)
+    return total
+
+
 # ---------------------------------------------------------------------------
 # minimal DOT grammar checker (graphviz is not installed in CI)
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from conftest import FIXTURES_DIR
 
 from oracles import check_dot
 
-from monopart import model, partitioner
+from monopart import metrics, model, partitioner
 from monopart.cli import (
     DOT_FILE,
     EVALUATION_FILE,
@@ -166,6 +166,30 @@ class TestPartition:
         assert code == 1
         assert "partition 1 is empty" in caplog.text
         assert not (workdir / "out" / PARTITION_FILE).exists()
+
+    def test_scores_before_writing(self, workdir, capsys, monkeypatch):
+        run_ingest(workdir)
+
+        def fail(*_args):
+            raise model.InputError("scoring failed")
+
+        monkeypatch.setattr(metrics, "compute_ngm", fail)
+        assert main(["partition", "--k", "2", "--out", str(workdir / "out")]) == 2
+        assert not (workdir / "out" / PARTITION_FILE).exists()
+        assert not (workdir / "out" / INFRA_REPORT_FILE).exists()
+
+    def test_zero_edge_weight_scores_ngm_zero(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        zero_bases = ["--base-call", "0", "--base-reference", "0", "--base-inheritance", "0"]
+        deps = str(FIXTURES_DIR / "jpetstore" / "deps.xml")
+        assert main(["ingest", "--deps", deps, *zero_bases, "--out", out]) == 0
+        for argv in (["--k", "3"], ["--sweep-k", "2..4", "--force"]):
+            capsys.readouterr()
+            assert main(["partition", *argv, "--out", out]) == 0, capsys.readouterr().err
+            assert "NGM: 0.0000" in capsys.readouterr().out.splitlines()
+        assert main(["evaluate", "--out", out]) == 0, capsys.readouterr().err
+        header, row = capsys.readouterr().out.splitlines()
+        assert dict(zip(header.split(), row.split()))["NGM"] == "0.0000"
 
     def test_missing_graph(self, tmp_path, capsys):
         code = main(["partition", "--k", "2", "--out", str(tmp_path / "out")])
@@ -500,6 +524,15 @@ def _truth_names_no_class(out: Path) -> tuple[list[str], str]:
     return ["evaluate", "--truth", str(path), "--force"], str(path)
 
 
+def _entry_points_scalar(out: Path) -> tuple[list[str], str]:
+    rules = out.parent / "flow-rules.yaml"
+    rules.write_text("line_regex: '^(?P<class>\\S+)$'\nentry_points: web.Shop\n")
+    traces = out.parent / "traces.log"
+    traces.write_text("web.Shop\nweb.Cart\nweb.Shop\ndata.Orders\n")
+    argv = ["ingest", "--deps", str(out.parent / "deps.xml"), "--traces", str(traces)]
+    return [*argv, "--flow-rules", str(rules), "--force"], str(rules)
+
+
 def _dependency_unknown_class(command: str) -> Callable[[Path], tuple[list[str], str]]:
     def case(out: Path) -> tuple[list[str], str]:
         assert main(["partition", "--k", "2", "--out", str(out)]) == 0
@@ -535,6 +568,7 @@ def _dependency_unknown_class(command: str) -> Callable[[Path], tuple[list[str],
         _truth_not_utf8,
         _prices_not_utf8,
         _truth_names_no_class,
+        _entry_points_scalar,
         _dependency_unknown_class("partition"),
         _dependency_unknown_class("dot"),
         _dependency_unknown_class("evaluate"),

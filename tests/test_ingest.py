@@ -298,6 +298,11 @@ class TestLoadFlowRules:
         rules = load_flow_rules("line_regex: '(?P<class>\\w+)'\nentry_points: [A, B]\n")
         assert rules.entry_points == ("A", "B")
 
+    @pytest.mark.parametrize("value", ["web.Shop", "{web.Shop: 1}", "3", "false"])
+    def test_entry_points_must_be_a_list(self, value):
+        with pytest.raises(InputError, match="entry_points must be a list"):
+            load_flow_rules(f"line_regex: '(?P<class>\\w+)'\nentry_points: {value}\n")
+
     def test_missing_line_regex(self):
         with pytest.raises(InputError, match="line_regex"):
             load_flow_rules("entry_points: [A]\n")

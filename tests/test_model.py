@@ -22,14 +22,11 @@ from monopart.model import (
     ResourceKind,
     ResourceNode,
     as_fraction,
-    factor_from_doc,
-    factor_to_doc,
     fraction_str,
     graph_from_doc,
     graph_to_doc,
     partition_from_doc,
     partition_to_doc,
-    report_from_doc,
     report_to_doc,
     validate_graph,
     validate_partition,
@@ -206,6 +203,14 @@ class TestValidatePartition:
         assert p.members() == [[0, 2], [1]]
         assert p.sizes() == [2, 1]
 
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=30))
+    def test_sizes_count_each_partition_in_index_order(self, raw):
+        remap = {lbl: i for i, lbl in enumerate(sorted(set(raw)))}
+        p = PartitionSet(len(remap), tuple(remap[a] for a in raw))
+        sizes = p.sizes()
+        assert sum(sizes) == len(raw)
+        assert sizes == [sum(1 for a in p.assignment if a == i) for i in range(p.k)]
+
 
 class TestInfrastructureFactor:
     def test_add_is_componentwise(self):
@@ -216,10 +221,6 @@ class TestInfrastructureFactor:
     def test_dominates(self):
         assert InfrastructureFactor(2, 2, 2, 2).dominates(InfrastructureFactor(1, 2, 0, 2))
         assert not InfrastructureFactor(0, 9, 9, 9).dominates(InfrastructureFactor(1, 0, 0, 0))
-
-    def test_doc_round_trip(self):
-        f = InfrastructureFactor(3, 1, 4, 1)
-        assert factor_from_doc(factor_to_doc(f)) == f
 
 
 class TestPriceTable:
@@ -327,23 +328,29 @@ class TestInterchange:
         with pytest.raises(InputError):
             partition_from_doc(doc, g)
 
-    def test_report_round_trip(self):
+    @pytest.mark.parametrize("f1,f1_text", [(None, None), (Fraction(2, 3), "2/3")])
+    def test_report_doc_fields(self, f1, f1_text):
         r = EvaluationReport(
             ngm=Fraction(5, 14),
             ifn_total=3,
             ifn_mean=Fraction(3, 2),
-            edge_cut=Fraction(4),
+            edge_cut=Fraction(9, 4),
             infra_total=InfrastructureFactor(2, 0, 1, 1),
             infra_cost=Fraction(9, 2),
-            cluster_sizes=(3, 3),
-            f1=None,
+            cluster_sizes=(3, 2),
+            f1=f1,
         )
-        assert report_from_doc(report_to_doc(r)) == r
-
-    @pytest.mark.parametrize("doc", [[], "report", 3])
-    def test_report_doc_must_be_a_mapping(self, doc):
-        with pytest.raises(InputError, match="evaluation document"):
-            report_from_doc(doc)
+        assert report_to_doc(r) == {
+            "schema_version": 1,
+            "f1": f1_text,
+            "ngm": "5/14",
+            "ifn_total": 3,
+            "ifn_mean": "1.5",
+            "edge_cut": "2.25",
+            "infra_total": {"n_ec": 2, "n_s3": 0, "n_db": 1, "n_ca": 1},
+            "infra_cost": "4.5",
+            "cluster_sizes": [3, 2],
+        }
 
     @pytest.mark.parametrize("value", [3.9, "2", True])
     def test_partition_doc_rejects_non_integer_k(self, value):

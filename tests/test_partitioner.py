@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import clique_pair_xml, graph_from_edges, random_edge_set
 
+from oracles import duplication_cost_reference, edge_cut_reference, modularity_matrix_form
+
 from monopart.graphbuild import build_graph
 from monopart.infra import build_infra_report, duplication_cost
 from monopart.ingest import parse_dependency_xml, parse_infra_yaml
@@ -455,6 +457,14 @@ def problems(draw):
     return g, prices, cfg
 
 
+def random_partition(rnd, n, k):
+    """A random assignment of n classes to k partitions, none of them empty."""
+    assignment = [rnd.randrange(k) for _ in range(n)]
+    for part, cid in enumerate(rnd.sample(range(n), k)):
+        assignment[cid] = part
+    return PartitionSet(k, tuple(assignment))
+
+
 class TestProperties:
     @settings(max_examples=150, deadline=None)
     @given(problems())
@@ -470,14 +480,26 @@ class TestProperties:
     @given(problems(), st.randoms(use_true_random=False))
     def test_refine_never_raises_objective(self, problem, rnd):
         g, prices, cfg = problem
-        n, k = len(g.classes), cfg.k
-        assignment = [rnd.randrange(k) for _ in range(n)]
-        for part, cid in enumerate(rnd.sample(range(n), k)):  # no empty partition
-            assignment[cid] = part
-        p = PartitionSet(k, tuple(assignment))
+        p = random_partition(rnd, len(g.classes), cfg.k)
         after = refine_graph(g, p, cfg, prices)
         assert validate_partition(g, after) == []
         assert objective(g, after, prices, cfg) <= objective(g, p, prices, cfg)
+
+    @settings(max_examples=300, deadline=None)
+    @given(problems(), st.randoms(use_true_random=False))
+    def test_objective_terms_equal_fraction_oracles(self, problem, rnd):
+        g, prices, cfg = problem
+        p = random_partition(rnd, len(g.classes), cfg.k)
+        cut = edge_cut_reference(g, p.assignment)
+        dup = duplication_cost_reference(g, p.assignment, prices)
+        assert edge_cut(g, p) == cut
+        assert duplication_cost(g, p, prices) == dup
+        assert objective(g, p, prices, cfg) == cfg.alpha * cut + (1 - cfg.alpha) * dup
+        edges = {(e.u, e.v): e.weight for e in g.class_edges}
+        if any(edges.values()):
+            assert compute_ngm(g, p) == modularity_matrix_form(len(g.classes), edges, p.assignment)
+        else:
+            assert compute_ngm(g, p) == 0
 
 
 class TestSweep:
