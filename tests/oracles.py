@@ -7,6 +7,7 @@ meaningful.
 
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
 
@@ -168,6 +169,24 @@ def duplication_cost_reference(g, assignment, prices) -> Fraction:
         if len(parts) > 1:
             total += (len(parts) - 1) * prices.unit_cost(g.resources[rid].kind)
     return total
+
+
+def report_from_json(text: str):
+    """Read an evaluation report back from its JSON text; each rational is
+    parsed by ``Fraction`` itself, which takes both ``"1.5"`` and ``"p/q"``."""
+    from monopart.model import EvaluationReport, InfrastructureFactor
+
+    doc = json.loads(text)
+    return EvaluationReport(
+        f1=None if doc["f1"] is None else Fraction(doc["f1"]),
+        ngm=Fraction(doc["ngm"]),
+        ifn_total=doc["ifn_total"],
+        ifn_mean=Fraction(doc["ifn_mean"]),
+        edge_cut=Fraction(doc["edge_cut"]),
+        infra_total=InfrastructureFactor(**doc["infra_total"]),
+        infra_cost=Fraction(doc["infra_cost"]),
+        cluster_sizes=tuple(doc["cluster_sizes"]),
+    )
 
 
 # ---------------------------------------------------------------------------

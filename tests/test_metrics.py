@@ -1,5 +1,7 @@
-"""Quality metrics: pairwise F1, modularity, interface counts, edge cut."""
+"""Quality metrics: pairwise F1, modularity, interface counts, cluster sizes,
+edge cut."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -10,7 +12,12 @@ from hypothesis import strategies as st
 
 from conftest import graph_from_edges, random_edge_set
 
-from oracles import modularity_matrix_form, pairwise_f1_enumerated, pairwise_f1_reference
+from oracles import (
+    modularity_matrix_form,
+    pairwise_f1_enumerated,
+    pairwise_f1_reference,
+    report_from_json,
+)
 
 from monopart.ingest import DependencyRecord
 from monopart.metrics import (
@@ -23,7 +30,7 @@ from monopart.metrics import (
     format_table,
     load_ground_truth,
 )
-from monopart.model import InputError, PartitionSet
+from monopart.model import InputError, PartitionSet, PriceTable, report_to_doc
 
 
 class TestLoadGroundTruth:
@@ -249,6 +256,26 @@ class TestInterfaceNumber:
             compute_ifn(deps, p, ["A", "B"])
 
 
+class TestClusterStats:
+    """Partition sizes as :func:`evaluate` reports them."""
+
+    def test_single(self):
+        report = evaluate(graph_from_edges(5, {}), PartitionSet(1, (0,) * 5), [])
+        assert report.cluster_sizes == (5,)
+
+    def test_even_split(self):
+        report = evaluate(graph_from_edges(6, {}), PartitionSet(3, (0, 0, 1, 1, 2, 2)), [])
+        assert report.cluster_sizes == (2, 2, 2)
+
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=30))
+    def test_sizes_sum_to_class_count(self, raw):
+        remap = {lbl: i for i, lbl in enumerate(sorted(set(raw)))}
+        p = PartitionSet(len(remap), tuple(remap[a] for a in raw))
+        sizes = evaluate(graph_from_edges(len(raw), {}), p, []).cluster_sizes
+        assert sum(sizes) == len(raw)
+        assert sizes == tuple(p.assignment.count(i) for i in range(p.k))
+
+
 class TestEdgeCut:
     def test_counts_weighted_crossing(self):
         g = graph_from_edges(4, {(0, 1): 3, (1, 2): 5, (2, 3): 7})
@@ -278,6 +305,13 @@ class TestEvaluate:
         truth = GroundTruth({"N0": "x", "N1": "x"})
         report = evaluate(g, p, deps, truth=truth)
         assert report.f1 == 1
+
+    def test_round_trip(self):
+        deps = [DependencyRecord("N0", "N1")]
+        g = graph_from_edges(2, {(0, 1): 1})
+        p = PartitionSet(2, (0, 1))
+        report = evaluate(g, p, deps, prices=PriceTable.default())
+        assert report_from_json(json.dumps(report_to_doc(report))) == report
 
     def test_edgeless_graph_reports_zero_ngm(self):
         deps = []

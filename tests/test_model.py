@@ -1,12 +1,13 @@
 """Domain types, validation, and interchange round-trips."""
 
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import class_edge_problems_reference
+from oracles import class_edge_problems_reference, report_from_json
 
 from monopart.model import (
     ApplicationGraph,
@@ -22,6 +23,7 @@ from monopart.model import (
     ResourceKind,
     ResourceNode,
     as_fraction,
+    factor_to_doc,
     fraction_str,
     graph_from_doc,
     graph_to_doc,
@@ -222,6 +224,10 @@ class TestInfrastructureFactor:
         assert InfrastructureFactor(2, 2, 2, 2).dominates(InfrastructureFactor(1, 2, 0, 2))
         assert not InfrastructureFactor(0, 9, 9, 9).dominates(InfrastructureFactor(1, 0, 0, 0))
 
+    def test_doc_round_trip(self):
+        f = InfrastructureFactor(3, 1, 4, 1)
+        assert InfrastructureFactor(**json.loads(json.dumps(factor_to_doc(f)))) == f
+
 
 class TestPriceTable:
     def test_unit_cost_by_kind(self):
@@ -327,6 +333,19 @@ class TestInterchange:
         doc = {"schema_version": 1, "k": 1, "assignment": {"A": 0}}
         with pytest.raises(InputError):
             partition_from_doc(doc, g)
+
+    def test_report_round_trip(self):
+        r = EvaluationReport(
+            ngm=Fraction(5, 14),
+            ifn_total=3,
+            ifn_mean=Fraction(3, 2),
+            edge_cut=Fraction(4),
+            infra_total=InfrastructureFactor(2, 0, 1, 1),
+            infra_cost=Fraction(9, 2),
+            cluster_sizes=(3, 3),
+            f1=None,
+        )
+        assert report_from_json(json.dumps(report_to_doc(r))) == r
 
     @pytest.mark.parametrize("f1,f1_text", [(None, None), (Fraction(2, 3), "2/3")])
     def test_report_doc_fields(self, f1, f1_text):
