@@ -1,120 +1,22 @@
 """monopart: decompose a monolith's class graph into microservice
 candidates with an infrastructure-cost-aware partitioning objective."""
 
-from .graphbuild import WeightConfig, build_graph, to_dot
-from .infra import (
-    PartitionInfraReport,
-    build_infra_report,
-    duplication_cost,
-    infra_cost,
-    load_price_table,
-    monolith_baseline,
-    predict_infrastructure_factor,
-)
-from .ingest import (
-    DependencyRecord,
-    FlowRecord,
-    FlowRuleConfig,
-    InfraManifest,
-    Relation,
-    TraceRecord,
-    group_flows,
-    load_flow_rules,
-    parse_dependency_xml,
-    parse_infra_yaml,
-    parse_traces,
-)
-from .metrics import (
-    GroundTruth,
-    compute_f1,
-    compute_ifn,
-    compute_ngm,
-    edge_cut,
-    evaluate,
-    load_ground_truth,
-)
-from .model import (
-    ApplicationGraph,
-    ClassEdge,
-    ClassNode,
-    EvaluationReport,
-    FunctionalFlow,
-    InfrastructureFactor,
-    InputError,
-    PartitionSet,
-    PriceTable,
-    ResourceEdge,
-    ResourceKind,
-    ResourceNode,
-    validate_graph,
-    validate_partition,
-)
-from .partitioner import (
-    CoarseLevel,
-    Level,
-    ObjectiveConfig,
-    coarsen,
-    initial_partition,
-    objective,
-    partition_graph,
-    refine,
-    scale,
-    sweep_k,
-)
+from .graphbuild import build_graph
+from .infra import build_infra_report
+from .ingest import parse_dependency_xml, parse_infra_yaml
+from .metrics import evaluate
+from .model import PriceTable
+from .partitioner import ObjectiveConfig, partition_graph
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApplicationGraph",
-    "ClassEdge",
-    "ClassNode",
-    "CoarseLevel",
-    "DependencyRecord",
-    "EvaluationReport",
-    "FlowRecord",
-    "FlowRuleConfig",
-    "FunctionalFlow",
-    "GroundTruth",
-    "InfraManifest",
-    "InfrastructureFactor",
-    "InputError",
-    "Level",
     "ObjectiveConfig",
-    "PartitionInfraReport",
-    "PartitionSet",
     "PriceTable",
-    "Relation",
-    "ResourceEdge",
-    "ResourceKind",
-    "ResourceNode",
-    "TraceRecord",
-    "WeightConfig",
     "build_graph",
     "build_infra_report",
-    "coarsen",
-    "compute_f1",
-    "compute_ifn",
-    "compute_ngm",
-    "duplication_cost",
-    "edge_cut",
     "evaluate",
-    "group_flows",
-    "infra_cost",
-    "initial_partition",
-    "load_flow_rules",
-    "load_ground_truth",
-    "load_price_table",
-    "monolith_baseline",
-    "objective",
     "parse_dependency_xml",
     "parse_infra_yaml",
-    "parse_traces",
     "partition_graph",
-    "predict_infrastructure_factor",
-    "refine",
-    "scale",
-    "sweep_k",
-    "to_dot",
-    "validate_graph",
-    "validate_partition",
 ]

@@ -141,7 +141,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         beta_flow=args.beta_flow,
         shared_resource_increment=args.shared_resource_increment,
     )
-    g = graphbuild.build_graph(deps, manifest, flows, cfg)
+    with _naming(args.deps):  # a build fails only on a graph without dependencies
+        g = graphbuild.build_graph(deps, manifest, flows, cfg)
     problems = model.validate_graph(g)
     if problems:
         raise model.InputError("built graph is invalid: " + "; ".join(problems))

@@ -13,9 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-import yaml
-
-from .ingest import _as_text
+from .ingest import _as_text, load_yaml
 from .model import (
     SCHEMA_VERSION,
     ApplicationGraph,
@@ -187,10 +185,7 @@ def _infra_report(
 def load_price_table(data: bytes | str) -> PriceTable:
     """Read a price table from YAML with keys compute, database, cache,
     file_storage; missing keys keep their defaults."""
-    try:
-        doc = yaml.safe_load(_as_text(data))
-    except yaml.YAMLError as exc:
-        raise InputError(f"malformed YAML: {exc}") from exc
+    doc = load_yaml(_as_text(data))
     if doc is None:
         return PriceTable.default()
     if not isinstance(doc, dict):

@@ -11,6 +11,7 @@ import json
 import logging
 import re
 import xml.etree.ElementTree as ET
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 
@@ -47,16 +48,6 @@ class InfraManifest:
 
 
 @dataclass(frozen=True)
-class TraceRecord:
-    """One execution-trace event: ``class_name`` seen at position ``seq``
-    within flow ``flow_hint``."""
-
-    flow_hint: str
-    seq: int
-    class_name: str
-
-
-@dataclass(frozen=True)
 class FlowRecord:
     """One functional flow at ingestion level: ordered distinct class names,
     first entry is the flow's entry point."""
@@ -71,16 +62,31 @@ class FlowRuleConfig:
 
     ``line_regex`` must define a named group ``class`` and may define
     ``flow``; untagged lines are segmented at every occurrence of an
-    entry-point class (no entry points: one flow for the whole log).
+    entry-point class (no entry points: one flow for the whole log). A rule
+    that breaks this, or a non-string entry point, is an
+    :class:`InputError` when the config is built.
     """
 
     line_regex: str
     entry_points: tuple[str, ...] = ()
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.line_regex, str):
+            raise InputError(f"flow rule line_regex must be a string, got {self.line_regex!r}")
+        try:
+            pattern = re.compile(self.line_regex)
+        except re.error as exc:
+            raise InputError(f"invalid flow rule regex: {exc}") from exc
+        if "class" not in pattern.groupindex:
+            raise InputError("flow rule regex must define a named group 'class'")
+        for entry in self.entry_points:
+            if not isinstance(entry, str):
+                raise InputError(f"flow rule entry point must be a string, got {entry!r}")
+
 
 @dataclass(frozen=True)
 class TraceParseResult:
-    records: tuple[TraceRecord, ...]
+    records: list[tuple[str, str]]  # (flow id, class name) per parsed line, in log order
     skipped: int
 
 
@@ -96,6 +102,20 @@ KIND_ALIASES: dict[str, ResourceKind] = {
 }
 
 
+# libyaml's parser when PyYAML was built with it: it reads the same documents
+# several times faster than the pure-Python one.
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def load_yaml(text: str) -> object:
+    """Parse one YAML document with the safe loader; a malformed document
+    raises :class:`InputError`."""
+    try:
+        return yaml.load(text, Loader=YAML_LOADER)
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: a bad date or !!int scalar
+        raise InputError(f"malformed YAML: {exc}") from exc
+
+
 def _as_text(data: bytes | str) -> str:
     if isinstance(data, bytes):
         try:
@@ -103,6 +123,13 @@ def _as_text(data: bytes | str) -> str:
         except UnicodeDecodeError as exc:
             raise InputError(f"input is not valid UTF-8: {exc}") from exc
     return data
+
+
+def _name(raw: object, what: str) -> str:
+    """A class or resource name read from a document, whitespace-trimmed."""
+    if not isinstance(raw, str):
+        raise InputError(f"{what} must be a string, got {raw!r}")
+    return raw.strip()
 
 
 def _parse_relation(raw: object) -> Relation:
@@ -167,7 +194,7 @@ def _dependencies_from_json(text: str) -> list[DependencyRecord]:
         raise InputError('dependency JSON must be an object with a "classes" array of objects')
     records: list[DependencyRecord] = []
     for entry in entries:
-        from_name = str(entry.get("name", "")).strip()
+        from_name = _name(entry.get("name", ""), "class name")
         if not from_name:
             raise InputError("dependency JSON entry without a class name")
         depends_on = entry.get("dependsOn", [])
@@ -177,8 +204,8 @@ def _dependencies_from_json(text: str) -> list[DependencyRecord]:
             if isinstance(dep, str):
                 to_name, relation = dep.strip(), Relation.CALL
             elif isinstance(dep, dict):
-                to_name = str(dep.get("name", "")).strip()
-                relation = _parse_relation(str(dep.get("relation", "call")))
+                to_name = _name(dep.get("name", ""), f"dependency name of {from_name!r}")
+                relation = _parse_relation(dep.get("relation", "call"))
             else:
                 raise InputError(f"dependency of {from_name!r} is not an object or a name: {dep!r}")
             if not to_name:
@@ -220,11 +247,7 @@ def parse_infra_yaml(data: bytes | str) -> InfraManifest:
     ``bindings:`` list of ``{class, resource}``. Kind strings map
     case-insensitively through :data:`KIND_ALIASES`.
     """
-    text = _as_text(data)
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise InputError(f"malformed YAML: {exc}") from exc
+    doc = load_yaml(_as_text(data))
     if doc is None:
         return InfraManifest()
     if not isinstance(doc, dict):
@@ -232,11 +255,9 @@ def parse_infra_yaml(data: bytes | str) -> InfraManifest:
 
     resources: list[tuple[str, ResourceKind]] = []
     declared: set[str] = set()
-    for entry in doc.get("resources") or []:
-        if not isinstance(entry, dict) or "name" not in entry or "kind" not in entry:
-            raise InputError(f"resource entry must have name and kind: {entry!r}")
-        name = str(entry["name"]).strip()
-        raw_kind = str(entry["kind"]).strip().lower()
+    for entry in _manifest_entries(doc, "resources", "name", "kind"):
+        name = _name(entry["name"], "manifest name")
+        raw_kind = _name(entry["kind"], "manifest kind").lower()
         kind = KIND_ALIASES.get(raw_kind)
         if kind is None:
             raise InputError(f"unknown resource kind {raw_kind!r}")
@@ -246,11 +267,9 @@ def parse_infra_yaml(data: bytes | str) -> InfraManifest:
         resources.append((name, kind))
 
     bindings: list[tuple[str, str]] = []
-    for entry in doc.get("bindings") or []:
-        if not isinstance(entry, dict) or "class" not in entry or "resource" not in entry:
-            raise InputError(f"binding entry must have class and resource: {entry!r}")
-        cls = str(entry["class"]).strip()
-        res = str(entry["resource"]).strip()
+    for entry in _manifest_entries(doc, "bindings", "class", "resource"):
+        cls = _name(entry["class"], "manifest class")
+        res = _name(entry["resource"], "manifest resource")
         if res not in declared:
             raise InputError(
                 f"binding for class {cls!r} references undeclared resource {res!r}"
@@ -258,6 +277,20 @@ def parse_infra_yaml(data: bytes | str) -> InfraManifest:
         bindings.append((cls, res))
 
     return InfraManifest(resources=tuple(resources), bindings=tuple(bindings))
+
+
+def _manifest_entries(doc: dict, section: str, *keys: str) -> list[dict]:
+    """The entries of a manifest section (absent or null: none), each a
+    mapping holding ``keys``."""
+    entries = doc.get(section)
+    if entries is None:
+        return []
+    if not isinstance(entries, list):
+        raise InputError(f"manifest {section} must be a list, got {entries!r}")
+    for entry in entries:
+        if not isinstance(entry, dict) or any(key not in entry for key in keys):
+            raise InputError(f"{section[:-1]} entry must have {' and '.join(keys)}: {entry!r}")
+    return entries
 
 
 def manifest_to_yaml(manifest: InfraManifest) -> str:
@@ -282,98 +315,63 @@ def manifest_to_yaml(manifest: InfraManifest) -> str:
 
 def load_flow_rules(data: bytes | str) -> FlowRuleConfig:
     """Load a flow-rule config: YAML ``{line_regex: ..., entry_points: [...]}``."""
-    text = _as_text(data)
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise InputError(f"malformed YAML: {exc}") from exc
+    doc = load_yaml(_as_text(data))
     if not isinstance(doc, dict) or "line_regex" not in doc:
         raise InputError("flow rules must be a mapping with a line_regex key")
     entry_points = doc.get("entry_points")
     if not isinstance(entry_points, (list, type(None))):
         raise InputError(f"flow rule entry_points must be a list, got {entry_points!r}")
-    return FlowRuleConfig(
-        line_regex=str(doc["line_regex"]), entry_points=tuple(str(e) for e in entry_points or ())
-    )
+    return FlowRuleConfig(line_regex=doc["line_regex"], entry_points=tuple(entry_points or ()))
 
 
 def parse_traces(data: bytes | str, rules: FlowRuleConfig) -> TraceParseResult:
-    """Turn a line-oriented trace log into trace records.
+    """Turn a line-oriented trace log into ``(flow id, class name)`` records.
 
-    Lines the rule regex rejects are counted as skipped, never fatal. Lines
-    without a flow capture fall into an untagged stream that is segmented
-    into synthetic flows ``F0, F1, ...`` at every occurrence of an
+    Lines the rule regex rejects, or whose class capture is blank, are
+    counted as skipped, never fatal. A line's flow id is its stripped flow
+    capture. Lines without one fall into an untagged stream that is
+    segmented into synthetic flows ``F0, F1, ...`` at every occurrence of an
     entry-point class; with no entry points the stream is one flow.
     """
-    try:
-        pattern = re.compile(rules.line_regex)
-    except re.error as exc:
-        raise InputError(f"invalid flow rule regex: {exc}") from exc
-    if "class" not in pattern.groupindex:
-        raise InputError("flow rule regex must define a named group 'class'")
-    has_flow_group = "flow" in pattern.groupindex
-
-    text = _as_text(data)
-    entry_points = set(rules.entry_points)
-    # (hint or None, class name) per matched line, in log order
-    events: list[tuple[str | None, str]] = []
+    pattern = re.compile(rules.line_regex)
+    search = pattern.search
+    tagged = "flow" in pattern.groupindex
+    entry_points = frozenset(rules.entry_points)
+    records: list[tuple[str, str]] = []
+    append = records.append
     skipped = 0
-    for line in text.splitlines():
-        match = pattern.search(line)
-        if not match:
+    segment = -1
+    untagged = ""
+    for line in _as_text(data).splitlines():
+        match = search(line)
+        if match is None:
             skipped += 1
             continue
-        cls = (match.group("class") or "").strip()
+        cls = (match["class"] or "").strip()
         if not cls:
             skipped += 1
             continue
-        hint = match.group("flow") if has_flow_group else None
-        hint = hint.strip() if hint else None
-        events.append((hint, cls))
-
-    # assign synthetic hints to the untagged stream
-    segment = -1
-    resolved: list[tuple[str, str]] = []
-    for hint, cls in events:
-        if hint is None:
-            if segment < 0 or (entry_points and cls in entry_points):
-                segment += 1
-            hint = f"F{segment}"
-        resolved.append((hint, cls))
-
-    counters: dict[str, int] = {}
-    records = []
-    for hint, cls in resolved:
-        seq = counters.get(hint, 0)
-        counters[hint] = seq + 1
-        records.append(TraceRecord(flow_hint=hint, seq=seq, class_name=cls))
+        flow = match["flow"] if tagged else None
+        if flow:
+            append((flow.strip(), cls))
+            continue
+        if segment < 0 or cls in entry_points:
+            segment += 1
+            untagged = f"F{segment}"
+        append((untagged, cls))
     if skipped:
         log.warning("skipped %d unparseable trace line(s)", skipped)
-    return TraceParseResult(records=tuple(records), skipped=skipped)
+    return TraceParseResult(records=records, skipped=skipped)
 
 
-def group_flows(records: list[TraceRecord] | tuple[TraceRecord, ...]) -> list[FlowRecord]:
-    """Group trace records into flows, one per distinct flow hint.
+def group_flows(records: list[tuple[str, str]]) -> list[FlowRecord]:
+    """Group ``(flow id, class name)`` records into flows, in order of each
+    flow's first record.
 
     Members are de-duplicated preserving first occurrence, so the first
     member is the flow's entry point.
     """
-    ordered_hints: list[str] = []
-    by_hint: dict[str, list[TraceRecord]] = {}
-    for rec in records:
-        if rec.flow_hint not in by_hint:
-            by_hint[rec.flow_hint] = []
-            ordered_hints.append(rec.flow_hint)
-        by_hint[rec.flow_hint].append(rec)
-
-    flows: list[FlowRecord] = []
-    for hint in ordered_hints:
-        members: list[str] = []
-        seen: set[str] = set()
-        for rec in sorted(by_hint[hint], key=lambda r: r.seq):
-            if rec.class_name not in seen:
-                seen.add(rec.class_name)
-                members.append(rec.class_name)
-        flows.append(FlowRecord(id=hint, members=tuple(members)))
-    return flows
-
+    members: defaultdict[str, dict[str, None]] = defaultdict(dict)
+    for flow, cls in records:
+        members[flow][cls] = None
+    return [FlowRecord(id=flow, members=tuple(classes)) for flow, classes in members.items()]

@@ -9,10 +9,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-import yaml
-
 from .infra import _infra_report
-from .ingest import DependencyRecord, _as_text
+from .ingest import DependencyRecord, _as_text, load_yaml
 from .model import (
     ApplicationGraph,
     EvaluationReport,
@@ -38,13 +36,13 @@ class GroundTruth:
 def load_ground_truth(data: bytes | str) -> GroundTruth:
     """Read ground truth from YAML or JSON: a flat ``{class: label}`` map."""
     text = _as_text(data)
-    try:
-        if text.lstrip()[:1] == "{":
+    if text.lstrip()[:1] == "{":
+        try:
             doc = json.loads(text)
-        else:
-            doc = yaml.safe_load(text)
-    except (json.JSONDecodeError, yaml.YAMLError) as exc:
-        raise InputError(f"malformed ground truth: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise InputError(f"malformed ground truth: {exc}") from exc
+    else:
+        doc = load_yaml(text)
     if not isinstance(doc, dict) or not doc:
         raise InputError("ground truth must be a non-empty mapping")
     return GroundTruth({str(k): str(v) for k, v in doc.items()})

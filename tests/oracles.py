@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -169,6 +170,76 @@ def duplication_cost_reference(g, assignment, prices) -> Fraction:
         if len(parts) > 1:
             total += (len(parts) - 1) * prices.unit_cost(g.resources[rid].kind)
     return total
+
+
+@dataclass(frozen=True)
+class TraceRecord:
+    """One execution-trace event: ``class_name`` seen at position ``seq``
+    within flow ``flow_hint``."""
+
+    flow_hint: str
+    seq: int
+    class_name: str
+
+
+def group_flows_reference(
+    text: str, line_regex: str, entry_points: tuple[str, ...] = ()
+) -> tuple[list[tuple[str, tuple[str, ...]]], int]:
+    """Trace grouping the long way: match every line, then give the
+    untagged stream its synthetic flow ids, then number each flow's events,
+    then sort every flow's events by that number and keep each class's
+    first occurrence. Returns ``[(flow id, members)]`` in order of each
+    flow's first event, and the number of skipped lines."""
+    pattern = re.compile(line_regex)
+    has_flow_group = "flow" in pattern.groupindex
+    events: list[tuple[str | None, str]] = []
+    skipped = 0
+    for line in text.splitlines():
+        match = pattern.search(line)
+        if not match:
+            skipped += 1
+            continue
+        cls = (match.group("class") or "").strip()
+        if not cls:
+            skipped += 1
+            continue
+        hint = match.group("flow") if has_flow_group else None
+        hint = hint.strip() if hint else None
+        events.append((hint, cls))
+
+    segment = -1
+    resolved: list[tuple[str, str]] = []
+    for hint, cls in events:
+        if hint is None:
+            if segment < 0 or (entry_points and cls in entry_points):
+                segment += 1
+            hint = f"F{segment}"
+        resolved.append((hint, cls))
+
+    counters: dict[str, int] = {}
+    records = []
+    for hint, cls in resolved:
+        seq = counters.get(hint, 0)
+        counters[hint] = seq + 1
+        records.append(TraceRecord(flow_hint=hint, seq=seq, class_name=cls))
+
+    ordered_hints: list[str] = []
+    by_hint: dict[str, list[TraceRecord]] = {}
+    for rec in records:
+        if rec.flow_hint not in by_hint:
+            by_hint[rec.flow_hint] = []
+            ordered_hints.append(rec.flow_hint)
+        by_hint[rec.flow_hint].append(rec)
+    flows = []
+    for hint in ordered_hints:
+        members: list[str] = []
+        seen: set[str] = set()
+        for rec in sorted(by_hint[hint], key=lambda r: r.seq):
+            if rec.class_name not in seen:
+                seen.add(rec.class_name)
+                members.append(rec.class_name)
+        flows.append((hint, tuple(members)))
+    return flows, skipped
 
 
 def report_from_json(text: str):

@@ -1,4 +1,4 @@
-"""Fuzzing of the artifact boundary: every file a command reads is mutated
+"""Fuzzing of the input boundary: every file a command reads is mutated
 and the command must exit 0 or 2, never 1, naming the file when it exits 2.
 
 Valid graph.json and partition.json come from the jpetstore fixture; the
@@ -6,6 +6,12 @@ ground truth and the price table are written as JSON, which both of their
 readers accept. Each example applies one mutation to one file: truncation,
 a wrong container type, an unknown name, a negative or non-numeric value,
 or a byte that is not UTF-8.
+
+The inputs of ``ingest`` are fuzzed the same way, each in its own format:
+jpetstore's dependencies as XML and as JSON, its manifest and a flow-rule
+file as YAML, and a trace log mixing tagged and untagged lines. Their
+values are names, so in place of the numeric mutations a string is
+replaced by a value of another type.
 """
 
 from __future__ import annotations
@@ -14,8 +20,11 @@ import contextlib
 import io
 import json
 import tempfile
+import xml.etree.ElementTree as ET
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
+from xml.sax.saxutils import escape, quoteattr
 
 import pytest
 import yaml
@@ -102,14 +111,20 @@ def _rename_key(doc: object, path: tuple, old: str, new: str) -> object:
     return doc
 
 
-def _mutate(data: st.DataObject, kind: str, doc: object) -> bytes:
-    """The serialized document with one mutation of ``kind`` applied."""
+def _json(doc: object) -> bytes:
+    return json.dumps(doc, indent=2).encode()
+
+
+def _mutate(
+    data: st.DataObject, kind: str, doc: object, dump: Callable[[object], bytes] = _json
+) -> bytes:
+    """The document serialized by ``dump`` with one mutation of ``kind`` applied."""
     nodes = list(_nodes(doc))
     if kind == "truncate":
-        raw = json.dumps(doc, indent=2).encode()
+        raw = dump(doc)
         return raw[: data.draw(st.integers(0, len(raw) - 1), label="cut")]
     if kind == "non-utf8":
-        raw = json.dumps(doc, indent=2).encode()
+        raw = dump(doc)
         at = data.draw(st.integers(0, len(raw)), label="at")
         return raw[:at] + b"\xff" + raw[at:]
     if kind == "container":
@@ -124,6 +139,12 @@ def _mutate(data: st.DataObject, kind: str, doc: object) -> bytes:
         assume(targets)
         where, path, key = data.draw(st.sampled_from(targets), label="name")
         doc = _replace(doc, path, "zz") if where == "value" else _rename_key(doc, path, key, "zz")
+    elif kind == "non-string":
+        strings = [path for path, value in nodes if isinstance(value, str)]
+        assume(strings)
+        path = data.draw(st.sampled_from(strings), label="string")
+        doc = _replace(doc, path, data.draw(st.sampled_from([1, 2.5, None, True, ["x"], {"x": 1}]),
+                                            label="value"))
     else:
         numbers = [(path, value) for path, value in nodes if _numeric(value)]
         assume(numbers)
@@ -134,7 +155,7 @@ def _mutate(data: st.DataObject, kind: str, doc: object) -> bytes:
             bad = data.draw(st.sampled_from(["x", "1/0", "nan", None, True, 2.5, "3.9"]),
                             label="value")
         doc = _replace(doc, path, bad)
-    return json.dumps(doc, indent=2).encode()
+    return dump(doc)
 
 
 @pytest.mark.parametrize("target", list(COMMANDS))
@@ -156,3 +177,80 @@ def test_mutated_input_exits_0_or_2_naming_it(pristine, target, kind, data):
     assert "Traceback" not in err
     if code == 2:
         assert any(str(root / name) in err for name in named), err
+
+
+INGEST_KINDS = ("truncate", "container", "unknown name", "non-string", "non-utf8")
+INGEST_INPUTS = ("deps.xml", "deps.json", "manifest.yaml", "flow-rules.yaml", "traces.log")
+CHILD_TAGS = {"classes": "class"}  # dependency JSON key -> XML element of each item
+
+
+def _xml(doc: object) -> bytes:
+    """Dependency XML for the JSON form of the document: a mapping's scalars
+    become attributes and each item of a list value a child element."""
+
+    def element(tag: str, node: object) -> str:
+        if isinstance(node, list):
+            return "".join(element(tag, item) for item in node)
+        if not isinstance(node, dict):
+            return f"<{tag}>{escape(str(node))}</{tag}>"
+        attrs = "".join(f" {key}={quoteattr(str(value))}" for key, value in node.items()
+                        if not isinstance(value, (dict, list)))
+        body = "".join(element(CHILD_TAGS.get(key, key), value) for key, value in node.items()
+                       if isinstance(value, (dict, list)))
+        return f"<{tag}{attrs}>{body}</{tag}>"
+
+    return element("dependencies", doc).encode()
+
+
+def _yaml(doc: object) -> bytes:
+    return yaml.safe_dump(doc, sort_keys=False).encode()
+
+
+def _lines(doc: object) -> bytes:
+    return ("\n".join(map(str, doc)) if isinstance(doc, list) else str(doc)).encode()
+
+
+@pytest.fixture(scope="module")
+def ingest_inputs() -> dict[str, tuple[object, Callable[[object], bytes]]]:
+    """Each valid ingest input as a document and the serializer of its format.
+
+    The documents are cut to a few entries each, so that a mutation often
+    lands on the structure and not on one of many names."""
+    app = FIXTURES_DIR / "jpetstore"
+    root = ET.fromstring((app / "deps.xml").read_text())
+    deps = {"classes": [{"name": c.get("name"), "dependsOn": [dict(d.attrib) for d in c]}
+                        for c in list(root)[:6]]}
+    manifest = yaml.safe_load((app / "manifest.yaml").read_text())
+    manifest = {"resources": manifest["resources"][:2], "bindings": manifest["bindings"][:3]}
+    names = [c["name"] for c in deps["classes"]]
+    traces = [f"[f{i % 3}] {name}" if i % 3 else name for i, name in enumerate(names)]
+    rules = {"line_regex": r"^(?:\[(?P<flow>\w+)\] )?(?P<class>[\w.]+)$", "entry_points": names[:2]}
+    return {
+        "deps.xml": (deps, _xml),
+        "deps.json": (deps, _json),
+        "manifest.yaml": (manifest, _yaml),
+        "flow-rules.yaml": (rules, _yaml),
+        "traces.log": (traces + ["?? unparsed"], _lines),
+    }
+
+
+@pytest.mark.parametrize("target", INGEST_INPUTS)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(INGEST_KINDS), data=st.data())
+def test_mutated_ingest_input_exits_0_or_2_naming_it(ingest_inputs, target, kind, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, (doc, dump) in ingest_inputs.items():
+            (root / name).write_bytes(_mutate(data, kind, doc, dump) if name == target else dump(doc))
+        deps = "deps.json" if target == "deps.json" else "deps.xml"
+        argv = ["ingest", "--deps", deps, "--manifest", "manifest.yaml",
+                "--traces", "traces.log", "--flow-rules", "flow-rules.yaml"]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = main([str(root / a) if a in INGEST_INPUTS else a for a in argv]
+                        + ["--out", str(root / "out")])
+    err = stderr.getvalue()
+    assert code in (0, 2), err
+    assert "Traceback" not in err
+    if code == 2:
+        assert str(root / target) in err, err

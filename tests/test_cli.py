@@ -7,12 +7,13 @@ from pathlib import Path
 from typing import Callable
 
 import pytest
+import yaml
 
 from conftest import FIXTURES_DIR
 
 from oracles import check_dot
 
-from monopart import metrics, model, partitioner
+from monopart import ingest, metrics, model, partitioner
 from monopart.cli import (
     DOT_FILE,
     EVALUATION_FILE,
@@ -533,6 +534,47 @@ def _entry_points_scalar(out: Path) -> tuple[list[str], str]:
     return [*argv, "--flow-rules", str(rules), "--force"], str(rules)
 
 
+def _ingest_with(name: str, text: str, label: str) -> Callable[[Path], tuple[list[str], str]]:
+    """ingest with traces, where the input file ``name`` holds ``text`` and the
+    others are valid."""
+
+    def case(out: Path) -> tuple[list[str], str]:
+        root = out.parent
+        (root / "traces.log").write_text("web.Shop\nweb.Cart\n")
+        (root / "flow-rules.yaml").write_text("line_regex: '^(?P<class>\\S+)$'\n")
+        (root / name).write_text(text)
+        deps = root / ("deps.json" if name == "deps.json" else "deps.xml")
+        argv = ["ingest", "--deps", str(deps), "--manifest", str(root / "manifest.yaml"),
+                "--traces", str(root / "traces.log"), "--flow-rules", str(root / "flow-rules.yaml")]
+        return [*argv, "--force"], str(root / name)
+
+    case.__name__ = label
+    return case
+
+
+INGEST_CASES = [
+    _ingest_with("manifest.yaml", "resources: 5\n", "manifest_resources_number"),
+    _ingest_with("manifest.yaml", "resources: []\nbindings: 5\n", "manifest_bindings_number"),
+    _ingest_with("manifest.yaml", "resources:\n  - {name: [1], kind: database}\n",
+                 "manifest_name_list"),
+    _ingest_with("manifest.yaml",
+                 "resources:\n  - {name: db, kind: database}\nbindings:\n  - {class: [1], resource: db}\n",
+                 "manifest_class_list"),
+    _ingest_with("manifest.yaml", "resources:\n  - {name: 2001-02-30, kind: database}\n",
+                 "manifest_bad_date"),
+    _ingest_with("flow-rules.yaml", "line_regex: '('\n", "rules_regex_unbalanced"),
+    _ingest_with("flow-rules.yaml", "line_regex: 5\n", "rules_regex_number"),
+    _ingest_with("flow-rules.yaml", "line_regex: '(?P<flow>\\w+)'\n", "rules_no_class_group"),
+    _ingest_with("flow-rules.yaml", "line_regex: '^(?P<class>\\S+)$'\nentry_points: [[1]]\n",
+                 "rules_entry_point_list"),
+    _ingest_with("deps.json", '{"classes":[{"name":["x"]}]}', "deps_class_name_list"),
+    _ingest_with("deps.json", '{"classes":[{"name":"A","dependsOn":[{"name":["x"]}]}]}',
+                 "deps_dependency_name_list"),
+    _ingest_with("deps.json", '{"classes":[]}', "deps_no_dependencies"),
+    _ingest_with("deps.xml", "<dependencies/>", "deps_xml_no_dependencies"),
+]
+
+
 def _dependency_unknown_class(command: str) -> Callable[[Path], tuple[list[str], str]]:
     def case(out: Path) -> tuple[list[str], str]:
         assert main(["partition", "--k", "2", "--out", str(out)]) == 0
@@ -572,6 +614,7 @@ def _dependency_unknown_class(command: str) -> Callable[[Path], tuple[list[str],
         _dependency_unknown_class("partition"),
         _dependency_unknown_class("dot"),
         _dependency_unknown_class("evaluate"),
+        *INGEST_CASES,
     ],
     ids=lambda f: f.__name__.lstrip("_"),
 )
@@ -583,6 +626,33 @@ def test_bad_input_exits_2_naming_it(workdir, capsys, make_case):
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert named in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
+@pytest.mark.parametrize("name", ["manifest.yaml", "flow-rules.yaml", "truth.yaml", "prices.yaml"])
+def test_malformed_yaml_exits_2_under_either_loader(workdir, capsys, monkeypatch, name, loader):
+    if not hasattr(yaml, loader):
+        pytest.skip("PyYAML built without libyaml")
+    out = workdir / "out"
+    assert run_ingest(workdir) == 0
+    assert main(["partition", "--k", "2", "--out", str(out)]) == 0
+    (workdir / "traces.log").write_text("web.Shop\n")
+    (workdir / "flow-rules.yaml").write_text("line_regex: '^(?P<class>\\S+)$'\n")
+    bad = workdir / name
+    bad.write_text("a: [1\nb: 2\n")
+    argv = {
+        "manifest.yaml": ["ingest", "--deps", str(workdir / "deps.xml"), "--manifest", str(bad)],
+        "flow-rules.yaml": ["ingest", "--deps", str(workdir / "deps.xml"),
+                            "--traces", str(workdir / "traces.log"), "--flow-rules", str(bad)],
+        "truth.yaml": ["evaluate", "--truth", str(bad)],
+        "prices.yaml": ["partition", "--k", "2", "--prices", str(bad)],
+    }[name]
+    monkeypatch.setattr(ingest, "YAML_LOADER", getattr(yaml, loader))
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out), "--force"]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: malformed YAML" in err
     assert "Traceback" not in err
 
 

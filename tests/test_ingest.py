@@ -1,17 +1,20 @@
 """Parsers for dependency exports, manifests, and trace logs."""
 
 import logging
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+import yaml
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monopart import ingest
+from monopart.infra import load_price_table
 from monopart.ingest import (
     DependencyRecord,
     FlowRuleConfig,
     InfraManifest,
     Relation,
-    TraceRecord,
     dependencies_from_doc,
     dependencies_to_doc,
     group_flows,
@@ -21,7 +24,12 @@ from monopart.ingest import (
     parse_infra_yaml,
     parse_traces,
 )
+from monopart.metrics import load_ground_truth
 from monopart.model import InputError, ResourceKind
+
+from oracles import group_flows_reference
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestDependencyXml:
@@ -81,6 +89,20 @@ class TestDependencyXml:
             DependencyRecord("A", "B", Relation.REFERENCE),
             DependencyRecord("A", "C", Relation.CALL),
         ]
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"classes": [{"name": ["x"], "dependsOn": ["B"]}]}',
+            '{"classes": [{"name": 5}]}',
+            '{"classes": [{"name": "A", "dependsOn": [{"name": ["B"]}]}]}',
+            '{"classes": [{"name": "A", "dependsOn": [{"name": null}]}]}',
+        ],
+        ids=["class list", "class number", "dependency list", "dependency null"],
+    )
+    def test_json_names_must_be_strings(self, doc):
+        with pytest.raises(InputError, match="name.* must be a string"):
+            parse_dependency_xml(doc)
 
     def test_malformed_json_reports_line(self):
         with pytest.raises(InputError, match="line"):
@@ -180,6 +202,36 @@ class TestInfraYaml:
     def test_empty_document(self):
         assert parse_infra_yaml("") == InfraManifest()
 
+    @pytest.mark.parametrize("section", ["resources", "bindings"])
+    @pytest.mark.parametrize("value", ["5", "web.Shop", "{a: 1}", "false"])
+    def test_sections_must_be_lists(self, section, value):
+        with pytest.raises(InputError, match=f"manifest {section} must be a list"):
+            parse_infra_yaml(f"{section}: {value}\n")
+
+    def test_null_sections_are_empty(self):
+        assert parse_infra_yaml("resources:\nbindings: null\n") == InfraManifest()
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("resources:\n  - {name: [1], kind: database}\n", "name"),
+            ("resources:\n  - {name: 7, kind: database}\n", "name"),
+            ("resources:\n  - {name: db, kind: [database]}\n", "kind"),
+            ("resources:\n  - {name: db, kind: database}\nbindings:\n  - {class: [1], resource: db}\n",
+             "class"),
+            ("resources:\n  - {name: db, kind: database}\nbindings:\n  - {class: A, resource: {db: 1}}\n",
+             "resource"),
+        ],
+        ids=["name list", "name number", "kind list", "class list", "resource mapping"],
+    )
+    def test_names_must_be_strings(self, text, key):
+        with pytest.raises(InputError, match=f"manifest {key} must be a string"):
+            parse_infra_yaml(text)
+
+    def test_bad_date_is_malformed_yaml(self):
+        with pytest.raises(InputError, match="malformed YAML"):
+            parse_infra_yaml("resources:\n  - {name: 2001-02-30, kind: database}\n")
+
     def test_round_trip_through_emitter(self):
         manifest = InfraManifest(
             resources=(("db1", ResourceKind.DATABASE), ("s3a", ResourceKind.FILE_STORAGE)),
@@ -192,10 +244,9 @@ RULES = FlowRuleConfig(line_regex=r"^(?:\[(?P<flow>\w+)\] )?(?P<class>[\w.]+)$")
 
 
 class TestParseTraces:
-    def test_tagged_lines_get_increasing_seq(self):
+    def test_tagged_lines_keep_log_order(self):
         result = parse_traces("[F1] A\n[F1] B\n[F1] C\n", RULES)
-        assert [r.seq for r in result.records] == [0, 1, 2]
-        assert [r.class_name for r in result.records] == ["A", "B", "C"]
+        assert result.records == [("F1", "A"), ("F1", "B"), ("F1", "C")]
 
     def test_unparseable_lines_counted_not_fatal(self):
         log_text = "\n".join(["[F1] A"] * 8 + ["?? bad", "!! worse"])
@@ -211,6 +262,7 @@ class TestParseTraces:
     def test_entry_point_segmentation(self):
         rules = FlowRuleConfig(line_regex=r"^(?P<class>\w+)$", entry_points=("A",))
         result = parse_traces("A\nB\nC\nA\nD\n", rules)
+        assert result.records == [("F0", "A"), ("F0", "B"), ("F0", "C"), ("F1", "A"), ("F1", "D")]
         flows = group_flows(result.records)
         assert [(f.id, f.members) for f in flows] == [
             ("F0", ("A", "B", "C")),
@@ -238,15 +290,36 @@ class TestParseTraces:
         with pytest.raises(InputError, match="'class'"):
             parse_traces("A\n", FlowRuleConfig(line_regex=r"(?P<flow>\w+)"))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(
+            st.tuples(
+                st.sampled_from(["", "[t1] ", "[ t2 ] ", "[F0] ", "[F1]  ", "[   ] ", "?? "]),
+                st.sampled_from(["A", "B", "E", "  E  ", " ", "", "x!"]),
+                st.sampled_from(["\n", "\r\n", "\r"]),
+            ),
+            max_size=40,
+        ),
+        entry_points=st.sampled_from([(), ("E",), ("E", "B")]),
+        line_regex=st.sampled_from(
+            [
+                r"^(?:\[(?P<flow>[^\]]*)\] ?)?(?P<class>[\w ]*)$",
+                r"^(?:\[(?P<flow>[^\]]*)\])?(?P<class>.*)$",
+                r"(?P<class>[A-Z])",
+            ]
+        ),
+    )
+    def test_grouping_equals_reference(self, lines, entry_points, line_regex):
+        log_text = "".join(tag + cls + end for tag, cls, end in lines)
+        rules = FlowRuleConfig(line_regex=line_regex, entry_points=entry_points)
+        result = parse_traces(log_text, rules)
+        flows = [(f.id, f.members) for f in group_flows(result.records)]
+        assert (flows, result.skipped) == group_flows_reference(log_text, line_regex, entry_points)
+
 
 class TestGroupFlows:
     def test_members_deduplicated_preserving_first(self):
-        records = [
-            TraceRecord("F1", 0, "A"),
-            TraceRecord("F1", 1, "B"),
-            TraceRecord("F1", 2, "A"),
-            TraceRecord("F1", 3, "C"),
-        ]
+        records = [("F1", "A"), ("F1", "B"), ("F1", "A"), ("F1", "C")]
         flows = group_flows(records)
         assert flows[0].members == ("A", "B", "C")
 
@@ -254,22 +327,9 @@ class TestGroupFlows:
         assert group_flows([]) == []
 
     def test_flows_may_overlap(self):
-        records = [
-            TraceRecord("F1", 0, "A"),
-            TraceRecord("F1", 1, "B"),
-            TraceRecord("F2", 0, "C"),
-            TraceRecord("F2", 1, "B"),
-        ]
+        records = [("F1", "A"), ("F1", "B"), ("F2", "C"), ("F2", "B")]
         flows = group_flows(records)
         assert [f.members for f in flows] == [("A", "B"), ("C", "B")]
-
-    def test_sorts_by_seq_within_hint(self):
-        records = [
-            TraceRecord("F1", 2, "C"),
-            TraceRecord("F1", 0, "A"),
-            TraceRecord("F1", 1, "B"),
-        ]
-        assert group_flows(records)[0].members == ("A", "B", "C")
 
     @given(
         st.lists(
@@ -280,14 +340,9 @@ class TestGroupFlows:
             max_size=30,
         )
     )
-    def test_members_unique_and_sourced(self, pairs):
-        records = []
-        seq: dict[str, int] = {}
-        for hint, cls in pairs:
-            records.append(TraceRecord(hint, seq.get(hint, 0), cls))
-            seq[hint] = seq.get(hint, 0) + 1
+    def test_members_unique_and_sourced(self, records):
         flows = group_flows(records)
-        seen_classes = {r.class_name for r in records}
+        seen_classes = {cls for _flow, cls in records}
         for flow in flows:
             assert len(set(flow.members)) == len(flow.members)
             assert set(flow.members) <= seen_classes
@@ -306,3 +361,60 @@ class TestLoadFlowRules:
     def test_missing_line_regex(self):
         with pytest.raises(InputError, match="line_regex"):
             load_flow_rules("entry_points: [A]\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("line_regex: '('\n", "invalid flow rule regex"),
+            ("line_regex: 5\n", "line_regex must be a string"),
+            ("line_regex: [a]\n", "line_regex must be a string"),
+            ("line_regex: '(?P<flow>\\w+)'\n", "named group 'class'"),
+            ("line_regex: '(?P<class>\\w+)'\nentry_points: [[1]]\n", "entry point must be a string"),
+            ("line_regex: '(?P<class>\\w+)'\nentry_points: [A, 3]\n", "entry point must be a string"),
+        ],
+        ids=["unbalanced", "number", "list", "no class group", "nested list", "number entry"],
+    )
+    def test_rules_checked_when_loaded(self, text, message):
+        with pytest.raises(InputError, match=message):
+            load_flow_rules(text)
+
+
+class TestLoadYaml:
+    """The four YAML readers load through ``load_yaml``, which uses libyaml's
+    ``CSafeLoader`` when PyYAML has it."""
+
+    READERS = {
+        "manifest.yaml": parse_infra_yaml,
+        "truth.yaml": load_ground_truth,
+        "flow-rules.example.yaml": load_flow_rules,
+        "prices.example.yaml": load_price_table,
+    }
+    FILES = sorted(
+        str(path.relative_to(ROOT))
+        for path in [*ROOT.glob("fixtures/*/*.yaml"), *ROOT.glob("config/*.yaml")]
+    )
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+    def test_libyaml_loader_is_used(self):
+        assert ingest.YAML_LOADER is yaml.CSafeLoader
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+    @pytest.mark.parametrize("name", FILES)
+    def test_loaders_read_equal_documents(self, monkeypatch, name):
+        read = self.READERS[Path(name).name]
+        data = (ROOT / name).read_bytes()
+        monkeypatch.setattr(ingest, "YAML_LOADER", yaml.SafeLoader)
+        pure = read(data)
+        monkeypatch.setattr(ingest, "YAML_LOADER", yaml.CSafeLoader)
+        assert read(data) == pure
+
+    def test_every_reader_has_a_file(self):
+        assert {Path(name).name for name in self.FILES} == set(self.READERS)
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+    def test_tab_inside_plain_scalar(self, monkeypatch):
+        text = "resources:\n  - name: db\tx\n    kind: database\n"
+        assert parse_infra_yaml(text).resources == (("db\tx", ResourceKind.DATABASE),)
+        monkeypatch.setattr(ingest, "YAML_LOADER", yaml.SafeLoader)
+        with pytest.raises(InputError, match="malformed YAML"):
+            parse_infra_yaml(text)
