@@ -16,7 +16,7 @@ import os
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterator, TypeVar
@@ -36,8 +36,15 @@ DOT_FILE = "graph.dot"
 def _fraction_arg(raw: str) -> Fraction:
     try:
         return model.as_fraction(raw)
-    except (model.InputError, ValueError) as exc:
+    except model.InputError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _config(cls: type[T], args: argparse.Namespace, **overrides: object) -> T:
+    """The config dataclass ``cls`` built from the flags whose dest is one of
+    its field names, with ``overrides`` taking precedence."""
+    values = {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
+    return cls(**{**values, **overrides})
 
 
 @contextmanager
@@ -134,18 +141,12 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             print(f"skipped trace lines: {parsed.skipped}", file=sys.stderr)
         flows = ingest.group_flows(parsed.records)
 
-    cfg = graphbuild.WeightConfig(
-        base_call=args.base_call,
-        base_reference=args.base_reference,
-        base_inheritance=args.base_inheritance,
-        beta_flow=args.beta_flow,
-        shared_resource_increment=args.shared_resource_increment,
-    )
+    cfg = _config(graphbuild.WeightConfig, args)
     with _naming(args.deps):  # a build fails only on a graph without dependencies
         g = graphbuild.build_graph(deps, manifest, flows, cfg)
     problems = model.validate_graph(g)
-    if problems:
-        raise model.InputError("built graph is invalid: " + "; ".join(problems))
+    if problems:  # every reader rejects the inputs that could cause this
+        raise RuntimeError("built graph is invalid: " + "; ".join(problems))
 
     doc = model.graph_to_doc(g)
     doc["dependencies"] = ingest.dependencies_to_doc(deps)
@@ -178,13 +179,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
         raise model.InputError("one of --k or --sweep-k is required")
     else:
         k0 = args.k
-    cfg = partitioner.ObjectiveConfig(
-        k=k0,
-        alpha=args.alpha,
-        epsilon=args.epsilon,
-        seed=args.seed,
-        restarts=args.restarts,
-    )
+    cfg = _config(partitioner.ObjectiveConfig, args, k=k0)
     if args.sweep_k:
         k, p = partitioner.sweep_k(g, prices, cfg, lo, hi)
         cfg = replace(cfg, k=k)
@@ -198,7 +193,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
     )
     cut = metrics.edge_cut(g, p)
     ngm = metrics.compute_ngm(g, p)
-    p_doc = model.partition_to_doc(p, g, objective=obj, seed=args.seed)
+    p_doc = model.partition_to_doc(p, g, objective=obj, seed=cfg.seed)
     _write_json(out_dir, PARTITION_FILE, p_doc, args.force)
     _write_json(out_dir, INFRA_REPORT_FILE, infra.infra_report_to_doc(report), args.force)
 
@@ -209,18 +204,17 @@ def cmd_partition(args: argparse.Namespace) -> int:
     sizes = p.sizes()
     for idx, factor, names in report.per_partition:
         roster = f" resources: {', '.join(names)}" if names else ""
-        print(
-            f"partition {idx}: {sizes[idx]} classes, "
-            f"factor (n_ec={factor.n_ec}, n_s3={factor.n_s3}, "
-            f"n_db={factor.n_db}, n_ca={factor.n_ca}){roster}"
-        )
+        print(f"partition {idx}: {sizes[idx]} classes, factor {_factor_str(factor)}{roster}")
     print(
-        f"total factor: (n_ec={report.total.n_ec}, n_s3={report.total.n_s3}, "
-        f"n_db={report.total.n_db}, n_ca={report.total.n_ca}), "
+        f"total factor: {_factor_str(report.total)}, "
         f"cost {model.fraction_str(report.total_cost)} "
         f"(baseline {model.fraction_str(report.baseline_cost)})"
     )
     return 0
+
+
+def _factor_str(f: model.InfrastructureFactor) -> str:
+    return "(" + ", ".join(f"{key}={n}" for key, n in model.factor_to_doc(f).items()) + ")"
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -243,15 +237,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    spec = fixturegen.FixtureSpec(
-        classes=args.classes,
-        clusters=args.clusters,
-        p_in=args.p_in,
-        p_out=args.p_out,
-        resources_per_cluster=args.resources_per_cluster,
-        seed=args.seed,
-    )
-    fixture = fixturegen.generate_fixture(spec)
+    fixture = fixturegen.generate_fixture(_config(fixturegen.FixtureSpec, args))
     out_dir = _out_dir(args)
     for name, text in (
         ("deps.xml", fixture.deps_xml),
@@ -294,22 +280,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.add_argument("--manifest", help="infrastructure manifest YAML")
     p_ingest.add_argument("--traces", help="execution trace log")
     p_ingest.add_argument("--flow-rules", help="flow rule YAML for --traces")
-    p_ingest.add_argument("--base-call", type=_fraction_arg, default=Fraction(1))
-    p_ingest.add_argument("--base-reference", type=_fraction_arg, default=Fraction(1))
-    p_ingest.add_argument("--base-inheritance", type=_fraction_arg, default=Fraction(3))
-    p_ingest.add_argument("--beta-flow", type=_fraction_arg, default=Fraction(1))
+    weights = graphbuild.WeightConfig
+    p_ingest.add_argument("--base-call", type=_fraction_arg, default=weights.base_call)
+    p_ingest.add_argument("--base-reference", type=_fraction_arg, default=weights.base_reference)
+    p_ingest.add_argument("--base-inheritance", type=_fraction_arg, default=weights.base_inheritance)
+    p_ingest.add_argument("--beta-flow", type=_fraction_arg, default=weights.beta_flow)
     p_ingest.add_argument(
-        "--shared-resource-increment", type=_fraction_arg, default=Fraction(1)
+        "--shared-resource-increment", type=_fraction_arg, default=weights.shared_resource_increment
     )
     _add_common(p_ingest)
     p_ingest.set_defaults(func=cmd_ingest)
 
     p_part = sub.add_parser("partition", help="partition graph.json")
     p_part.add_argument("--k", type=int, default=None, help="number of partitions")
-    p_part.add_argument("--alpha", type=_fraction_arg, default=Fraction(1, 2))
-    p_part.add_argument("--epsilon", type=_fraction_arg, default=Fraction(1, 10))
-    p_part.add_argument("--seed", type=int, default=0)
-    p_part.add_argument("--restarts", type=int, default=8)
+    objective = partitioner.ObjectiveConfig
+    p_part.add_argument("--alpha", type=_fraction_arg, default=objective.alpha)
+    p_part.add_argument("--epsilon", type=_fraction_arg, default=objective.epsilon)
+    p_part.add_argument("--seed", type=int, default=objective.seed)
+    p_part.add_argument("--restarts", type=int, default=objective.restarts)
     p_part.add_argument("--prices", help="price table YAML")
     p_part.add_argument("--sweep-k", help="try k in LO..HI, keep max modularity")
     p_part.add_argument("--no-compute-floor", action="store_true")
@@ -330,7 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--clusters", type=int, required=True)
     p_gen.add_argument("--p-in", type=float, required=True)
     p_gen.add_argument("--p-out", type=float, required=True)
-    p_gen.add_argument("--resources-per-cluster", type=int, default=2)
+    p_gen.add_argument(
+        "--resources-per-cluster", type=int, default=fixturegen.FixtureSpec.resources_per_cluster
+    )
     p_gen.add_argument("--seed", type=int, required=True)
     _add_common(p_gen)
     p_gen.set_defaults(func=cmd_generate)

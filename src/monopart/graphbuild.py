@@ -8,7 +8,7 @@ functional-flow co-occurrence.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .ingest import DependencyRecord, FlowRecord, InfraManifest, Relation
@@ -39,24 +39,15 @@ class WeightConfig:
     shared_resource_increment: Fraction = Fraction(1)
 
     def __post_init__(self) -> None:
-        for name in (
-            "base_call",
-            "base_reference",
-            "base_inheritance",
-            "beta_flow",
-            "shared_resource_increment",
-        ):
-            value = as_fraction(getattr(self, name))
+        for field in fields(self):
+            value = as_fraction(getattr(self, field.name))
             if value < 0:
-                raise InputError(f"weight config {name} must be >= 0, got {value}")
-            object.__setattr__(self, name, value)
+                raise InputError(f"weight config {field.name} must be >= 0, got {value}")
+            object.__setattr__(self, field.name, value)
 
     def base_weight(self, relation: Relation) -> Fraction:
-        if relation is Relation.CALL:
-            return self.base_call
-        if relation is Relation.REFERENCE:
-            return self.base_reference
-        return self.base_inheritance
+        """The base weight of one ``relation`` record: the field ``base_<relation>``."""
+        return getattr(self, f"base_{relation.value}")
 
 
 def build_graph(

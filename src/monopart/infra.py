@@ -183,19 +183,19 @@ def _infra_report(
 
 
 def load_price_table(data: bytes | str) -> PriceTable:
-    """Read a price table from YAML with keys compute, database, cache,
-    file_storage; missing keys keep their defaults."""
+    """Read a price table from YAML with one key per resource kind (compute,
+    database, cache, file_storage); missing keys keep their defaults."""
     doc = load_yaml(_as_text(data))
     if doc is None:
         return PriceTable.default()
     if not isinstance(doc, dict):
         raise InputError("price table must be a YAML mapping")
-    known = {"compute", "database", "cache", "file_storage"}
+    known = {kind.value for kind in ResourceKind}
     unknown = set(doc) - known
     if unknown:
-        raise InputError(f"unknown price table key {sorted(unknown)[0]!r}")
+        raise InputError(f"unknown price table key {min(unknown, key=str)!r}")
     values = {}
-    for key in known & set(doc):
+    for key in sorted(known & set(doc)):
         value = as_fraction(doc[key])
         if value < 0:
             raise InputError(f"price for {key} must be >= 0, got {doc[key]!r}")

@@ -17,7 +17,7 @@ from enum import Enum
 
 import yaml
 
-from .model import InputError, ResourceKind
+from .model import InputError, ResourceKind, as_str
 
 log = logging.getLogger(__name__)
 
@@ -71,17 +71,14 @@ class FlowRuleConfig:
     entry_points: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.line_regex, str):
-            raise InputError(f"flow rule line_regex must be a string, got {self.line_regex!r}")
         try:
-            pattern = re.compile(self.line_regex)
+            pattern = re.compile(as_str(self.line_regex, "flow rule line_regex"))
         except re.error as exc:
             raise InputError(f"invalid flow rule regex: {exc}") from exc
         if "class" not in pattern.groupindex:
             raise InputError("flow rule regex must define a named group 'class'")
         for entry in self.entry_points:
-            if not isinstance(entry, str):
-                raise InputError(f"flow rule entry point must be a string, got {entry!r}")
+            as_str(entry, "flow rule entry point")
 
 
 @dataclass(frozen=True)
@@ -127,16 +124,12 @@ def _as_text(data: bytes | str) -> str:
 
 def _name(raw: object, what: str) -> str:
     """A class or resource name read from a document, whitespace-trimmed."""
-    if not isinstance(raw, str):
-        raise InputError(f"{what} must be a string, got {raw!r}")
-    return raw.strip()
+    return as_str(raw, what).strip()
 
 
 def _parse_relation(raw: object) -> Relation:
-    if not isinstance(raw, str):
-        raise InputError(f"relation must be a string, got {raw!r}")
     try:
-        return Relation(raw.strip().lower())
+        return Relation(_name(raw, "relation").lower())
     except ValueError:
         raise InputError(f"unknown relation {raw!r}") from None
 
@@ -229,7 +222,11 @@ def dependencies_to_doc(records: list[DependencyRecord]) -> list[dict]:
 def dependencies_from_doc(doc: list) -> list[DependencyRecord]:
     try:
         return [
-            DependencyRecord(str(e["from"]), str(e["to"]), _parse_relation(e["relation"]))
+            DependencyRecord(
+                as_str(e["from"], "dependency class"),
+                as_str(e["to"], "dependency class"),
+                _parse_relation(e["relation"]),
+            )
             for e in doc
         ]
     except (KeyError, TypeError) as exc:
@@ -256,7 +253,7 @@ def parse_infra_yaml(data: bytes | str) -> InfraManifest:
     resources: list[tuple[str, ResourceKind]] = []
     declared: set[str] = set()
     for entry in _manifest_entries(doc, "resources", "name", "kind"):
-        name = _name(entry["name"], "manifest name")
+        name = _manifest_name(entry, "name")
         raw_kind = _name(entry["kind"], "manifest kind").lower()
         kind = KIND_ALIASES.get(raw_kind)
         if kind is None:
@@ -266,17 +263,26 @@ def parse_infra_yaml(data: bytes | str) -> InfraManifest:
         declared.add(name)
         resources.append((name, kind))
 
-    bindings: list[tuple[str, str]] = []
+    bindings: dict[tuple[str, str], None] = {}
     for entry in _manifest_entries(doc, "bindings", "class", "resource"):
-        cls = _name(entry["class"], "manifest class")
-        res = _name(entry["resource"], "manifest resource")
+        cls, res = _manifest_name(entry, "class"), _manifest_name(entry, "resource")
         if res not in declared:
             raise InputError(
                 f"binding for class {cls!r} references undeclared resource {res!r}"
             )
-        bindings.append((cls, res))
+        if (cls, res) in bindings:
+            raise InputError(f"duplicate binding of class {cls!r} to resource {res!r}")
+        bindings[cls, res] = None
 
     return InfraManifest(resources=tuple(resources), bindings=tuple(bindings))
+
+
+def _manifest_name(entry: dict, key: str) -> str:
+    """The name under ``key`` of a manifest entry, trimmed and not blank."""
+    name = _name(entry[key], f"manifest {key}")
+    if not name:
+        raise InputError(f"manifest {key} must not be blank: {entry!r}")
+    return name
 
 
 def _manifest_entries(doc: dict, section: str, *keys: str) -> list[dict]:
@@ -329,9 +335,10 @@ def parse_traces(data: bytes | str, rules: FlowRuleConfig) -> TraceParseResult:
 
     Lines the rule regex rejects, or whose class capture is blank, are
     counted as skipped, never fatal. A line's flow id is its stripped flow
-    capture. Lines without one fall into an untagged stream that is
-    segmented into synthetic flows ``F0, F1, ...`` at every occurrence of an
-    entry-point class; with no entry points the stream is one flow.
+    capture. Lines without one, or whose capture is blank, fall into an
+    untagged stream that is segmented into synthetic flows ``F0, F1, ...`` at
+    every occurrence of an entry-point class; with no entry points the
+    stream is one flow.
     """
     pattern = re.compile(rules.line_regex)
     search = pattern.search
@@ -351,9 +358,9 @@ def parse_traces(data: bytes | str, rules: FlowRuleConfig) -> TraceParseResult:
         if not cls:
             skipped += 1
             continue
-        flow = match["flow"] if tagged else None
+        flow = (match["flow"] or "").strip() if tagged else ""
         if flow:
-            append((flow.strip(), cls))
+            append((flow, cls))
             continue
         if segment < 0 or cls in entry_points:
             segment += 1

@@ -17,6 +17,7 @@ from .model import (
     InputError,
     PartitionSet,
     PriceTable,
+    as_str,
     check_partition,
     to_integers,
 )
@@ -45,7 +46,9 @@ def load_ground_truth(data: bytes | str) -> GroundTruth:
         doc = load_yaml(text)
     if not isinstance(doc, dict) or not doc:
         raise InputError("ground truth must be a non-empty mapping")
-    return GroundTruth({str(k): str(v) for k, v in doc.items()})
+    return GroundTruth(
+        {as_str(k, "ground truth class"): as_str(v, "ground truth label") for k, v in doc.items()}
+    )
 
 
 def compute_f1(

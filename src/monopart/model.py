@@ -68,6 +68,14 @@ def as_int(value: object, what: str) -> int:
     raise InputError(f"{what} must be an integer, got {value!r}")
 
 
+def as_str(value: object, what: str) -> str:
+    """``value`` if it is a string, else :class:`InputError`: a name is
+    never made from another type with ``str()``."""
+    if isinstance(value, str):
+        return value
+    raise InputError(f"{what} must be a string, got {value!r}")
+
+
 def to_integers(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     """L, the least common denominator of ``values``, and each value times L.
 
@@ -138,7 +146,7 @@ class ClassEdge:
     ``weight`` is recomposable from the components:
     ``relation_base + increment * shared_resource_count + beta * flow_cooccurrence``
     where beta and increment are recorded on the owning graph. Endpoints are
-    stored canonically with ``u < v``.
+    stored canonically with ``u < v``, which :func:`validate_graph` checks.
     """
 
     u: int
@@ -147,12 +155,6 @@ class ClassEdge:
     relation_base: Fraction = Fraction(0)
     shared_resource_count: int = 0
     flow_cooccurrence: int = 0
-
-    def __post_init__(self) -> None:
-        if self.u >= self.v:
-            raise InputError(
-                f"class edge endpoints must satisfy u < v, got ({self.u}, {self.v})"
-            )
 
 
 @dataclass(frozen=True)
@@ -191,9 +193,6 @@ class ApplicationGraph:
     beta: Fraction = Fraction(1)
     resource_increment: Fraction = Fraction(1)
 
-    def class_count(self) -> int:
-        return len(self.classes)
-
     def names(self) -> list[str]:
         return [c.name for c in self.classes]
 
@@ -211,14 +210,6 @@ def adjacency(g: ApplicationGraph, values: Sequence[int]) -> list[list[tuple[int
     for lst in adj:
         lst.sort(key=lambda t: t[0])
     return adj
-
-
-def bindings_by_class(g: ApplicationGraph) -> list[set[int]]:
-    """Resource ids bound to each class, indexed by class id."""
-    bound: list[set[int]] = [set() for _ in g.classes]
-    for re_ in g.resource_edges:
-        bound[re_.cls].add(re_.resource)
-    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -318,12 +309,8 @@ class PriceTable:
     file_storage: Fraction = Fraction(1, 4)
 
     def unit_cost(self, kind: ResourceKind) -> Fraction:
-        return {
-            ResourceKind.COMPUTE: self.compute,
-            ResourceKind.DATABASE: self.database,
-            ResourceKind.CACHE: self.cache,
-            ResourceKind.FILE_STORAGE: self.file_storage,
-        }[kind]
+        """The price of one ``kind`` resource: the field named ``kind.value``."""
+        return getattr(self, kind.value)
 
     @classmethod
     def default(cls) -> "PriceTable":
@@ -405,10 +392,10 @@ def validate_graph(g: ApplicationGraph) -> list[str]:
         if not (0 <= e.u < n) or not (0 <= e.v < n):
             problems.append(f"class edge ({e.u}, {e.v}) references a missing class id")
             continue
-        if e.u == e.v:
-            problems.append(f"class edge ({e.u}, {e.v}) is a self-loop")
+        pair = (e.u, e.v)
+        if e.u >= e.v:
+            problems.append(f"class edge {pair} must satisfy u < v")
             continue
-        pair = (min(e.u, e.v), max(e.u, e.v))
         if pair in seen_pairs:
             problems.append(f"parallel class edge on pair {pair}")
         seen_pairs.add(pair)
@@ -507,17 +494,23 @@ def graph_from_doc(doc: Mapping) -> ApplicationGraph:
         classes = tuple(
             ClassNode(
                 as_int(c["id"], "class id"),
-                str(c["name"]),
+                as_str(c["name"], "class name"),
                 as_int(c.get("weight", 1), "class weight"),
             )
             for c in doc.get("classes", [])
         )
         resources = tuple(
-            ResourceNode(as_int(r["id"], "resource id"), str(r["name"]), ResourceKind(r["kind"]))
+            ResourceNode(
+                as_int(r["id"], "resource id"),
+                as_str(r["name"], "resource name"),
+                ResourceKind(r["kind"]),
+            )
             for r in doc.get("resources", [])
         )
         flows = tuple(
-            FunctionalFlow(str(f["id"]), tuple(as_int(x, "flow member") for x in f["members"]))
+            FunctionalFlow(
+                as_str(f["id"], "flow id"), tuple(as_int(x, "flow member") for x in f["members"])
+            )
             for f in doc.get("flows", [])
         )
         resource_edges = tuple(
@@ -549,25 +542,18 @@ def graph_from_doc(doc: Mapping) -> ApplicationGraph:
 
 
 def partition_to_doc(
-    p: PartitionSet,
-    g: ApplicationGraph,
-    *,
-    objective: Fraction | None = None,
-    seed: int | None = None,
+    p: PartitionSet, g: ApplicationGraph, *, objective: Fraction, seed: int
 ) -> dict:
     assignment = {
         g.classes[cid].name: part for cid, part in enumerate(p.assignment)
     }
-    doc: dict = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "k": p.k,
         "assignment": {name: assignment[name] for name in sorted(assignment)},
+        "objective": fraction_str(objective),
+        "seed": seed,
     }
-    if objective is not None:
-        doc["objective"] = fraction_str(objective)
-    if seed is not None:
-        doc["seed"] = seed
-    return doc
 
 
 def partition_from_doc(doc: Mapping, g: ApplicationGraph) -> PartitionSet:

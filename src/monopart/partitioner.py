@@ -35,7 +35,6 @@ from .model import (
     PriceTable,
     adjacency,
     as_fraction,
-    bindings_by_class,
     check_partition,
     to_integers,
     validate_partition,
@@ -133,10 +132,13 @@ def scale(g: ApplicationGraph, prices: PriceTable, cfg: ObjectiveConfig) -> tupl
     """
     lcm_edges, edge_weights = to_integers([e.weight for e in g.class_edges])
     lcm_prices, unit = to_integers([prices.unit_cost(r.kind) for r in g.resources])
+    bound: list[set[int]] = [set() for _ in g.classes]
+    for edge in g.resource_edges:
+        bound[edge.cls].add(edge.resource)
     level = Level(
         weights=[c.weight for c in g.classes],
         adj=adjacency(g, edge_weights),
-        res_of=[tuple(sorted(bound)) for bound in bindings_by_class(g)],
+        res_of=[tuple(sorted(b)) for b in bound],
     )
     a, d = cfg.alpha.numerator, cfg.alpha.denominator
     gains = Gains(
@@ -264,17 +266,14 @@ def initial_partition(coarse: Level, cfg: ObjectiveConfig) -> PartitionSet:
 
     assign = [-1] * n
     load = [0] * k
+    # conn[v][r]: total edge weight from unassigned v into region r
+    conn = [[0] * k for _ in range(n)]
     for region, v in enumerate(rng.sample(range(n), k)):
         assign[v] = region
         load[region] = weights[v]
-
-    # conn[v][r]: total edge weight from unassigned v into region r
-    conn = [[0] * k for _ in range(n)]
-    for v in range(n):
-        if assign[v] != -1:
-            for u, w in adj[v]:
-                if assign[u] == -1:
-                    conn[u][assign[v]] += w
+        for u, w in adj[v]:
+            if assign[u] == -1:
+                conn[u][region] += w
 
     for _ in range(n - k):
         best_v = best_r = -1
@@ -365,8 +364,6 @@ def refine(
     """
     check_partition(level, p)
     k = p.k
-    if k == 1:
-        return p
     weights = level.weights
     n = len(weights)
     assign = list(p.assignment)
@@ -375,7 +372,6 @@ def refine(
     res_of = level.res_of
     cut_gain = gains.cut
     dup = gains.dup
-    dup_on = any(dup)
 
     # res_count[rid]: partition -> number of bound client vertices in it
     res_count: list[dict[int, int]] = [{} for _ in dup]
@@ -413,14 +409,14 @@ def refine(
                 targets.update(res_count[rid])
             targets.discard(src)
             # dup saved at src: resources whose last client there is v
-            saved = sum(dup[rid] for rid in res if res_count[rid][src] == 1) if dup_on else 0
+            saved = sum(dup[rid] for rid in res if res_count[rid][src] == 1)
             best_gain = 0
             best_dst = -1
             for dst in sorted(targets):
                 if load[dst] + weights[v] > cap:
                     continue
                 gain = cut_gain * (conn[dst] - conn[src])
-                if dup_on and res:
+                if res:
                     gain += saved - sum(dup[rid] for rid in res if dst not in res_count[rid])
                 if gain > best_gain:
                     best_gain, best_dst = gain, dst

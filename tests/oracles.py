@@ -127,10 +127,10 @@ def class_edge_problems_reference(g) -> list[str]:
         if not (0 <= e.u < n) or not (0 <= e.v < n):
             problems.append(f"class edge ({e.u}, {e.v}) references a missing class id")
             continue
-        if e.u == e.v:
-            problems.append(f"class edge ({e.u}, {e.v}) is a self-loop")
+        pair = (e.u, e.v)
+        if e.u >= e.v:
+            problems.append(f"class edge {pair} must satisfy u < v")
             continue
-        pair = (min(e.u, e.v), max(e.u, e.v))
         if pair in seen_pairs:
             problems.append(f"parallel class edge on pair {pair}")
         seen_pairs.add(pair)
@@ -204,7 +204,7 @@ def group_flows_reference(
             skipped += 1
             continue
         hint = match.group("flow") if has_flow_group else None
-        hint = hint.strip() if hint else None
+        hint = (hint or "").strip() or None  # a blank tag counts as no tag
         events.append((hint, cls))
 
     segment = -1

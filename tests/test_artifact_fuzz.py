@@ -5,7 +5,7 @@ Valid graph.json and partition.json come from the jpetstore fixture; the
 ground truth and the price table are written as JSON, which both of their
 readers accept. Each example applies one mutation to one file: truncation,
 a wrong container type, an unknown name, a negative or non-numeric value,
-or a byte that is not UTF-8.
+a string replaced by a value of another type, or a byte that is not UTF-8.
 
 The inputs of ``ingest`` are fuzzed the same way, each in its own format:
 jpetstore's dependencies as XML and as JSON, its manifest and a flow-rule
@@ -37,7 +37,8 @@ from monopart.cli import GRAPH_FILE, PARTITION_FILE, main
 
 TRUTH_FILE = "truth.json"
 PRICES_FILE = "prices.yaml"
-KINDS = ("truncate", "container", "unknown name", "negative", "non-numeric", "non-utf8")
+KINDS = ("truncate", "container", "unknown name", "negative", "non-numeric", "non-string",
+         "non-utf8")
 
 # mutated file -> (command run on it, the files its error may name)
 COMMANDS = {

@@ -138,6 +138,15 @@ class TestPartition:
         assert set(doc["assignment"].values()) == {0}
         assert (workdir / "out" / INFRA_REPORT_FILE).exists()
 
+    def test_prints_factor_of_each_partition_and_total(self, workdir, capsys):
+        run_ingest(workdir)
+        assert main(["partition", "--k", "1", "--out", str(workdir / "out")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == [
+            "partition 0: 3 classes, factor (n_ec=1, n_s3=0, n_db=1, n_ca=0) resources: orders-db",
+            "total factor: (n_ec=1, n_s3=0, n_db=1, n_ca=0), cost 3 (baseline 3)",
+        ]
+
     def test_rerun_byte_identical(self, workdir, capsys):
         run_ingest(workdir)
         main(["partition", "--k", "2", "--out", str(workdir / "out")])
@@ -518,6 +527,71 @@ def _prices_not_utf8(out: Path) -> tuple[list[str], str]:
     return ["partition", "--k", "2", "--prices", str(path)], str(path)
 
 
+def _truth_class_not_string(out: Path) -> tuple[list[str], str]:
+    assert main(["partition", "--k", "2", "--out", str(out)]) == 0
+    path = out.parent / "truth.yaml"
+    path.write_text("1: m0\nweb.Shop: m0\n")
+    return ["evaluate", "--truth", str(path), "--force"], (
+        f"{path}: ground truth class must be a string, got 1"
+    )
+
+
+def _prices_int_and_unknown_key(out: Path) -> tuple[list[str], str]:
+    path = out.parent / "prices.yaml"
+    path.write_text("1: 2\nfoo: 3\n")
+    return ["partition", "--k", "2", "--prices", str(path)], (
+        f"{path}: unknown price table key 1"
+    )
+
+
+def _artifact_with(
+    name: str, label: str, edit: Callable[[dict], object], problem: str
+) -> Callable[[Path], tuple[list[str], str]]:
+    """A command reading the artifact ``name`` after ``edit`` changed its
+    document; the error must name the file and then ``problem``."""
+
+    def case(out: Path) -> tuple[list[str], str]:
+        if name == PARTITION_FILE:
+            assert main(["partition", "--k", "2", "--out", str(out)]) == 0
+        path = out / name
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        return ["evaluate" if name == PARTITION_FILE else "dot", "--force"], f"{path}: {problem}"
+
+    case.__name__ = label
+    return case
+
+
+ARTIFACT_CASES = [
+    _artifact_with(GRAPH_FILE, "class_name_int", lambda d: d["classes"][0].update(name=5),
+                   "class name must be a string, got 5"),
+    _artifact_with(GRAPH_FILE, "dependency_from_list",
+                   lambda d: d["dependencies"][0].update({"from": ["x"]}),
+                   "dependency class must be a string, got ['x']"),
+    _artifact_with(GRAPH_FILE, "class_name_empty", lambda d: d["classes"][0].update(name=""),
+                   "class 0 has an empty name"),
+    _artifact_with(GRAPH_FILE, "class_weight_zero", lambda d: d["classes"][0].update(weight=0),
+                   "class 'web.Shop' has weight 0 < 1"),
+    _artifact_with(GRAPH_FILE, "resource_id_not_dense", lambda d: d["resources"][0].update(id=1),
+                   "resource ids not dense: index 0 holds id 1"),
+    _artifact_with(GRAPH_FILE, "resource_name_twice",
+                   lambda d: d["resources"].append({"id": 1, "name": "orders-db", "kind": "cache"}),
+                   "duplicate resource name 'orders-db'"),
+    _artifact_with(GRAPH_FILE, "resource_edge_missing_resource",
+                   lambda d: d["resource_edges"][0].update(resource=5),
+                   "resource edge references missing resource id 5"),
+    _artifact_with(GRAPH_FILE, "flow_member_missing",
+                   lambda d: d["flows"].append({"id": "f", "members": [9]}),
+                   "flow 'f' references missing class id 9"),
+    _artifact_with(GRAPH_FILE, "class_edge_u_above_v",
+                   lambda d: d["class_edges"][0].update(u=1, v=0),
+                   "class edge (1, 0) must satisfy u < v"),
+    _artifact_with(PARTITION_FILE, "partition_k_zero", lambda d: d.update(k=0),
+                   "invalid partition: partition count k=0 must be >= 1"),
+]
+
+
 def _truth_names_no_class(out: Path) -> tuple[list[str], str]:
     assert main(["partition", "--k", "2", "--out", str(out)]) == 0
     path = out.parent / "truth.yaml"
@@ -534,9 +608,11 @@ def _entry_points_scalar(out: Path) -> tuple[list[str], str]:
     return [*argv, "--flow-rules", str(rules), "--force"], str(rules)
 
 
-def _ingest_with(name: str, text: str, label: str) -> Callable[[Path], tuple[list[str], str]]:
+def _ingest_with(
+    name: str, text: str, label: str, problem: str = ""
+) -> Callable[[Path], tuple[list[str], str]]:
     """ingest with traces, where the input file ``name`` holds ``text`` and the
-    others are valid."""
+    others are valid; the error must name the file, then ``problem`` if given."""
 
     def case(out: Path) -> tuple[list[str], str]:
         root = out.parent
@@ -546,7 +622,7 @@ def _ingest_with(name: str, text: str, label: str) -> Callable[[Path], tuple[lis
         deps = root / ("deps.json" if name == "deps.json" else "deps.xml")
         argv = ["ingest", "--deps", str(deps), "--manifest", str(root / "manifest.yaml"),
                 "--traces", str(root / "traces.log"), "--flow-rules", str(root / "flow-rules.yaml")]
-        return [*argv, "--force"], str(root / name)
+        return [*argv, "--force"], f"{root / name}: {problem}" if problem else str(root / name)
 
     case.__name__ = label
     return case
@@ -562,6 +638,17 @@ INGEST_CASES = [
                  "manifest_class_list"),
     _ingest_with("manifest.yaml", "resources:\n  - {name: 2001-02-30, kind: database}\n",
                  "manifest_bad_date"),
+    _ingest_with("manifest.yaml",
+                 "resources:\n  - {name: db, kind: database}\nbindings:\n"
+                 "  - {class: web.Shop, resource: db}\n  - {class: web.Shop, resource: db}\n",
+                 "manifest_binding_twice",
+                 "duplicate binding of class 'web.Shop' to resource 'db'"),
+    _ingest_with("manifest.yaml",
+                 "resources:\n  - {name: db, kind: database}\nbindings:\n"
+                 "  - {class: '  ', resource: db}\n",
+                 "manifest_class_blank", "manifest class must not be blank"),
+    _ingest_with("manifest.yaml", "resources:\n  - {name: ' ', kind: database}\n",
+                 "manifest_name_blank", "manifest name must not be blank"),
     _ingest_with("flow-rules.yaml", "line_regex: '('\n", "rules_regex_unbalanced"),
     _ingest_with("flow-rules.yaml", "line_regex: 5\n", "rules_regex_number"),
     _ingest_with("flow-rules.yaml", "line_regex: '(?P<flow>\\w+)'\n", "rules_no_class_group"),
@@ -610,11 +697,14 @@ def _dependency_unknown_class(command: str) -> Callable[[Path], tuple[list[str],
         _truth_not_utf8,
         _prices_not_utf8,
         _truth_names_no_class,
+        _truth_class_not_string,
+        _prices_int_and_unknown_key,
         _entry_points_scalar,
         _dependency_unknown_class("partition"),
         _dependency_unknown_class("dot"),
         _dependency_unknown_class("evaluate"),
         *INGEST_CASES,
+        *ARTIFACT_CASES,
     ],
     ids=lambda f: f.__name__.lstrip("_"),
 )

@@ -138,7 +138,7 @@ class TestBuildGraph:
 
     def test_class_count_is_distinct_names(self):
         g = build_graph([dep("A", "B"), dep("B", "C"), dep("A", "C")])
-        assert g.class_count() == 3
+        assert len(g.classes) == 3
 
     def test_determinism(self):
         deps = [dep("A", "B"), dep("C", "A"), dep("B", "C", Relation.REFERENCE)]

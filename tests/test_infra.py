@@ -276,6 +276,10 @@ class TestLoadPriceTable:
         with pytest.raises(InputError):
             load_price_table("database: -1\n")
 
+    def test_first_bad_key_in_sorted_order_is_named(self):
+        with pytest.raises(InputError, match="price for cache must be >= 0"):
+            load_price_table("database: -3\ncompute: -1\ncache: -2\n")
+
 
 class TestLowerBoundInvariant:
     def test_per_kind_sum_never_below_baseline(self):

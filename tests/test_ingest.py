@@ -282,6 +282,10 @@ class TestParseTraces:
             ("F1", ("A", "B")),
         ]
 
+    def test_blank_tag_counts_as_untagged(self):
+        rules = FlowRuleConfig(line_regex=r"^(?:\[(?P<flow>[^\]]*)\] ?)?(?P<class>\w+)$")
+        assert parse_traces("[   ] x\n[t] y\n", rules).records == [("F0", "x"), ("t", "y")]
+
     def test_invalid_regex_is_config_error(self):
         with pytest.raises(InputError, match="regex"):
             parse_traces("A\n", FlowRuleConfig(line_regex=r"(?P<class>[unclosed"))
