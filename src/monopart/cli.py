@@ -232,7 +232,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     )
     _write_json(out_dir, EVALUATION_FILE, model.report_to_doc(report), args.force)
     name = args.name if args.name else out_dir.name
-    print(metrics.format_table([(name, report)]))
+    print(metrics.format_table(name, report))
     return 0
 
 

@@ -8,8 +8,10 @@ functional-flow co-occurrence.
 from __future__ import annotations
 
 import logging
+from collections import defaultdict
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import combinations
 
 from .ingest import DependencyRecord, FlowRecord, InfraManifest, Relation
 from .model import (
@@ -112,57 +114,38 @@ def build_graph(
         for flow in flows
     )
 
-    # accumulate edge components per unordered pair; relation bases are
-    # summed as integers over the LCM of the three base-weight denominators
+    # One [relation base, shared resources, flows] entry per unordered pair.
+    # Relation bases are summed as integers over the LCM of the three
+    # base-weight denominators.
     base_scale, scaled = to_integers([cfg.base_weight(rel) for rel in Relation])
     scaled_base = dict(zip(Relation, scaled))
-    relation_base: dict[tuple[int, int], int] = {}
+    counts: defaultdict[tuple[int, int], list[int]] = defaultdict(lambda: [0, 0, 0])
     for rec in deps:
         u, v = id_by_name[rec.from_class], id_by_name[rec.to_class]
-        pair = (u, v) if u < v else (v, u)
-        relation_base[pair] = relation_base.get(pair, 0) + scaled_base[rec.relation]
+        counts[(u, v) if u < v else (v, u)][0] += scaled_base[rec.relation]
 
-    shared: dict[tuple[int, int], int] = {}
-    clients: dict[int, set[int]] = {r.id: set() for r in resources}
+    # Co-membership: a resource's clients share it (slot 1), a flow's
+    # members co-occur in it (slot 2).
+    clients: list[set[int]] = [set() for _ in resources]
     for edge in resource_edges:
         clients[edge.resource].add(edge.cls)
-    for rid in sorted(clients):
-        members = sorted(clients[rid])
-        for i, u in enumerate(members):
-            for v in members[i + 1 :]:
-                shared[(u, v)] = shared.get((u, v), 0) + 1
+    groups = [(1, group) for group in clients] + [(2, set(f.members)) for f in model_flows]
+    for slot, group in groups:
+        for pair in combinations(sorted(group), 2):
+            counts[pair][slot] += 1
 
-    cooccur: dict[tuple[int, int], int] = {}
-    for flow in model_flows:
-        members = sorted(set(flow.members))
-        for i, u in enumerate(members):
-            for v in members[i + 1 :]:
-                cooccur[(u, v)] = cooccur.get((u, v), 0) + 1
-
-    pairs = sorted(set(relation_base) | set(shared) | set(cooccur))
     # Few distinct (base, shared, flow) triples occur; each one's Fractions
     # are built once.
     components: dict[tuple[int, int, int], tuple[Fraction, Fraction]] = {}
     class_edges = []
-    for u, v in pairs:
-        n_shared = shared.get((u, v), 0)
-        n_flow = cooccur.get((u, v), 0)
-        key = (relation_base.get((u, v), 0), n_shared, n_flow)
+    for u, v in sorted(counts):  # the pairs, not the items: sorting those is ~3x slower
+        key = base_l, n_shared, n_flow = tuple(counts[u, v])
         if key not in components:
-            base = Fraction(key[0], base_scale)
+            base = Fraction(base_l, base_scale)
             weight = base + cfg.shared_resource_increment * n_shared + cfg.beta_flow * n_flow
             components[key] = (base, weight)
         base, weight = components[key]
-        class_edges.append(
-            ClassEdge(
-                u=u,
-                v=v,
-                weight=weight,
-                relation_base=base,
-                shared_resource_count=n_shared,
-                flow_cooccurrence=n_flow,
-            )
-        )
+        class_edges.append(ClassEdge(u, v, weight, base, n_shared, n_flow))
 
     return ApplicationGraph(
         classes=classes,

@@ -53,25 +53,6 @@ def _factor(
     )
 
 
-def predict_infrastructure_factor(
-    g: ApplicationGraph,
-    p: PartitionSet,
-    partition_index: int,
-    *,
-    compute_floor: bool = True,
-) -> InfrastructureFactor:
-    """Infrastructure factor of one partition.
-
-    Counts each distinct resource with a binding into the partition once,
-    under the component for its kind; with ``compute_floor`` (default) n_ec
-    is raised to 1 (a valid partition is never empty).
-    """
-    if not 0 <= partition_index < p.k:
-        raise InputError(f"partition index {partition_index} out of range for k={p.k}")
-    check_partition(g, p)
-    return _factor(g, _touched_resources(g, p)[partition_index], compute_floor)
-
-
 def monolith_baseline(
     g: ApplicationGraph, *, compute_floor: bool = True
 ) -> InfrastructureFactor:

@@ -113,13 +113,9 @@ class _EdgeTally(NamedTuple):
         )
 
 
-def _tally(g: ApplicationGraph, p: PartitionSet, weighted: bool = True) -> _EdgeTally:
-    """One pass over the class edges of a partition already checked against
-    ``g``; with ``weighted`` off every edge weighs 1."""
-    if weighted:
-        scale, weights = to_integers([e.weight for e in g.class_edges])
-    else:
-        scale, weights = 1, [1] * len(g.class_edges)
+def _tally(g: ApplicationGraph, p: PartitionSet) -> _EdgeTally:
+    """One pass over the class edges of a partition already checked against ``g``."""
+    scale, weights = to_integers([e.weight for e in g.class_edges])
     intra = [0] * p.k
     attached = [0] * p.k
     assignment = p.assignment
@@ -132,17 +128,15 @@ def _tally(g: ApplicationGraph, p: PartitionSet, weighted: bool = True) -> _Edge
     return _EdgeTally(scale, sum(weights), intra, attached)
 
 
-def compute_ngm(
-    g: ApplicationGraph, p: PartitionSet, *, weighted: bool = True
-) -> Fraction:
+def compute_ngm(g: ApplicationGraph, p: PartitionSet) -> Fraction:
     """Newman-Girvan modularity Q = sum over partitions of e_cc - a_c^2.
 
     e_cc is the fraction of edge weight inside partition c, a_c the
-    fraction of edge-endpoint weight attached to c; with ``weighted`` off
-    every class edge counts 1. A graph without edge weight scores 0.
+    fraction of edge-endpoint weight attached to c. A graph without edge
+    weight scores 0.
     """
     check_partition(g, p)
-    return _tally(g, p, weighted).modularity()
+    return _tally(g, p).modularity()
 
 
 def compute_ifn(
@@ -213,31 +207,21 @@ def _fmt(x: Fraction | None, places: int = 4) -> str:
     return f"{float(x):.{places}f}"
 
 
-def format_table(rows: Sequence[tuple[str, EvaluationReport]]) -> str:
-    """Aligned plain-text table over (dataset name, report) rows."""
+def format_table(name: str, r: EvaluationReport) -> str:
+    """Plain-text table of one report: a header line and its row, each
+    column as wide as the wider of its two cells."""
     header = ("dataset", "k", "F1", "NGM", "IFN", "edge_cut", "infra_cost")
-    body = []
-    for name, r in rows:
-        body.append(
-            (
-                name,
-                str(len(r.cluster_sizes)),
-                _fmt(r.f1),
-                _fmt(r.ngm),
-                str(r.ifn_total),
-                _fmt(r.edge_cut, 2),
-                _fmt(r.infra_cost, 2),
-            )
-        )
-    widths = [
-        max(len(header[i]), *(len(row[i]) for row in body)) if body else len(header[i])
-        for i in range(len(header))
-    ]
-    lines = [
-        "  ".join(header[i].ljust(widths[i]) for i in range(len(header))).rstrip()
-    ]
-    for row in body:
-        lines.append(
-            "  ".join(row[i].ljust(widths[i]) for i in range(len(header))).rstrip()
-        )
-    return "\n".join(lines)
+    row = (
+        name,
+        str(len(r.cluster_sizes)),
+        _fmt(r.f1),
+        _fmt(r.ngm),
+        str(r.ifn_total),
+        _fmt(r.edge_cut, 2),
+        _fmt(r.infra_cost, 2),
+    )
+    widths = [max(len(h), len(c)) for h, c in zip(header, row)]
+    return "\n".join(
+        "  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip()
+        for line in (header, row)
+    )

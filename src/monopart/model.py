@@ -227,12 +227,6 @@ class PartitionSet:
     k: int
     assignment: tuple[int, ...]
 
-    def members(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.k)]
-        for cid, part in enumerate(self.assignment):
-            out[part].append(cid)
-        return out
-
     def sizes(self) -> list[int]:
         counts = [0] * self.k
         for part in self.assignment:
@@ -290,13 +284,6 @@ class InfrastructureFactor:
             self.n_db + other.n_db,
             self.n_ca + other.n_ca,
         )
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.n_ec, self.n_s3, self.n_db, self.n_ca)
-
-    def dominates(self, other: "InfrastructureFactor") -> bool:
-        """Component-wise >= comparison."""
-        return all(a >= b for a, b in zip(self.as_tuple(), other.as_tuple()))
 
 
 @dataclass(frozen=True)
@@ -370,7 +357,9 @@ def validate_graph(g: ApplicationGraph) -> list[str]:
     for i, r in enumerate(g.resources):
         if r.id != i:
             problems.append(f"resource ids not dense: index {i} holds id {r.id}")
-        if r.name in seen_res:
+        if not r.name:
+            problems.append(f"resource {r.id} has an empty name")
+        elif r.name in seen_res:
             problems.append(f"duplicate resource name {r.name!r}")
         else:
             seen_res.add(r.name)
@@ -399,9 +388,7 @@ def validate_graph(g: ApplicationGraph) -> list[str]:
         if pair in seen_pairs:
             problems.append(f"parallel class edge on pair {pair}")
         seen_pairs.add(pair)
-        if weight_l < 0 or base_l < 0:
-            problems.append(f"class edge {pair} has a negative component")
-        if e.shared_resource_count < 0 or e.flow_cooccurrence < 0:
+        if weight_l < 0 or base_l < 0 or e.shared_resource_count < 0 or e.flow_cooccurrence < 0:
             problems.append(f"class edge {pair} has a negative component")
         recomposed_l = base_l + inc_l * e.shared_resource_count + beta_l * e.flow_cooccurrence
         if weight_l != recomposed_l:
@@ -423,7 +410,14 @@ def validate_graph(g: ApplicationGraph) -> list[str]:
             problems.append(f"duplicate resource edge {key}")
         seen_bindings.add(key)
 
-    for flow in g.flows:
+    seen_flows: set[str] = set()
+    for i, flow in enumerate(g.flows):
+        if not flow.id:
+            problems.append(f"flow at index {i} has an empty id")
+        elif flow.id in seen_flows:
+            problems.append(f"duplicate flow id {flow.id!r}")
+        else:
+            seen_flows.add(flow.id)
         if not flow.members:
             problems.append(f"flow {flow.id!r} has no members")
         for cid in flow.members:

@@ -134,9 +134,7 @@ def class_edge_problems_reference(g) -> list[str]:
         if pair in seen_pairs:
             problems.append(f"parallel class edge on pair {pair}")
         seen_pairs.add(pair)
-        if e.weight < 0 or e.relation_base < 0:
-            problems.append(f"class edge {pair} has a negative component")
-        if e.shared_resource_count < 0 or e.flow_cooccurrence < 0:
+        if min(e.weight, e.relation_base, e.shared_resource_count, e.flow_cooccurrence) < 0:
             problems.append(f"class edge {pair} has a negative component")
         recomposed = (
             e.relation_base

@@ -67,6 +67,15 @@ def run_ingest(workdir: Path, *extra: str) -> int:
     )
 
 
+def ingest_jpetstore_and_partition_k5(out: Path, *flags: str) -> None:
+    """jpetstore at k=5 and the default seed: one database's clients land in
+    two partitions, and the manifest declares no compute resource."""
+    app = FIXTURES_DIR / "jpetstore"
+    deps, manifest = str(app / "deps.xml"), str(app / "manifest.yaml")
+    assert main(["ingest", "--deps", deps, "--manifest", manifest, "--out", str(out)]) == 0
+    assert main(["partition", "--k", "5", *flags, "--out", str(out)]) == 0
+
+
 class TestIngest:
     def test_happy_path_prints_counts(self, workdir, capsys):
         assert run_ingest(workdir) == 0
@@ -146,6 +155,24 @@ class TestPartition:
             "partition 0: 3 classes, factor (n_ec=1, n_s3=0, n_db=1, n_ca=0) resources: orders-db",
             "total factor: (n_ec=1, n_s3=0, n_db=1, n_ca=0), cost 3 (baseline 3)",
         ]
+
+    def test_shared_db_without_compute_floor(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        ingest_jpetstore_and_partition_k5(out, "--shared-db", "--no-compute-floor")
+        doc = json.loads((out / INFRA_REPORT_FILE).read_text())
+        # the split database stays with the lower partition only; an empty
+        # roster has no compute floor to fall back on
+        assert [(p["partition"], p["resources"]) for p in doc["per_partition"]] == [
+            (0, ["m0-ca1", "m0-db0", "m2-ca0", "m2-s31"]),
+            (1, ["m1-db1", "m1-s30"]),
+            (2, []),
+            (3, []),
+            (4, ["m2-ca0", "m2-s31"]),
+        ]
+        assert doc["per_partition"][2]["factor"] == {"n_ec": 0, "n_s3": 0, "n_db": 0, "n_ca": 0}
+        assert doc["total"] == {"n_ec": 0, "n_s3": 3, "n_db": 2, "n_ca": 3}
+        assert doc["monolith_baseline"] == {"n_ec": 0, "n_s3": 2, "n_db": 2, "n_ca": 2}
+        assert (doc["total_cost"], doc["baseline_cost"]) == ("6.25", "5.5")
 
     def test_rerun_byte_identical(self, workdir, capsys):
         run_ingest(workdir)
@@ -280,6 +307,19 @@ class TestEvaluate:
             ]
         )
         assert code == 2
+
+    def test_no_compute_floor(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        ingest_jpetstore_and_partition_k5(out)
+        costs = {}
+        for flags in ((), ("--no-compute-floor",)):
+            assert main(["evaluate", *flags, "--out", str(out), "--force"]) == 0
+            doc = json.loads((out / EVALUATION_FILE).read_text())
+            costs[flags] = doc["infra_cost"]
+        # evaluate counts each copy of the split database; the floor adds
+        # one compute unit per partition at price 1
+        assert doc["infra_total"] == {"n_ec": 0, "n_s3": 3, "n_db": 3, "n_ca": 3}
+        assert costs == {(): "13.25", ("--no-compute-floor",): "8.25"}
 
     def test_partition_checked_at_most_twice(self, tmp_path, monkeypatch):
         """Once when partition.json is loaded, once on entry to evaluate."""
@@ -578,6 +618,14 @@ ARTIFACT_CASES = [
     _artifact_with(GRAPH_FILE, "resource_name_twice",
                    lambda d: d["resources"].append({"id": 1, "name": "orders-db", "kind": "cache"}),
                    "duplicate resource name 'orders-db'"),
+    _artifact_with(GRAPH_FILE, "resource_name_blank", lambda d: d["resources"][0].update(name=""),
+                   "resource 0 has an empty name"),
+    _artifact_with(GRAPH_FILE, "flow_id_blank",
+                   lambda d: d["flows"].append({"id": "", "members": [0]}),
+                   "flow at index 0 has an empty id"),
+    _artifact_with(GRAPH_FILE, "flow_id_twice",
+                   lambda d: d["flows"].extend([{"id": "f", "members": [0]}] * 2),
+                   "duplicate flow id 'f'"),
     _artifact_with(GRAPH_FILE, "resource_edge_missing_resource",
                    lambda d: d["resource_edges"][0].update(resource=5),
                    "resource edge references missing resource id 5"),

@@ -25,6 +25,9 @@ def test_readme_block_runs_on_jpetstore(monkeypatch):
     assert list(report.cluster_sizes) == partition.sizes()
     assert 0 < report.ngm <= 1
     assert infra.total_cost == report.infra_cost
+    factors = scope["factors"]
+    assert len(factors) == partition.k
+    assert sum(factors[1:], factors[0]) == infra.total == report.infra_total
 
 
 def test_package_root_exports_the_readme_names():

@@ -140,6 +140,37 @@ class TestValidateGraph:
         )
         assert any("flow" in p for p in validate_graph(g))
 
+    def test_negative_component_reported_once(self):
+        g = ApplicationGraph(
+            classes=(ClassNode(0, "A"), ClassNode(1, "B")),
+            class_edges=(
+                ClassEdge(0, 1, Fraction(-1), relation_base=Fraction(-1), shared_resource_count=-1),
+            ),
+        )
+        assert validate_graph(g) == [
+            "class edge (0, 1) has a negative component",
+            "class edge (0, 1) weight -1 != recomposed -2",
+        ]
+
+    def test_blank_resource_name(self):
+        g = ApplicationGraph(
+            classes=(ClassNode(0, "A"),),
+            resources=(ResourceNode(0, "", ResourceKind.DATABASE),),
+        )
+        assert validate_graph(g) == ["resource 0 has an empty name"]
+
+    @pytest.mark.parametrize(
+        "ids,problem",
+        [(("F0", ""), "flow at index 1 has an empty id"), (("F0", "F0"), "duplicate flow id 'F0'")],
+        ids=["blank", "repeated"],
+    )
+    def test_flow_ids_not_blank_and_unique(self, ids, problem):
+        g = ApplicationGraph(
+            classes=(ClassNode(0, "A"),),
+            flows=tuple(FunctionalFlow(flow_id, (0,)) for flow_id in ids),
+        )
+        assert validate_graph(g) == [problem]
+
     def test_violation_names_offender(self):
         g = ApplicationGraph(
             classes=(ClassNode(0, "A"), ClassNode(1, "B")),
@@ -198,11 +229,6 @@ class TestValidatePartition:
         problems = validate_partition(two_class_graph(), PartitionSet(2, (0, 0)))
         assert any("empty" in p for p in problems)
 
-    def test_members_and_sizes(self):
-        p = PartitionSet(2, (0, 1, 0))
-        assert p.members() == [[0, 2], [1]]
-        assert p.sizes() == [2, 1]
-
     @given(st.lists(st.integers(0, 4), min_size=1, max_size=30))
     def test_sizes_count_each_partition_in_index_order(self, raw):
         remap = {lbl: i for i, lbl in enumerate(sorted(set(raw)))}
@@ -216,11 +242,7 @@ class TestInfrastructureFactor:
     def test_add_is_componentwise(self):
         a = InfrastructureFactor(1, 2, 0, 1)
         b = InfrastructureFactor(0, 1, 3, 0)
-        assert (a + b).as_tuple() == (1, 3, 3, 1)
-
-    def test_dominates(self):
-        assert InfrastructureFactor(2, 2, 2, 2).dominates(InfrastructureFactor(1, 2, 0, 2))
-        assert not InfrastructureFactor(0, 9, 9, 9).dominates(InfrastructureFactor(1, 0, 0, 0))
+        assert a + b == InfrastructureFactor(1, 3, 3, 1)
 
     def test_doc_round_trip(self):
         f = InfrastructureFactor(3, 1, 4, 1)
