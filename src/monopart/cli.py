@@ -173,6 +173,8 @@ def cmd_partition(args: argparse.Namespace) -> int:
     prices = _load_prices(args.prices)
 
     if args.sweep_k:
+        if args.k is not None:
+            raise model.InputError("--k and --sweep-k cannot be given together")
         lo, hi = _parse_sweep(args.sweep_k)
         k0 = max(lo, 1)
     elif args.k is None:

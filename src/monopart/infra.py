@@ -82,6 +82,7 @@ def duplication_cost(
     number of partitions holding at least one bound client; unbound
     resources contribute 0. Independent of the compute floor.
     """
+    check_partition(g, p)
     copies = Counter(rid for touched in _touched_resources(g, p) for rid in touched)
     return sum(
         (
@@ -120,17 +121,6 @@ def build_infra_report(
     the partitioner's objective.
     """
     check_partition(g, p)
-    return _infra_report(g, p, prices, compute_floor, shared_database)
-
-
-def _infra_report(
-    g: ApplicationGraph,
-    p: PartitionSet,
-    prices: PriceTable,
-    compute_floor: bool,
-    shared_database: bool,
-) -> PartitionInfraReport:
-    """:func:`build_infra_report` on a partition already checked against ``g``."""
     touched = _touched_resources(g, p)
 
     if shared_database:

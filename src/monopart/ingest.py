@@ -145,7 +145,8 @@ def parse_dependency_xml(data: bytes | str) -> list[DependencyRecord]:
     relation="call|reference|inheritance"/>...</class>...</dependencies>``;
     a JSON document with the isomorphic shape
     ``{"classes": [{"name": ..., "dependsOn": [{"name", "relation"}]}]}``
-    is accepted wherever the XML is. ``relation`` defaults to ``call``.
+    is accepted wherever the XML is. ``relation`` defaults to ``call``, and a
+    nested ``<class>`` owns only its direct ``<dependsOn>`` children.
     Self-dependencies are dropped with a warning; names are whitespace-trimmed.
     """
     text = _as_text(data)
@@ -163,7 +164,7 @@ def parse_dependency_xml(data: bytes | str) -> list[DependencyRecord]:
         from_name = (class_el.get("name") or "").strip()
         if not from_name:
             raise InputError("<class> element without a name attribute")
-        for dep_el in class_el.iter("dependsOn"):
+        for dep_el in class_el.findall("dependsOn"):
             to_name = (dep_el.get("name") or "").strip()
             if not to_name:
                 raise InputError(
@@ -338,7 +339,8 @@ def parse_traces(data: bytes | str, rules: FlowRuleConfig) -> TraceParseResult:
     capture. Lines without one, or whose capture is blank, fall into an
     untagged stream that is segmented into synthetic flows ``F0, F1, ...`` at
     every occurrence of an entry-point class; with no entry points the
-    stream is one flow.
+    stream is one flow. A tag equal to one of those synthetic ids would
+    merge two flows, so it is an :class:`InputError`.
     """
     pattern = re.compile(rules.line_regex)
     search = pattern.search
@@ -346,6 +348,8 @@ def parse_traces(data: bytes | str, rules: FlowRuleConfig) -> TraceParseResult:
     entry_points = frozenset(rules.entry_points)
     records: list[tuple[str, str]] = []
     append = records.append
+    tags: set[str] = set()
+    add_tag = tags.add
     skipped = 0
     segment = -1
     untagged = ""
@@ -361,11 +365,15 @@ def parse_traces(data: bytes | str, rules: FlowRuleConfig) -> TraceParseResult:
         flow = (match["flow"] or "").strip() if tagged else ""
         if flow:
             append((flow, cls))
+            add_tag(flow)
             continue
         if segment < 0 or cls in entry_points:
             segment += 1
             untagged = f"F{segment}"
         append((untagged, cls))
+    clash = next((f"F{i}" for i in range(segment + 1) if f"F{i}" in tags), None)
+    if clash is not None:
+        raise InputError(f"trace tag {clash!r} is also the id of an untagged flow segment")
     if skipped:
         log.warning("skipped %d unparseable trace line(s)", skipped)
     return TraceParseResult(records=records, skipped=skipped)

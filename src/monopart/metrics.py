@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .infra import _infra_report
+from .infra import build_infra_report
 from .ingest import DependencyRecord, _as_text, load_yaml
 from .model import (
     ApplicationGraph,
@@ -180,14 +180,14 @@ def evaluate(
 ) -> EvaluationReport:
     """Assemble the full evaluation report for one partitioning.
 
-    The partition is checked once, here; the metrics below take it as valid.
+    The partition is checked against ``g`` once, by ``build_infra_report``;
+    the metrics after it take it as valid.
     """
-    check_partition(g, p)
     prices = prices if prices is not None else PriceTable.default()
+    report = build_infra_report(g, p, prices, compute_floor=compute_floor)
     names = g.names()
     tally = _tally(g, p)
     ifn_total, ifn_mean, _per = compute_ifn(deps, p, names)
-    report = _infra_report(g, p, prices, compute_floor, shared_database=False)
     f1 = compute_f1(p, truth, names) if truth is not None else None
     return EvaluationReport(
         ngm=tally.modularity(),

@@ -221,11 +221,26 @@ class PartitionSet:
     """Assignment of every class node to exactly one of ``k`` partitions.
 
     ``assignment[class_id]`` is the partition index; class ids are dense so a
-    tuple doubles as the map.
+    tuple doubles as the map. It is checked when made: k >= 1, every index in
+    ``range(k)`` and no empty partition, else :class:`ValueError`. Covering
+    exactly a graph's classes is :func:`check_partition`'s rule.
     """
 
     k: int
     assignment: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if self.k < 1:
+            raise ValueError(f"invalid partition: partition count k={self.k} must be >= 1")
+        problems = [
+            f"class {cid} assigned to out-of-range partition {part}"
+            for cid, part in enumerate(self.assignment)
+            if not 0 <= part < self.k
+        ]
+        used = set(self.assignment)
+        problems += [f"partition {part} is empty" for part in range(self.k) if part not in used]
+        if problems:
+            raise ValueError("invalid partition: " + "; ".join(problems))
 
     def sizes(self) -> list[int]:
         counts = [0] * self.k
@@ -234,34 +249,13 @@ class PartitionSet:
         return counts
 
 
-def validate_partition(g: ApplicationGraph, p: PartitionSet) -> list[str]:
-    """Violations of the partition contract against ``g``; empty means valid."""
-    problems = []
-    if p.k < 1:
-        problems.append(f"partition count k={p.k} must be >= 1")
-        return problems
-    if len(p.assignment) != len(g.classes):
-        problems.append(
-            f"assignment covers {len(p.assignment)} classes, graph has {len(g.classes)}"
-        )
-        return problems
-    used = set()
-    for cid, part in enumerate(p.assignment):
-        if not 0 <= part < p.k:
-            problems.append(f"class {cid} assigned to out-of-range partition {part}")
-        else:
-            used.add(part)
-    missing = sorted(set(range(p.k)) - used)
-    for part in missing:
-        problems.append(f"partition {part} is empty")
-    return problems
-
-
 def check_partition(g: ApplicationGraph, p: PartitionSet) -> None:
-    """Raise :class:`InputError` naming every violation of the partition contract."""
-    problems = validate_partition(g, p)
-    if problems:
-        raise InputError("invalid partition: " + "; ".join(problems))
+    """Raise :class:`InputError` unless ``p`` assigns exactly the classes of ``g``."""
+    if len(p.assignment) != len(g.classes):
+        raise InputError(
+            f"invalid partition: assignment covers {len(p.assignment)} classes, "
+            f"graph has {len(g.classes)}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -572,9 +566,10 @@ def partition_from_doc(doc: Mapping, g: ApplicationGraph) -> PartitionSet:
             raise InputError(
                 f"partition is missing class {g.classes[cid].name!r}"
             )
-    p = PartitionSet(k=k, assignment=tuple(assignment))
-    check_partition(g, p)
-    return p
+    try:
+        return PartitionSet(k=k, assignment=tuple(assignment))
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def factor_to_doc(f: InfrastructureFactor) -> dict:

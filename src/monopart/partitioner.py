@@ -35,9 +35,7 @@ from .model import (
     PriceTable,
     adjacency,
     as_fraction,
-    check_partition,
     to_integers,
-    validate_partition,
 )
 
 log = logging.getLogger(__name__)
@@ -99,7 +97,7 @@ class Level:
     @property
     def classes(self) -> list[int]:
         """One entry per vertex, as ``ApplicationGraph.classes`` has one per
-        class, so :func:`check_partition` accepts a level."""
+        class, so a level's size is read as a graph's is."""
         return self.weights
 
 
@@ -163,8 +161,8 @@ def objective(
     prices: PriceTable,
     cfg: ObjectiveConfig,
 ) -> Fraction:
-    """alpha * edge_cut + (1 - alpha) * duplication_cost; ``edge_cut``
-    rejects an invalid partition."""
+    """alpha * edge_cut + (1 - alpha) * duplication_cost; both reject a
+    partition of another graph."""
     return cfg.alpha * edge_cut(g, p) + (1 - cfg.alpha) * duplication_cost(g, p, prices)
 
 
@@ -298,7 +296,7 @@ def initial_partition(coarse: Level, cfg: ObjectiveConfig) -> PartitionSet:
     return PartitionSet(k=k, assignment=tuple(assign))
 
 
-def _rebalance(level: Level, assign: list[int], cfg: ObjectiveConfig) -> list[int]:
+def _rebalance(level: Level, assign: list[int], cfg: ObjectiveConfig) -> PartitionSet:
     """Move vertices out of over-cap partitions, cheapest cut damage first.
 
     Always succeeds on unit vertex weights; on lumpy coarse levels it is
@@ -340,7 +338,7 @@ def _rebalance(level: Level, assign: list[int], cfg: ObjectiveConfig) -> list[in
         load[dst] += weights[v]
         size[src] -= 1
         size[dst] += 1
-    return assign
+    return PartitionSet(k, tuple(assign))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +360,6 @@ def refine(
     when a pass applies nothing, or after 10 passes; the objective never
     increases.
     """
-    check_partition(level, p)
     k = p.k
     weights = level.weights
     n = len(weights)
@@ -445,29 +442,23 @@ def refine(
 # ---------------------------------------------------------------------------
 
 def _single_run(level: Level, gains: Gains, cfg: ObjectiveConfig) -> PartitionSet:
+    """Coarsen, grow a partition on the coarsest level, then rebalance and
+    refine it on each level from the coarsest back to ``level``."""
     min_size = max(8, 4 * cfg.k)
     levels = coarsen(level, max_levels=_MAX_LEVELS, min_size=min_size, seed=cfg.seed)
     graphs = [level] + [lv.graph for lv in levels]
-
-    coarsest = graphs[-1]
-    p = initial_partition(coarsest, cfg)
-    assign = _rebalance(coarsest, list(p.assignment), cfg)
-    p = refine(coarsest, PartitionSet(cfg.k, tuple(assign)), cfg, gains)
-
-    for li in range(len(levels) - 1, -1, -1):
-        fine_assign = [p.assignment[c] for c in levels[li].projection]
-        fine_assign = _rebalance(graphs[li], fine_assign, cfg)
-        p = refine(graphs[li], PartitionSet(cfg.k, tuple(fine_assign)), cfg, gains)
+    # projections[i] maps graphs[i] onto the level refined before it
+    projections = [lv.projection for lv in levels] + [range(len(graphs[-1].weights))]
+    p = initial_partition(graphs[-1], cfg)
+    for graph, projection in zip(reversed(graphs), reversed(projections)):
+        p = refine(graph, _rebalance(graph, [p.assignment[c] for c in projection], cfg), cfg, gains)
     return p
 
 
 def _check_result(g: ApplicationGraph, p: PartitionSet, cfg: ObjectiveConfig) -> None:
-    """The postconditions of one restart. A violation is a bug in the
-    partitioner, not bad input, so it raises ``RuntimeError``; classes of
+    """The balance postcondition of one restart: on unit class weights a
+    load above the cap is a bug, so it raises ``RuntimeError``; classes of
     weight above 1 can make the cap unreachable, which is only logged."""
-    problems = validate_partition(g, p)
-    if problems:
-        raise RuntimeError("partitioner produced an invalid partition: " + "; ".join(problems))
     weights = [c.weight for c in g.classes]
     cap = _balance_cap(weights, cfg)
     load = [0] * p.k

@@ -12,6 +12,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from monopart.model import InputError
+
 
 def modularity_matrix_form(
     n: int,
@@ -187,7 +189,8 @@ def group_flows_reference(
     untagged stream its synthetic flow ids, then number each flow's events,
     then sort every flow's events by that number and keep each class's
     first occurrence. Returns ``[(flow id, members)]`` in order of each
-    flow's first event, and the number of skipped lines."""
+    flow's first event, and the number of skipped lines. A tag that is
+    also a synthetic id raises ``InputError`` naming the lowest such id."""
     pattern = re.compile(line_regex)
     has_flow_group = "flow" in pattern.groupindex
     events: list[tuple[str | None, str]] = []
@@ -213,6 +216,11 @@ def group_flows_reference(
                 segment += 1
             hint = f"F{segment}"
         resolved.append((hint, cls))
+    tags = {hint for hint, _cls in events if hint is not None}
+    synthetic = {hint for (given, _cls), (hint, _) in zip(events, resolved) if given is None}
+    clashes = sorted(tags & synthetic, key=lambda hint: int(hint[1:]))
+    if clashes:
+        raise InputError(f"trace tag {clashes[0]!r} is also the id of an untagged flow segment")
 
     counters: dict[str, int] = {}
     records = []

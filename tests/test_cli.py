@@ -237,6 +237,10 @@ class TestPartition:
         run_ingest(workdir)
         code = main(["partition", "--out", str(workdir / "out")])
         assert code == 2
+        code = main(["partition", "--k", "3", "--sweep-k", "2..3", "--out", str(workdir / "out")])
+        assert code == 2
+        assert "--k and --sweep-k" in capsys.readouterr().err
+        assert not (workdir / "out" / PARTITION_FILE).exists()
 
     def test_sweep(self, workdir, capsys):
         run_ingest(workdir)
@@ -656,6 +660,16 @@ def _entry_points_scalar(out: Path) -> tuple[list[str], str]:
     return [*argv, "--flow-rules", str(rules), "--force"], str(rules)
 
 
+def _trace_tag_is_synthetic_id(out: Path) -> tuple[list[str], str]:
+    rules = FIXTURES_DIR.parent / "config" / "flow-rules.example.yaml"
+    traces = out.parent / "traces.log"
+    traces.write_text("web.Shop\nweb.Cart\n[F0] data.Orders\n[F0] web.Cart\n")
+    argv = ["ingest", "--deps", str(out.parent / "deps.xml"), "--traces", str(traces)]
+    return [*argv, "--flow-rules", str(rules), "--force"], (
+        f"{traces}: trace tag 'F0' is also the id of an untagged flow segment"
+    )
+
+
 def _ingest_with(
     name: str, text: str, label: str, problem: str = ""
 ) -> Callable[[Path], tuple[list[str], str]]:
@@ -748,6 +762,7 @@ def _dependency_unknown_class(command: str) -> Callable[[Path], tuple[list[str],
         _truth_class_not_string,
         _prices_int_and_unknown_key,
         _entry_points_scalar,
+        _trace_tag_is_synthetic_id,
         _dependency_unknown_class("partition"),
         _dependency_unknown_class("dot"),
         _dependency_unknown_class("evaluate"),

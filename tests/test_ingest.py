@@ -32,6 +32,14 @@ from oracles import group_flows_reference
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def outcome(fn):
+    """``fn()``, or the message of the InputError it raises."""
+    try:
+        return fn()
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
 class TestDependencyXml:
     def test_direct_transcription(self):
         records = parse_dependency_xml(
@@ -46,6 +54,17 @@ class TestDependencyXml:
             DependencyRecord("A", "B", Relation.CALL),
             DependencyRecord("A", "C", Relation.INHERITANCE),
         ]
+
+    def test_nested_class_owns_only_its_direct_dependencies(self):
+        records = parse_dependency_xml(
+            """<dependencies>
+                 <class name="A">
+                   <dependsOn name="X"/>
+                   <class name="A$Inner"><dependsOn name="C"/></class>
+                 </class>
+               </dependencies>"""
+        )
+        assert records == [DependencyRecord("A", "X"), DependencyRecord("A$Inner", "C")]
 
     def test_relation_defaults_to_call(self):
         records = parse_dependency_xml(
@@ -241,6 +260,7 @@ class TestInfraYaml:
 
 
 RULES = FlowRuleConfig(line_regex=r"^(?:\[(?P<flow>\w+)\] )?(?P<class>[\w.]+)$")
+EXAMPLE_RULES = load_flow_rules((ROOT / "config" / "flow-rules.example.yaml").read_bytes())
 
 
 class TestParseTraces:
@@ -286,6 +306,24 @@ class TestParseTraces:
         rules = FlowRuleConfig(line_regex=r"^(?:\[(?P<flow>[^\]]*)\] ?)?(?P<class>\w+)$")
         assert parse_traces("[   ] x\n[t] y\n", rules).records == [("F0", "x"), ("t", "y")]
 
+    @pytest.mark.parametrize(
+        "log_text, tag",
+        [
+            ("A\nB\n[F0] C\n[F0] D\n", "F0"),
+            ("[F0] C\nA\n", "F0"),
+            ("web.Shop\nA\nweb.Shop\n[F1] C\n", "F1"),
+        ],
+        ids=["tag-after-segment", "tag-before-segment", "second-segment"],
+    )
+    def test_tag_equal_to_a_synthetic_id_rejected(self, log_text, tag):
+        with pytest.raises(InputError, match=f"trace tag '{tag}'"):
+            parse_traces(log_text, EXAMPLE_RULES)
+
+    def test_tag_beyond_the_synthetic_ids_kept(self):
+        # the untagged lines form one segment, F0, so the tag F1 is free
+        flows = group_flows(parse_traces("[F1] C\nA\nB\n", EXAMPLE_RULES).records)
+        assert [(f.id, f.members) for f in flows] == [("F1", ("C",)), ("F0", ("A", "B"))]
+
     def test_invalid_regex_is_config_error(self):
         with pytest.raises(InputError, match="regex"):
             parse_traces("A\n", FlowRuleConfig(line_regex=r"(?P<class>[unclosed"))
@@ -316,9 +354,14 @@ class TestParseTraces:
     def test_grouping_equals_reference(self, lines, entry_points, line_regex):
         log_text = "".join(tag + cls + end for tag, cls, end in lines)
         rules = FlowRuleConfig(line_regex=line_regex, entry_points=entry_points)
-        result = parse_traces(log_text, rules)
-        flows = [(f.id, f.members) for f in group_flows(result.records)]
-        assert (flows, result.skipped) == group_flows_reference(log_text, line_regex, entry_points)
+
+        def grouped():
+            result = parse_traces(log_text, rules)
+            return [(f.id, f.members) for f in group_flows(result.records)], result.skipped
+
+        assert outcome(grouped) == outcome(
+            lambda: group_flows_reference(log_text, line_regex, entry_points)
+        )
 
 
 class TestGroupFlows:

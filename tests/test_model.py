@@ -23,6 +23,7 @@ from monopart.model import (
     ResourceKind,
     ResourceNode,
     as_fraction,
+    check_partition,
     factor_to_doc,
     fraction_str,
     graph_from_doc,
@@ -31,7 +32,6 @@ from monopart.model import (
     partition_to_doc,
     report_to_doc,
     validate_graph,
-    validate_partition,
 )
 
 
@@ -216,18 +216,48 @@ class TestRecompositionOracle:
 
 
 class TestValidatePartition:
+    """A PartitionSet checks itself when it is made; check_partition adds
+    only the rule that needs the graph."""
+
     def test_valid(self):
-        assert validate_partition(two_class_graph(), PartitionSet(2, (0, 1))) == []
+        assert check_partition(two_class_graph(), PartitionSet(2, (0, 1))) is None
 
     def test_wrong_length(self):
-        assert validate_partition(two_class_graph(), PartitionSet(2, (0,)))
+        with pytest.raises(InputError) as info:
+            check_partition(two_class_graph(), PartitionSet(1, (0,)))
+        assert str(info.value) == "invalid partition: assignment covers 1 classes, graph has 2"
 
     def test_out_of_range(self):
-        assert validate_partition(two_class_graph(), PartitionSet(2, (0, 5)))
+        with pytest.raises(ValueError) as info:
+            PartitionSet(2, (0, 5))
+        assert str(info.value) == (
+            "invalid partition: class 1 assigned to out-of-range partition 5; partition 1 is empty"
+        )
 
     def test_empty_partition_reported(self):
-        problems = validate_partition(two_class_graph(), PartitionSet(2, (0, 0)))
-        assert any("empty" in p for p in problems)
+        with pytest.raises(ValueError) as info:
+            PartitionSet(2, (0, 0))
+        assert str(info.value) == "invalid partition: partition 1 is empty"
+
+    def test_k_below_one(self):
+        with pytest.raises(ValueError) as info:
+            PartitionSet(0, ())
+        assert str(info.value) == "invalid partition: partition count k=0 must be >= 1"
+
+    @pytest.mark.parametrize(
+        "k, assignment, problem",
+        [
+            (0, {"A": 0, "B": 0}, "partition count k=0 must be >= 1"),
+            (2, {"A": 0, "B": 5}, "class 1 assigned to out-of-range partition 5; partition 1 is empty"),
+            (2, {"A": 1, "B": 1}, "partition 0 is empty"),
+        ],
+        ids=["k_below_one", "out_of_range", "empty"],
+    )
+    def test_partition_doc_problem_is_input_error(self, k, assignment, problem):
+        doc = {"schema_version": 1, "k": k, "assignment": assignment}
+        with pytest.raises(InputError) as info:
+            partition_from_doc(doc, two_class_graph())
+        assert str(info.value) == f"invalid partition: {problem}"
 
     @given(st.lists(st.integers(0, 4), min_size=1, max_size=30))
     def test_sizes_count_each_partition_in_index_order(self, raw):

@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import clique_pair_xml, graph_from_edges, random_edge_set
+from conftest import FIXTURES_DIR, clique_pair_xml, graph_from_edges, random_edge_set
 
 from oracles import duplication_cost_reference, edge_cut_reference, modularity_matrix_form
 
 from monopart.graphbuild import build_graph
 from monopart.infra import build_infra_report, duplication_cost
 from monopart.ingest import parse_dependency_xml, parse_infra_yaml
-from monopart.metrics import compute_ngm, edge_cut
+from monopart.metrics import compute_ngm, edge_cut, evaluate
 from monopart.model import (
     ApplicationGraph,
     ClassNode,
@@ -25,7 +25,6 @@ from monopart.model import (
     ResourceEdge,
     ResourceKind,
     ResourceNode,
-    validate_partition,
 )
 from monopart import partitioner
 from monopart.partitioner import (
@@ -80,6 +79,29 @@ class TestObjectiveConfig:
         assert cfg.alpha == Fraction(3, 10)
 
 
+JPETSTORE_DEPS = parse_dependency_xml((FIXTURES_DIR / "jpetstore" / "deps.xml").read_bytes())
+JPETSTORE = build_graph(
+    JPETSTORE_DEPS, parse_infra_yaml((FIXTURES_DIR / "jpetstore" / "manifest.yaml").read_bytes())
+)
+SCORERS = {
+    "duplication_cost": lambda g, p: duplication_cost(g, p, PRICES),
+    "edge_cut": edge_cut,
+    "compute_ngm": compute_ngm,
+    "build_infra_report": lambda g, p: build_infra_report(g, p, PRICES),
+    "evaluate": lambda g, p: evaluate(g, p, JPETSTORE_DEPS),
+    "objective": lambda g, p: objective(g, p, PRICES, ObjectiveConfig(k=p.k)),
+}
+
+
+@pytest.mark.parametrize("length", [2, 40])
+@pytest.mark.parametrize("scorer", sorted(SCORERS))
+def test_scorer_rejects_a_partition_of_another_graph(scorer, length):
+    assert len(JPETSTORE.classes) == 24
+    p = PartitionSet(2, tuple(i % 2 for i in range(length)))
+    with pytest.raises(InputError, match=f"assignment covers {length} classes, graph has 24"):
+        SCORERS[scorer](JPETSTORE, p)
+
+
 class TestObjective:
     def test_single_partition_is_zero(self):
         g = graph_from_edges(3, {(0, 1): 1, (1, 2): 1, (0, 2): 1})
@@ -101,10 +123,10 @@ class TestObjective:
         assert objective(g, PartitionSet(2, (0, 1)), PRICES, cfg) == 2
 
     def test_invalid_partition_rejected(self):
-        g = graph_from_edges(2, {(0, 1): 1})
+        g = graph_from_edges(3, {(0, 1): 1})
         cfg = ObjectiveConfig(k=2, alpha=1)
-        with pytest.raises(InputError):
-            objective(g, PartitionSet(2, (0, 0)), PRICES, cfg)
+        with pytest.raises(InputError, match="assignment covers 2 classes, graph has 3"):
+            objective(g, PartitionSet(2, (0, 1)), PRICES, cfg)
 
     def test_blend_is_convex_combination(self):
         g = ApplicationGraph(
@@ -247,7 +269,7 @@ class TestInitialPartition:
             cfg = ObjectiveConfig(k=k, epsilon=Fraction(1, 10), seed=trial)
             p = initial_partition(level_of(g), cfg)
             cap = (1 + cfg.epsilon) * (-(-n // k))
-            assert validate_partition(g, p) == []
+            assert len(p.assignment) == len(g.classes)
             assert max(p.sizes()) <= cap
 
     def test_two_clique_restart_statistic_pinned(self):
@@ -302,8 +324,6 @@ class TestRefine:
             for part in range(k):  # force no empty partition
                 assignment[part % n] = part
             p = PartitionSet(k, tuple(assignment))
-            if validate_partition(g, p):
-                continue
             cfg = ObjectiveConfig(k=k, alpha=Fraction(1, 2), epsilon=Fraction(1, 2), seed=trial)
             before = objective(g, p, PRICES, cfg)
             after = objective(g, refine_graph(g, p, cfg), PRICES, cfg)
@@ -344,14 +364,14 @@ class TestPartitionGraph:
             k = rng.randint(1, n)
             cfg = ObjectiveConfig(k=k, epsilon=Fraction(1, 10), seed=trial, restarts=1)
             p = partition_graph(g, PRICES, cfg)
-            assert validate_partition(g, p) == []
+            assert len(p.assignment) == len(g.classes)
             cap = (1 + cfg.epsilon) * (-(-n // k))
             assert max(p.sizes()) <= cap
 
     def test_invalid_result_is_an_internal_error(self, monkeypatch):
         g = graph_from_edges(4, {(0, 1): 1, (2, 3): 1})
         monkeypatch.setattr(partitioner, "_single_run", lambda *a: PartitionSet(2, (0, 0, 0, 0)))
-        with pytest.raises(RuntimeError, match="partition 1 is empty"):
+        with pytest.raises(ValueError, match="partition 1 is empty"):
             partition_graph(g, PRICES, ObjectiveConfig(k=2, seed=0))
 
     def test_cap_exceeded_on_unit_weights_is_an_internal_error(self, monkeypatch):
@@ -366,7 +386,7 @@ class TestPartitionGraph:
             class_edges=graph_from_edges(3, {(0, 1): 1, (1, 2): 1}).class_edges,
         )
         p = partition_graph(g, PRICES, ObjectiveConfig(k=2, epsilon=0, seed=0, restarts=1))
-        assert validate_partition(g, p) == []
+        assert len(p.assignment) == len(g.classes)
         assert "largest partition load 5 exceeds the balance cap 4" in caplog.text
 
     def test_determinism(self):
@@ -471,7 +491,7 @@ class TestProperties:
     def test_partition_valid_within_cap_and_deterministic(self, problem):
         g, prices, cfg = problem
         p = partition_graph(g, prices, cfg)
-        assert validate_partition(g, p) == []
+        assert len(p.assignment) == len(g.classes)
         n = len(g.classes)
         assert max(p.sizes()) <= (1 + cfg.epsilon) * (-(-n // cfg.k))
         assert partition_graph(g, prices, cfg) == p
@@ -482,7 +502,7 @@ class TestProperties:
         g, prices, cfg = problem
         p = random_partition(rnd, len(g.classes), cfg.k)
         after = refine_graph(g, p, cfg, prices)
-        assert validate_partition(g, after) == []
+        assert len(after.assignment) == len(g.classes)
         assert objective(g, after, prices, cfg) <= objective(g, p, prices, cfg)
 
     @settings(max_examples=300, deadline=None)
