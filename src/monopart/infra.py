@@ -10,11 +10,12 @@ the partitioner's objective charges.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 
 from .ingest import _as_text, load_yaml
 from .model import (
+    FACTOR_KINDS,
     SCHEMA_VERSION,
     ApplicationGraph,
     InfrastructureFactor,
@@ -29,28 +30,14 @@ from .model import (
 )
 
 
-def _touched_resources(
-    g: ApplicationGraph, p: PartitionSet
-) -> list[set[int]]:
-    """Resource ids touched by each partition (>= 1 bound client class)."""
-    touched: list[set[int]] = [set() for _ in range(p.k)]
-    for edge in g.resource_edges:
-        touched[p.assignment[edge.cls]].add(edge.resource)
-    return touched
-
-
 def _factor(
     g: ApplicationGraph, resource_ids: set[int], compute_floor: bool
 ) -> InfrastructureFactor:
-    """Count resources by kind; ``compute_floor`` raises n_ec to 1."""
+    """Count resources by kind; ``compute_floor`` raises the compute count to 1."""
     counts = Counter(g.resources[rid].kind for rid in resource_ids)
-    n_ec = counts[ResourceKind.COMPUTE]
-    return InfrastructureFactor(
-        max(n_ec, 1) if compute_floor else n_ec,
-        counts[ResourceKind.FILE_STORAGE],
-        counts[ResourceKind.DATABASE],
-        counts[ResourceKind.CACHE],
-    )
+    if compute_floor:
+        counts[ResourceKind.COMPUTE] = max(counts[ResourceKind.COMPUTE], 1)
+    return InfrastructureFactor(*(counts[kind] for kind in FACTOR_KINDS))
 
 
 def monolith_baseline(
@@ -65,12 +52,8 @@ def monolith_baseline(
 
 
 def infra_cost(f: InfrastructureFactor, prices: PriceTable) -> Fraction:
-    return (
-        f.n_ec * prices.compute
-        + f.n_s3 * prices.file_storage
-        + f.n_db * prices.database
-        + f.n_ca * prices.cache
-    )
+    costs = (n * prices.unit_cost(kind) for n, kind in zip(astuple(f), FACTOR_KINDS))
+    return sum(costs, Fraction(0))
 
 
 def duplication_cost(
@@ -78,20 +61,12 @@ def duplication_cost(
 ) -> Fraction:
     """Premium from resources whose clients span several partitions.
 
-    Sum over resources of (copies - 1) * unit cost, where copies is the
-    number of partitions holding at least one bound client; unbound
-    resources contribute 0. Independent of the compute floor.
+    The infrastructure bill minus the monolith baseline, both without the
+    compute floor: the sum over bound resources of (copies - 1) * unit cost,
+    where copies is the number of partitions holding a bound client.
     """
-    check_partition(g, p)
-    copies = Counter(rid for touched in _touched_resources(g, p) for rid in touched)
-    return sum(
-        (
-            (n - 1) * prices.unit_cost(g.resources[rid].kind)
-            for rid, n in copies.items()
-            if n > 1
-        ),
-        Fraction(0),
-    )
+    report = build_infra_report(g, p, prices, compute_floor=False)
+    return report.total_cost - report.baseline_cost
 
 
 @dataclass(frozen=True)
@@ -121,26 +96,21 @@ def build_infra_report(
     the partitioner's objective.
     """
     check_partition(g, p)
-    touched = _touched_resources(g, p)
+    touched: list[set[int]] = [set() for _ in range(p.k)]
+    for edge in g.resource_edges:
+        touched[p.assignment[edge.cls]].add(edge.resource)
 
     if shared_database:
         seen_db: set[int] = set()
-        for idx in range(p.k):
-            keep = set()
-            for rid in touched[idx]:
-                if g.resources[rid].kind is ResourceKind.DATABASE:
-                    if rid in seen_db:
-                        continue
-                    seen_db.add(rid)
-                keep.add(rid)
-            touched[idx] = keep
+        for rids in touched:
+            rids -= seen_db
+            seen_db |= {rid for rid in rids if g.resources[rid].kind is ResourceKind.DATABASE}
 
     per_partition = []
     total = InfrastructureFactor()
-    for idx in range(p.k):
-        factor = _factor(g, touched[idx], compute_floor)
-        names = tuple(sorted(g.resources[rid].name for rid in touched[idx]))
-        per_partition.append((idx, factor, names))
+    for idx, rids in enumerate(touched):
+        factor = _factor(g, rids, compute_floor)
+        per_partition.append((idx, factor, tuple(sorted(g.resources[rid].name for rid in rids))))
         total = total + factor
 
     baseline = monolith_baseline(g, compute_floor=compute_floor)

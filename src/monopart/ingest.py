@@ -374,8 +374,6 @@ def parse_traces(data: bytes | str, rules: FlowRuleConfig) -> TraceParseResult:
     clash = next((f"F{i}" for i in range(segment + 1) if f"F{i}" in tags), None)
     if clash is not None:
         raise InputError(f"trace tag {clash!r} is also the id of an untagged flow segment")
-    if skipped:
-        log.warning("skipped %d unparseable trace line(s)", skipped)
     return TraceParseResult(records=records, skipped=skipped)
 
 

@@ -17,7 +17,7 @@ is built again only for a result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -232,6 +232,10 @@ class PartitionSet:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"invalid partition: partition count k={self.k} must be >= 1")
+        if self.k > len(self.assignment):
+            raise ValueError(
+                f"invalid partition: k={self.k} exceeds class count {len(self.assignment)}"
+            )
         problems = [
             f"class {cid} assigned to out-of-range partition {part}"
             for cid, part in enumerate(self.assignment)
@@ -264,7 +268,7 @@ def check_partition(g: ApplicationGraph, p: PartitionSet) -> None:
 
 @dataclass(frozen=True)
 class InfrastructureFactor:
-    """Counts of cloud components: compute, file storage, database, cache."""
+    """Counts of cloud components, one field per kind of ``FACTOR_KINDS``."""
 
     n_ec: int = 0
     n_s3: int = 0
@@ -272,12 +276,16 @@ class InfrastructureFactor:
     n_ca: int = 0
 
     def __add__(self, other: "InfrastructureFactor") -> "InfrastructureFactor":
-        return InfrastructureFactor(
-            self.n_ec + other.n_ec,
-            self.n_s3 + other.n_s3,
-            self.n_db + other.n_db,
-            self.n_ca + other.n_ca,
-        )
+        return InfrastructureFactor(*map(sum, zip(astuple(self), astuple(other))))
+
+
+# The resource kind each InfrastructureFactor field counts, in field order.
+FACTOR_KINDS = (
+    ResourceKind.COMPUTE,
+    ResourceKind.FILE_STORAGE,
+    ResourceKind.DATABASE,
+    ResourceKind.CACHE,
+)
 
 
 @dataclass(frozen=True)
@@ -573,7 +581,7 @@ def partition_from_doc(doc: Mapping, g: ApplicationGraph) -> PartitionSet:
 
 
 def factor_to_doc(f: InfrastructureFactor) -> dict:
-    return {"n_ec": f.n_ec, "n_s3": f.n_s3, "n_db": f.n_db, "n_ca": f.n_ca}
+    return asdict(f)
 
 
 def report_to_doc(r: EvaluationReport) -> dict:

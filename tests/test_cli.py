@@ -123,6 +123,18 @@ class TestIngest:
         assert run_ingest(workdir, "--force") == 0
         assert (workdir / "out" / GRAPH_FILE).read_bytes() == first
 
+    def test_skipped_trace_lines_reported_once(self, workdir):
+        (workdir / "traces.log").write_text("web.Shop\nnot one class\nweb.Cart\n")
+        (workdir / "flow-rules.yaml").write_text("line_regex: '^(?P<class>\\S+)$'\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "monopart", "ingest", "--deps", str(workdir / "deps.xml"),
+             "--traces", str(workdir / "traces.log"),
+             "--flow-rules", str(workdir / "flow-rules.yaml"), "--out", str(workdir / "out")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == "skipped trace lines: 1\n"
+
     def test_out_env_honored(self, workdir, capsys, monkeypatch):
         monkeypatch.setenv("MONOPART_OUT", str(workdir / "envout"))
         code = main(["ingest", "--deps", str(workdir / "deps.xml")])
@@ -286,6 +298,20 @@ class TestEvaluate:
         assert "demo" in out
         assert "1.0000" in out
         assert (workdir / "out" / EVALUATION_FILE).exists()
+
+    def test_k_above_class_count_is_one_line(self, workdir, capsys):
+        out = workdir / "out"
+        run_ingest(workdir)
+        assert main(["partition", "--k", "2", "--out", str(out)]) == 0
+        path = out / PARTITION_FILE
+        doc = json.loads(path.read_text())
+        doc["k"] = 1000000000
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["evaluate", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: invalid partition: k=1000000000 exceeds class count 3\n"
+        )
 
     def test_dash_without_truth(self, workdir, capsys):
         run_ingest(workdir)
@@ -633,6 +659,9 @@ ARTIFACT_CASES = [
     _artifact_with(GRAPH_FILE, "resource_edge_missing_resource",
                    lambda d: d["resource_edges"][0].update(resource=5),
                    "resource edge references missing resource id 5"),
+    _artifact_with(GRAPH_FILE, "resource_edge_class_missing",
+                   lambda d: d["resource_edges"][0].update({"class": 999}),
+                   "resource edge references missing class id 999"),
     _artifact_with(GRAPH_FILE, "flow_member_missing",
                    lambda d: d["flows"].append({"id": "f", "members": [9]}),
                    "flow 'f' references missing class id 9"),
@@ -779,6 +808,74 @@ def test_bad_input_exits_2_naming_it(workdir, capsys, make_case):
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert named in err
+    assert "Traceback" not in err
+
+
+def _out_is_a_file(root: Path) -> tuple[list[str], str]:
+    path = root / "a-file"
+    path.write_text("")
+    return ["ingest", "--deps", str(root / "deps.xml"), "--out", str(path)], (
+        f"error: [Errno 17] File exists: '{path}'"
+    )
+
+
+def _traces_without_flow_rules(root: Path) -> tuple[list[str], str]:
+    argv = ["ingest", "--deps", str(root / "deps.xml"), "--traces", str(root / "traces.log")]
+    return [*argv, "--out", str(root / "out")], "error: --traces requires --flow-rules"
+
+
+def _evaluate_before_partition(root: Path) -> tuple[list[str], str]:
+    assert run_ingest(root) == 0
+    return ["evaluate", "--out", str(root / "out")], (
+        f"error: partition artifact not found: {root / 'out' / PARTITION_FILE} "
+        "(run partition first)"
+    )
+
+
+def _sweep_infeasible(root: Path) -> tuple[list[str], str]:
+    app, out = FIXTURES_DIR / "jpetstore", str(root / "out")
+    assert main(["ingest", "--deps", str(app / "deps.xml"), "--out", out]) == 0
+    return ["partition", "--sweep-k", "30..40", "--out", out], (
+        "error: sweep range 30..40 is infeasible for 24 classes"
+    )
+
+
+def _alpha_not_rational(root: Path) -> tuple[list[str], str]:
+    assert run_ingest(root) == 0
+    return ["partition", "--k", "3", "--alpha", "abc", "--out", str(root / "out")], (
+        "argument --alpha: not a rational number: 'abc'"
+    )
+
+
+def _zero_clusters(root: Path) -> tuple[list[str], str]:
+    argv = ["generate", "--classes", "5", "--clusters", "0", "--p-in", "0.5", "--p-out", "0.1"]
+    return [*argv, "--seed", "1", "--out", str(root / "out")], (
+        "error: clusters must be in 1..classes, got 0 for 5"
+    )
+
+
+@pytest.mark.parametrize(
+    "make_case",
+    [
+        _out_is_a_file,
+        _traces_without_flow_rules,
+        _evaluate_before_partition,
+        _sweep_infeasible,
+        _alpha_not_rational,
+        _zero_clusters,
+    ],
+    ids=lambda f: f.__name__.lstrip("_"),
+)
+def test_usage_error_exits_2(workdir, capsys, make_case):
+    argv, message = make_case(workdir)
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse exits on a bad flag value instead of returning
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err
     assert "Traceback" not in err
 
 

@@ -79,6 +79,11 @@ class TestDependencyXml:
             )
         assert records == []
         assert any("self-dependency" in r.message for r in caplog.records)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            records = parse_dependency_xml('{"classes": [{"name": "A", "dependsOn": ["A", "B"]}]}')
+        assert records == [DependencyRecord("A", "B")]
+        assert any("self-dependency" in r.message for r in caplog.records)
 
     def test_names_are_trimmed(self):
         records = parse_dependency_xml(
