@@ -193,8 +193,8 @@ def cmd_partition(args: argparse.Namespace) -> int:
     report = infra.build_infra_report(
         g, p, prices, compute_floor=not args.no_compute_floor, shared_database=args.shared_db
     )
-    cut = metrics.edge_cut(g, p)
-    ngm = metrics.compute_ngm(g, p)
+    tally = metrics._tally(g, p)
+    cut, ngm = tally.cut(), tally.modularity()
     p_doc = model.partition_to_doc(p, g, objective=obj, seed=cfg.seed)
     _write_json(out_dir, PARTITION_FILE, p_doc, args.force)
     _write_json(out_dir, INFRA_REPORT_FILE, infra.infra_report_to_doc(report), args.force)

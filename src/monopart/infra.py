@@ -23,7 +23,6 @@ from .model import (
     PartitionSet,
     PriceTable,
     ResourceKind,
-    as_fraction,
     check_partition,
     factor_to_doc,
     fraction_str,
@@ -125,7 +124,8 @@ def build_infra_report(
 
 def load_price_table(data: bytes | str) -> PriceTable:
     """Read a price table from YAML with one key per resource kind (compute,
-    database, cache, file_storage); missing keys keep their defaults."""
+    database, cache, file_storage); missing keys keep their defaults, and
+    :class:`PriceTable` checks the prices."""
     doc = load_yaml(_as_text(data))
     if doc is None:
         return PriceTable.default()
@@ -135,13 +135,7 @@ def load_price_table(data: bytes | str) -> PriceTable:
     unknown = set(doc) - known
     if unknown:
         raise InputError(f"unknown price table key {min(unknown, key=str)!r}")
-    values = {}
-    for key in sorted(known & set(doc)):
-        value = as_fraction(doc[key])
-        if value < 0:
-            raise InputError(f"price for {key} must be >= 0, got {doc[key]!r}")
-        values[key] = value
-    return PriceTable(**values)
+    return PriceTable(**doc)
 
 
 def infra_report_to_doc(report: PartitionInfraReport) -> dict:

@@ -19,7 +19,6 @@ from .model import (
     PriceTable,
     as_str,
     check_partition,
-    to_integers,
 )
 
 
@@ -115,7 +114,7 @@ class _EdgeTally(NamedTuple):
 
 def _tally(g: ApplicationGraph, p: PartitionSet) -> _EdgeTally:
     """One pass over the class edges of a partition already checked against ``g``."""
-    scale, weights = to_integers([e.weight for e in g.class_edges])
+    scale, weights = g.integer_edge_weights
     intra = [0] * p.k
     attached = [0] * p.k
     assignment = p.assignment

@@ -16,8 +16,9 @@ is built again only for a result.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -193,6 +194,13 @@ class ApplicationGraph:
     beta: Fraction = Fraction(1)
     resource_increment: Fraction = Fraction(1)
 
+    @functools.cached_property
+    def integer_edge_weights(self) -> tuple[int, tuple[int, ...]]:
+        """``(L, weights)``: :func:`to_integers` of the class-edge weights,
+        in ``class_edges`` order, computed once per graph."""
+        scale, weights = to_integers([e.weight for e in self.class_edges])
+        return scale, tuple(weights)
+
     def names(self) -> list[str]:
         return [c.name for c in self.classes]
 
@@ -290,12 +298,22 @@ FACTOR_KINDS = (
 
 @dataclass(frozen=True)
 class PriceTable:
-    """Currency units per resource instance, one entry per kind."""
+    """Currency units per resource instance, one entry per kind; every price
+    is coerced to a Fraction and must be >= 0."""
 
     compute: Fraction = Fraction(1)
     database: Fraction = Fraction(2)
     cache: Fraction = Fraction(1, 2)
     file_storage: Fraction = Fraction(1, 4)
+
+    def __post_init__(self) -> None:
+        # in name order, so a prices file with several bad keys names the
+        # first of them in sorted order
+        for name in sorted(f.name for f in fields(self)):
+            value = as_fraction(getattr(self, name))
+            if value < 0:
+                raise InputError(f"price for {name} must be >= 0, got {fraction_str(value)}")
+            object.__setattr__(self, name, value)
 
     def unit_cost(self, kind: ResourceKind) -> Fraction:
         """The price of one ``kind`` resource: the field named ``kind.value``."""

@@ -17,6 +17,16 @@ scaled units. Loads are integers, so the balance cap is the floor of the
 rational one. Multiplying every compared quantity by the same positive
 constant keeps each comparison and tie-break, so the integer kernels
 choose exactly the partitions rational arithmetic would.
+
+Refinement keeps, per vertex, its scaled edge weight and its neighbour
+count into each partition, and a move updates only the moved vertex's
+neighbours, so a pass costs the candidates it visits rather than a rescan
+of every edge. A candidate is skipped when not even the best case gains:
+all of its edge weight outside its partition going to one target, and
+every resource copy it alone keeps alive disappearing. That bound holds
+only because edge weights, alpha and prices are non-negative, so each is
+checked: ``scale`` rejects a negative edge weight, and ``ObjectiveConfig``
+and ``PriceTable`` reject the others when they are made.
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ import logging
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import compress
 
 from .infra import duplication_cost
 from .metrics import compute_ngm, edge_cut
@@ -127,8 +138,13 @@ def scale(g: ApplicationGraph, prices: PriceTable, cfg: ObjectiveConfig) -> tupl
     Edge weights are multiplied by L, the LCM of their denominators, and
     unit prices by U, the LCM of theirs. With alpha = a/d a move's gain
     times d*L*U is ``a*U * scaled cut gain + (d-a)*L * scaled dup gain``.
+    A negative edge weight raises :class:`InputError`: refinement's gain
+    bound needs every weight to be non-negative.
     """
-    lcm_edges, edge_weights = to_integers([e.weight for e in g.class_edges])
+    lcm_edges, edge_weights = g.integer_edge_weights
+    if edge_weights and min(edge_weights) < 0:
+        e = next(e for e, w in zip(g.class_edges, edge_weights) if w < 0)
+        raise InputError(f"class edge ({e.u}, {e.v}) has negative weight {e.weight}")
     lcm_prices, unit = to_integers([prices.unit_cost(r.kind) for r in g.resources])
     bound: list[set[int]] = [set() for _ in g.classes]
     for edge in g.resource_edges:
@@ -356,9 +372,21 @@ def refine(
     Each pass visits candidate vertices in ascending id order and applies
     the vertex's best positive-gain move among balance-respecting targets;
     candidates are boundary vertices plus clients of partition-spanning
-    resources. Duplication gains use exact incremental copy counts. Stops
-    when a pass applies nothing, or after 10 passes; the objective never
-    increases.
+    resources, taken when the pass starts. Duplication gains use exact
+    incremental copy counts. Stops when a pass applies nothing, or after 10
+    passes; the objective never increases.
+
+    Nothing is rescanned per pass. ``conn[v][r]``, the scaled edge weight
+    from v into partition r, and ``nbrs[v][r]``, the number of v's
+    neighbours in r, are built once and a move updates them at the moved
+    vertex's neighbours. v is on the boundary when ``nbrs[v][assign[v]]``
+    is not its degree (a cross edge of weight 0 counts), and its targets are
+    the partitions holding a neighbour or a copy of one of its resources.
+    A candidate is skipped when ``cut * (wdeg[v] - 2 * conn[v][src]) +
+    dupsum[v] <= 0``, with ``wdeg[v]`` its total edge weight and
+    ``dupsum[v]`` the summed ``dup`` of its resources: with non-negative
+    edge weights and gains, as :func:`scale` guarantees, no move of v gains
+    more, so the skip drops no positive-gain move.
     """
     k = p.k
     weights = level.weights
@@ -383,25 +411,37 @@ def refine(
         load[r] += weights[v]
         size[r] += 1
 
+    conn: list[list[int]] = []
+    nbrs: list[list[int]] = []
+    # ceiling[v] - 2 * cut * conn[v][src] bounds the gain of every move of v
+    ceiling: list[int] = []
+    for row, res in zip(adj, res_of):
+        weight_to = [0] * k
+        count_in = [0] * k
+        for u, w in row:
+            part = assign[u]
+            weight_to[part] += w
+            count_in[part] += 1
+        conn.append(weight_to)
+        nbrs.append(count_in)
+        ceiling.append(cut_gain * sum(weight_to) + sum(dup[rid] for rid in res))
+
     for _ in range(_MAX_REFINE_PASSES):
-        candidates = []
-        for v in range(n):
-            if any(assign[u] != assign[v] for u, _w in adj[v]):
-                candidates.append(v)
-            elif any(len(res_count[rid]) > 1 for rid in res_of[v]):
-                candidates.append(v)
+        candidates = [
+            v for v in range(n)
+            if nbrs[v][assign[v]] != len(adj[v])
+            or any(len(res_count[rid]) > 1 for rid in res_of[v])
+        ]
         moved = False
         for v in candidates:
             src = assign[v]
             if size[src] < 2:
                 continue
-            conn = [0] * k
-            targets = set()
-            for u, w in adj[v]:
-                part = assign[u]
-                conn[part] += w
-                targets.add(part)
+            conn_v = conn[v]
+            if ceiling[v] <= 2 * cut_gain * conn_v[src]:
+                continue
             res = res_of[v]
+            targets = set(compress(range(k), nbrs[v]))
             for rid in res:
                 targets.update(res_count[rid])
             targets.discard(src)
@@ -412,7 +452,7 @@ def refine(
             for dst in sorted(targets):
                 if load[dst] + weights[v] > cap:
                     continue
-                gain = cut_gain * (conn[dst] - conn[src])
+                gain = cut_gain * (conn_v[dst] - conn_v[src])
                 if res:
                     gain += saved - sum(dup[rid] for rid in res if dst not in res_count[rid])
                 if gain > best_gain:
@@ -431,6 +471,11 @@ def refine(
                 if counts[src] == 0:
                     del counts[src]
                 counts[dst] = counts.get(dst, 0) + 1
+            for u, w in adj[v]:
+                conn[u][src] -= w
+                conn[u][dst] += w
+                nbrs[u][src] -= 1
+                nbrs[u][dst] += 1
             moved = True
         if not moved:
             break

@@ -12,7 +12,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from monopart.model import InputError
+from monopart.model import InputError, PartitionSet
+from monopart.partitioner import _MAX_REFINE_PASSES, Gains, Level, ObjectiveConfig, _balance_cap
 
 
 def modularity_matrix_form(
@@ -180,6 +181,94 @@ class TraceRecord:
     flow_hint: str
     seq: int
     class_name: str
+
+
+def refine_reference(
+    level: Level,
+    p: PartitionSet,
+    cfg: ObjectiveConfig,
+    gains: Gains,
+) -> PartitionSet:
+    """Boundary refinement without kept state: every pass rescans each
+    vertex's adjacency to find the candidates, and each candidate's to find
+    its connectivity and targets, and no candidate is skipped before its
+    targets are scored. ``partitioner.refine`` must return the same
+    partition."""
+    k = p.k
+    weights = level.weights
+    n = len(weights)
+    assign = list(p.assignment)
+    cap = _balance_cap(weights, cfg)
+    adj = level.adj
+    res_of = level.res_of
+    cut_gain = gains.cut
+    dup = gains.dup
+
+    # res_count[rid]: partition -> number of bound client vertices in it
+    res_count: list[dict[int, int]] = [{} for _ in dup]
+    for v in range(n):
+        for rid in res_of[v]:
+            counts = res_count[rid]
+            counts[assign[v]] = counts.get(assign[v], 0) + 1
+
+    load = [0] * k
+    size = [0] * k
+    for v, r in enumerate(assign):
+        load[r] += weights[v]
+        size[r] += 1
+
+    for _ in range(_MAX_REFINE_PASSES):
+        candidates = []
+        for v in range(n):
+            if any(assign[u] != assign[v] for u, _w in adj[v]):
+                candidates.append(v)
+            elif any(len(res_count[rid]) > 1 for rid in res_of[v]):
+                candidates.append(v)
+        moved = False
+        for v in candidates:
+            src = assign[v]
+            if size[src] < 2:
+                continue
+            conn = [0] * k
+            targets = set()
+            for u, w in adj[v]:
+                part = assign[u]
+                conn[part] += w
+                targets.add(part)
+            res = res_of[v]
+            for rid in res:
+                targets.update(res_count[rid])
+            targets.discard(src)
+            # dup saved at src: resources whose last client there is v
+            saved = sum(dup[rid] for rid in res if res_count[rid][src] == 1)
+            best_gain = 0
+            best_dst = -1
+            for dst in sorted(targets):
+                if load[dst] + weights[v] > cap:
+                    continue
+                gain = cut_gain * (conn[dst] - conn[src])
+                if res:
+                    gain += saved - sum(dup[rid] for rid in res if dst not in res_count[rid])
+                if gain > best_gain:
+                    best_gain, best_dst = gain, dst
+            if best_dst == -1:
+                continue
+            dst = best_dst
+            assign[v] = dst
+            load[src] -= weights[v]
+            load[dst] += weights[v]
+            size[src] -= 1
+            size[dst] += 1
+            for rid in res:
+                counts = res_count[rid]
+                counts[src] -= 1
+                if counts[src] == 0:
+                    del counts[src]
+                counts[dst] = counts.get(dst, 0) + 1
+            moved = True
+        if not moved:
+            break
+    return PartitionSet(k=k, assignment=tuple(assign))
 
 
 def group_flows_reference(

@@ -222,7 +222,7 @@ class TestPartition:
         def fail(*_args):
             raise model.InputError("scoring failed")
 
-        monkeypatch.setattr(metrics, "compute_ngm", fail)
+        monkeypatch.setattr(metrics._EdgeTally, "modularity", fail)
         assert main(["partition", "--k", "2", "--out", str(workdir / "out")]) == 2
         assert not (workdir / "out" / PARTITION_FILE).exists()
         assert not (workdir / "out" / INFRA_REPORT_FILE).exists()

@@ -1,6 +1,7 @@
 """Domain types, validation, and interchange round-trips."""
 
 import json
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -285,6 +286,17 @@ class TestPriceTable:
         prices = PriceTable.default()
         assert prices.unit_cost(ResourceKind.DATABASE) == 2
         assert prices.unit_cost(ResourceKind.CACHE) == Fraction(1, 2)
+
+    def test_negative_price_rejected(self):
+        with pytest.raises(InputError, match="price for database must be >= 0, got -1"):
+            PriceTable(database=Fraction(-1))
+
+    def test_prices_coerced_to_fractions(self):
+        prices = PriceTable(compute=2, cache=0.1, file_storage="1/3")
+        assert (prices.compute, prices.cache, prices.file_storage) == (
+            Fraction(2), Fraction(1, 10), Fraction(1, 3),
+        )
+        assert all(type(x) is Fraction for x in astuple(prices))
 
 
 names = st.lists(

@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES_DIR, clique_pair_xml, graph_from_edges, random_edge_set
 
-from oracles import duplication_cost_reference, edge_cut_reference, modularity_matrix_form
+from oracles import (
+    duplication_cost_reference,
+    edge_cut_reference,
+    modularity_matrix_form,
+    refine_reference,
+)
 
 from monopart.graphbuild import build_graph
 from monopart.infra import build_infra_report, duplication_cost
@@ -28,6 +33,8 @@ from monopart.model import (
 )
 from monopart import partitioner
 from monopart.partitioner import (
+    Gains,
+    Level,
     ObjectiveConfig,
     coarsen,
     initial_partition,
@@ -160,6 +167,11 @@ class TestScale:
         assert level.res_of == [(0, 1), (), (0,)]
         assert gains.cut == 1 * 30
         assert gains.dup == [2 * 6 * 9, 2 * 6 * 5]
+
+    def test_negative_edge_weight_rejected(self):
+        g = graph_from_edges(3, {(0, 1): 1, (1, 2): Fraction(-1, 2)})
+        with pytest.raises(InputError, match=r"class edge \(1, 2\) has negative weight -1/2"):
+            scale(g, PRICES, ObjectiveConfig(k=2))
 
     def test_gain_is_objective_drop_times_common_denominator(self):
         # one move of B from partition 1 to 0: cut falls by 1/2 - 2/3, and
@@ -313,6 +325,41 @@ class TestRefine:
         after = objective(g, after_p, PRICES, cfg)
         assert after_p.assignment[0] == 0
         assert before - after == PRICES.unit_cost(ResourceKind.DATABASE)
+
+    def test_zero_weight_cross_edge_keeps_a_vertex_a_candidate(self):
+        # v=1's only edge weighs 0 and crosses to partition 1, so v is on
+        # the boundary although no weight leaves it. x=0 shares resource 0
+        # with v; it moves first and the resource starts to span, so v
+        # follows in the same pass and partition 1 is full (cap 4) before
+        # z=2 is visited. Had v been left out until the resource spanned,
+        # z would have moved in this pass and v been stranded alone.
+        level = Level(
+            weights=[1] * 5,
+            adj=[[(3, 5), (4, 5)], [(3, 0)], [(3, 1)], [(0, 5), (1, 0), (2, 1)], [(0, 5)]],
+            res_of=[(0,), (0,), (), (), ()],
+        )
+        gains = Gains(cut=1, dup=[3])
+        cfg = ObjectiveConfig(k=2, epsilon=Fraction(1, 3))
+        p = PartitionSet(2, (0, 0, 0, 1, 1))
+        assert refine(level, p, cfg, gains) == PartitionSet(2, (1, 1, 0, 1, 1))
+        assert refine_reference(level, p, cfg, gains) == PartitionSet(2, (1, 1, 0, 1, 1))
+
+    @pytest.mark.parametrize(
+        "adj,res_of,dup",
+        [
+            # one edge of weight 1 into partition 1: gain 1 = 1 * (1 - 0)
+            ([[(2, 1)], [], [(0, 1)]], [(), (), ()], []),
+            # weight 1 inside, 4 into partition 1, and the last copy of
+            # resource 0 in partition 0: gain 4 - 1 + 2 = 1 * (5 - 2) + 2
+            ([[(1, 1), (2, 4)], [(0, 1)], [(0, 4)]], [(0,), (), (0,)], [2]),
+        ],
+        ids=["cut_only", "cut_and_dup"],
+    )
+    def test_move_whose_gain_meets_the_skip_bound_is_taken(self, adj, res_of, dup):
+        level = Level(weights=[1] * 3, adj=adj, res_of=res_of)
+        cfg = ObjectiveConfig(k=2, epsilon=Fraction(1))
+        p = PartitionSet(2, (0, 0, 1))
+        assert refine(level, p, cfg, Gains(cut=1, dup=dup)) == PartitionSet(2, (1, 0, 1))
 
     def test_monotone_on_random_instances(self):
         rng = random.Random(13)
@@ -477,6 +524,48 @@ def problems(draw):
     return g, prices, cfg
 
 
+@st.composite
+def refine_cases(draw):
+    """A random integer ``Level`` with its ``Gains``, a config and a
+    starting partition. The draws reach every corner of refine's gain
+    bound: edges of weight 0, vertex weights above 1, epsilon 0, alpha 0, 1
+    or a fraction, ``dup`` entries of 0 and vertices without resources."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(
+        st.dictionaries(st.sampled_from(pairs), st.integers(0, 6), min_size=1, max_size=3 * n)
+    )
+    adj = [[] for _ in range(n)]
+    for (u, v), w in sorted(edges.items()):
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    for row in adj:
+        row.sort()
+    resources = draw(st.integers(min_value=0, max_value=4))
+    bound = st.sets(st.integers(0, resources - 1), max_size=resources) if resources else st.just(set())
+    res_of = [tuple(sorted(draw(bound))) for _ in range(n)]
+    level = Level(
+        weights=draw(st.lists(st.sampled_from([1, 1, 2, 3]), min_size=n, max_size=n)),
+        adj=adj,
+        res_of=res_of,
+    )
+    # gains as scale builds them: alpha = a/d, L and U the edge and price scales
+    alpha = draw(st.sampled_from(
+        [Fraction(1, 2), Fraction(0), Fraction(1), Fraction(2, 7), Fraction(8, 9)]
+    ))
+    a, d = alpha.numerator, alpha.denominator
+    lcm_edges, lcm_prices = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    units = draw(st.lists(st.integers(0, 5), min_size=resources, max_size=resources))
+    gains = Gains(cut=a * lcm_prices, dup=[(d - a) * lcm_edges * u for u in units])
+    k = draw(st.integers(min_value=1, max_value=n))
+    epsilon = draw(st.sampled_from([Fraction(1, 2), Fraction(0), Fraction(1, 5), Fraction(2)]))
+    cfg = ObjectiveConfig(k=k, alpha=alpha, epsilon=epsilon)
+    assignment = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    for part, v in enumerate(draw(st.permutations(range(n)))[:k]):
+        assignment[v] = part
+    return level, gains, cfg, PartitionSet(k, tuple(assignment))
+
+
 def random_partition(rnd, n, k):
     """A random assignment of n classes to k partitions, none of them empty."""
     assignment = [rnd.randrange(k) for _ in range(n)]
@@ -504,6 +593,12 @@ class TestProperties:
         after = refine_graph(g, p, cfg, prices)
         assert len(after.assignment) == len(g.classes)
         assert objective(g, after, prices, cfg) <= objective(g, p, prices, cfg)
+
+    @settings(max_examples=300, deadline=None)
+    @given(refine_cases())
+    def test_refine_equals_rescanning_reference(self, case):
+        level, gains, cfg, p = case
+        assert refine(level, p, cfg, gains) == refine_reference(level, p, cfg, gains)
 
     @settings(max_examples=300, deadline=None)
     @given(problems(), st.randoms(use_true_random=False))
