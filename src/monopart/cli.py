@@ -66,10 +66,8 @@ def _parse_input(path: str, parse: Callable[..., T], *args: object) -> T:
 
 
 def _read_json(path: Path) -> object:
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise model.InputError(f"{path}: not a readable JSON document: {exc}") from exc
+    with _naming(path):
+        return ingest.load_json(ingest._as_text(path.read_bytes()))
 
 
 def _out_dir(args: argparse.Namespace) -> Path:

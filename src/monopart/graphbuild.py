@@ -63,10 +63,10 @@ def build_graph(
     Class ids are assigned in first-appearance order: dependency records
     (from, then to), then binding class names, then flow members. Classes
     appearing only in the manifest or traces become isolated nodes (with a
-    warning). One merged undirected edge per class pair carries
-    relation_base (sum of base weights over all records on the pair, both
-    directions), shared_resource_count (distinct resources bound to both
-    endpoints), and flow_cooccurrence (flows containing both endpoints).
+    warning). One merged undirected edge per class pair weighs
+    ``base + increment * shared + beta * flow``: base sums the base weights
+    of all records on the pair (both directions), shared counts the distinct
+    resources bound to both endpoints and flow the flows containing both.
     """
     if not deps:
         raise InputError("empty graph")
@@ -134,18 +134,21 @@ def build_graph(
         for pair in combinations(sorted(group), 2):
             counts[pair][slot] += 1
 
-    # Few distinct (base, shared, flow) triples occur; each one's Fractions
-    # are built once.
-    components: dict[tuple[int, int, int], tuple[Fraction, Fraction]] = {}
+    # Few distinct (base, shared, flow) triples occur; each one's weight is
+    # composed once.
+    weights: dict[tuple[int, ...], Fraction] = {}
     class_edges = []
     for u, v in sorted(counts):  # the pairs, not the items: sorting those is ~3x slower
-        key = base_l, n_shared, n_flow = tuple(counts[u, v])
-        if key not in components:
-            base = Fraction(base_l, base_scale)
-            weight = base + cfg.shared_resource_increment * n_shared + cfg.beta_flow * n_flow
-            components[key] = (base, weight)
-        base, weight = components[key]
-        class_edges.append(ClassEdge(u, v, weight, base, n_shared, n_flow))
+        key = tuple(counts[u, v])
+        weight = weights.get(key)
+        if weight is None:
+            base_l, n_shared, n_flow = key
+            weight = weights[key] = (
+                Fraction(base_l, base_scale)
+                + cfg.shared_resource_increment * n_shared
+                + cfg.beta_flow * n_flow
+            )
+        class_edges.append(ClassEdge(u, v, weight))
 
     return ApplicationGraph(
         classes=classes,
@@ -153,8 +156,6 @@ def build_graph(
         flows=model_flows,
         resource_edges=resource_edges,
         class_edges=tuple(class_edges),
-        beta=cfg.beta_flow,
-        resource_increment=cfg.shared_resource_increment,
     )
 
 

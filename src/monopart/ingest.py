@@ -103,14 +103,39 @@ KIND_ALIASES: dict[str, ResourceKind] = {
 # several times faster than the pure-Python one.
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
+# The deepest YAML nesting read; every input schema needs at most 3 levels.
+# Both loaders build a document recursively: libyaml crashes the process
+# from about 30,000 levels, the pure-Python one raises RecursionError.
+MAX_YAML_DEPTH = 32
+
 
 def load_yaml(text: str) -> object:
-    """Parse one YAML document with the safe loader; a malformed document
-    raises :class:`InputError`."""
+    """Parse one YAML document with the safe loader; a malformed document,
+    or one nested deeper than :data:`MAX_YAML_DEPTH`, raises
+    :class:`InputError`. The depth is checked on the parser's events,
+    before any document is built."""
     try:
+        depth = 0
+        for event in yaml.parse(text, Loader=YAML_LOADER):
+            if isinstance(event, yaml.CollectionStartEvent):
+                depth += 1
+                if depth > MAX_YAML_DEPTH:
+                    raise InputError(f"malformed YAML: nested deeper than {MAX_YAML_DEPTH} levels")
+            elif isinstance(event, yaml.CollectionEndEvent):
+                depth -= 1
         return yaml.load(text, Loader=YAML_LOADER)
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: a bad date or !!int scalar
         raise InputError(f"malformed YAML: {exc}") from exc
+
+
+def load_json(text: str) -> object:
+    """Parse one JSON document; a malformed one, one nested past the
+    interpreter's recursion limit, or an integer of more than 4300 digits
+    raises :class:`InputError`."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise InputError(f"malformed JSON: {exc}") from exc
 
 
 def _as_text(data: bytes | str) -> str:
@@ -179,10 +204,7 @@ def parse_dependency_xml(data: bytes | str) -> list[DependencyRecord]:
 
 
 def _dependencies_from_json(text: str) -> list[DependencyRecord]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON at line {exc.lineno}: {exc.msg}") from exc
+    doc = load_json(text)
     entries = doc.get("classes") if isinstance(doc, dict) else None
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise InputError('dependency JSON must be an object with a "classes" array of objects')

@@ -3,14 +3,13 @@ Newman-Girvan modularity, interface number, edge cut."""
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .infra import build_infra_report
-from .ingest import DependencyRecord, _as_text, load_yaml
+from .ingest import DependencyRecord, _as_text, load_json, load_yaml
 from .model import (
     ApplicationGraph,
     EvaluationReport,
@@ -36,13 +35,7 @@ class GroundTruth:
 def load_ground_truth(data: bytes | str) -> GroundTruth:
     """Read ground truth from YAML or JSON: a flat ``{class: label}`` map."""
     text = _as_text(data)
-    if text.lstrip()[:1] == "{":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"malformed ground truth: {exc}") from exc
-    else:
-        doc = load_yaml(text)
+    doc = load_json(text) if text.lstrip()[:1] == "{" else load_yaml(text)
     if not isinstance(doc, dict) or not doc:
         raise InputError("ground truth must be a non-empty mapping")
     return GroundTruth(

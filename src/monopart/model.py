@@ -37,11 +37,18 @@ class InputError(Exception):
 # rational helpers
 # ---------------------------------------------------------------------------
 
+# The largest decimal exponent a number may carry: the digit count Python
+# allows an integer literal. ``1e-10000000`` would take seconds to parse and
+# make every later sum a 33-million-bit integer.
+MAX_EXPONENT = 4300
+
+
 def as_fraction(value: int | float | str | Fraction) -> Fraction:
     """Coerce a config/JSON value to an exact Fraction.
 
     Floats are routed through their shortest decimal repr, so a YAML ``0.1``
-    means 1/10, not the nearest binary double.
+    means 1/10, not the nearest binary double. A non-finite float, or a
+    decimal exponent beyond ±:data:`MAX_EXPONENT`, is an :class:`InputError`.
     """
     if isinstance(value, Fraction):
         return value
@@ -50,9 +57,14 @@ def as_fraction(value: int | float | str | Fraction) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise InputError(f"not a finite number: {value!r}")
         return Fraction(str(value))
     if isinstance(value, str):
         try:
+            _mantissa, e, exponent = value.lower().rpartition("e")
+            if e and abs(int(exponent)) > MAX_EXPONENT:
+                raise InputError(f"exponent beyond ±{MAX_EXPONENT}: {value!r}")
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"not a rational number: {value!r}") from exc
@@ -142,20 +154,14 @@ class ResourceNode:
 
 @dataclass(frozen=True)
 class ClassEdge:
-    """Merged undirected edge between two classes.
-
-    ``weight`` is recomposable from the components:
-    ``relation_base + increment * shared_resource_count + beta * flow_cooccurrence``
-    where beta and increment are recorded on the owning graph. Endpoints are
+    """Merged undirected edge between two classes, with its weight as
+    :func:`monopart.graphbuild.build_graph` composed it. Endpoints are
     stored canonically with ``u < v``, which :func:`validate_graph` checks.
     """
 
     u: int
     v: int
     weight: Fraction
-    relation_base: Fraction = Fraction(0)
-    shared_resource_count: int = 0
-    flow_cooccurrence: int = 0
 
 
 @dataclass(frozen=True)
@@ -179,20 +185,13 @@ class FunctionalFlow:
 
 @dataclass(frozen=True)
 class ApplicationGraph:
-    """The full application model: class nodes, resource nodes, flows, edges.
-
-    ``beta`` and ``resource_increment`` record the weight-composition
-    parameters the class edges were built with, so the recomposition
-    invariant stays checkable on the graph alone.
-    """
+    """The full application model: class nodes, resource nodes, flows, edges."""
 
     classes: tuple[ClassNode, ...]
     resources: tuple[ResourceNode, ...] = ()
     flows: tuple[FunctionalFlow, ...] = ()
     resource_edges: tuple[ResourceEdge, ...] = ()
     class_edges: tuple[ClassEdge, ...] = ()
-    beta: Fraction = Fraction(1)
-    resource_increment: Fraction = Fraction(1)
 
     @functools.cached_property
     def integer_edge_weights(self) -> tuple[int, tuple[int, ...]]:
@@ -384,20 +383,8 @@ def validate_graph(g: ApplicationGraph) -> list[str]:
         else:
             seen_res.add(r.name)
 
-    # Recomposition runs on integers: every rational is scaled by L, the LCM
-    # of all the denominators involved, so each edge is checked exactly as
-    # weight*L == base*L + inc*L*shared + beta*L*flow.
-    edges = g.class_edges
-    scale, scaled = to_integers([
-        g.resource_increment,
-        g.beta,
-        *(e.weight for e in edges),
-        *(e.relation_base for e in edges),
-    ])
-    inc_l, beta_l = scaled[0], scaled[1]
-    weights_l, bases_l = scaled[2 : 2 + len(edges)], scaled[2 + len(edges) :]
     seen_pairs: set[tuple[int, int]] = set()
-    for e, weight_l, base_l in zip(edges, weights_l, bases_l):
+    for e in g.class_edges:
         if not (0 <= e.u < n) or not (0 <= e.v < n):
             problems.append(f"class edge ({e.u}, {e.v}) references a missing class id")
             continue
@@ -408,14 +395,8 @@ def validate_graph(g: ApplicationGraph) -> list[str]:
         if pair in seen_pairs:
             problems.append(f"parallel class edge on pair {pair}")
         seen_pairs.add(pair)
-        if weight_l < 0 or base_l < 0 or e.shared_resource_count < 0 or e.flow_cooccurrence < 0:
-            problems.append(f"class edge {pair} has a negative component")
-        recomposed_l = base_l + inc_l * e.shared_resource_count + beta_l * e.flow_cooccurrence
-        if weight_l != recomposed_l:
-            recomposed = Fraction(recomposed_l, scale)
-            problems.append(
-                f"class edge {pair} weight {e.weight} != recomposed {recomposed}"
-            )
+        if e.weight < 0:
+            problems.append(f"class edge {pair} has negative weight {e.weight}")
 
     seen_bindings: set[tuple[int, int]] = set()
     for re_ in g.resource_edges:
@@ -455,8 +436,6 @@ def graph_to_doc(g: ApplicationGraph) -> dict:
     """The canonical interchange document for a graph (JSON-serializable)."""
     return {
         "schema_version": SCHEMA_VERSION,
-        "beta": fraction_str(g.beta),
-        "resource_increment": fraction_str(g.resource_increment),
         "classes": [
             {"id": c.id, "name": c.name, "weight": c.weight} for c in g.classes
         ],
@@ -468,15 +447,7 @@ def graph_to_doc(g: ApplicationGraph) -> dict:
             {"resource": e.resource, "class": e.cls} for e in g.resource_edges
         ],
         "class_edges": [
-            {
-                "u": e.u,
-                "v": e.v,
-                "weight": fraction_str(e.weight),
-                "relation_base": fraction_str(e.relation_base),
-                "shared_resource_count": e.shared_resource_count,
-                "flow_cooccurrence": e.flow_cooccurrence,
-            }
-            for e in g.class_edges
+            {"u": e.u, "v": e.v, "weight": fraction_str(e.weight)} for e in g.class_edges
         ],
     }
 
@@ -488,7 +459,11 @@ def _check_schema_version(doc: Mapping, what: str) -> None:
 
 
 def graph_from_doc(doc: Mapping) -> ApplicationGraph:
-    """Parse the canonical interchange document back into a graph."""
+    """Parse the canonical interchange document back into a graph.
+
+    Keys it does not read are ignored, so an older document whose class
+    edges also carry their weight components still loads.
+    """
     if not isinstance(doc, Mapping):
         raise InputError("graph document must be a JSON object")
     _check_schema_version(doc, "graph document")
@@ -532,14 +507,7 @@ def graph_from_doc(doc: Mapping) -> ApplicationGraph:
             for e in doc.get("resource_edges", [])
         )
         class_edges = tuple(
-            ClassEdge(
-                as_int(e["u"], "class id"),
-                as_int(e["v"], "class id"),
-                rational(e["weight"]),
-                rational(e.get("relation_base", 0)),
-                as_int(e.get("shared_resource_count", 0), "shared_resource_count"),
-                as_int(e.get("flow_cooccurrence", 0), "flow_cooccurrence"),
-            )
+            ClassEdge(as_int(e["u"], "class id"), as_int(e["v"], "class id"), rational(e["weight"]))
             for e in doc.get("class_edges", [])
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -550,8 +518,6 @@ def graph_from_doc(doc: Mapping) -> ApplicationGraph:
         flows=flows,
         resource_edges=resource_edges,
         class_edges=class_edges,
-        beta=rational(doc.get("beta", 1)),
-        resource_increment=rational(doc.get("resource_increment", 1)),
     )
 
 

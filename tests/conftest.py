@@ -22,11 +22,10 @@ def fixtures_dir() -> Path:
 def graph_from_edges(
     n: int, edges: dict[tuple[int, int], Fraction | int]
 ) -> ApplicationGraph:
-    """Bare class graph with the given edge weights (as relation_base)."""
+    """Bare class graph with the given edge weights."""
     classes = tuple(ClassNode(i, f"N{i}") for i in range(n))
     class_edges = tuple(
-        ClassEdge(u=u, v=v, weight=Fraction(w), relation_base=Fraction(w))
-        for (u, v), w in sorted(edges.items())
+        ClassEdge(u=u, v=v, weight=Fraction(w)) for (u, v), w in sorted(edges.items())
     )
     return ApplicationGraph(classes=classes, class_edges=class_edges)
 

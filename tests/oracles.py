@@ -119,10 +119,10 @@ def pairwise_f1_enumerated(
 
 
 def class_edge_problems_reference(g) -> list[str]:
-    """The class-edge checks of ``validate_graph`` with each weight
-    recomposed in Fraction arithmetic; the same messages in the same order.
-    On a graph whose classes, resources and flows are well formed this is
-    the whole problem list."""
+    """The class-edge checks of ``validate_graph``, written out one rule
+    after another; the same messages in the same order. On a graph whose
+    classes, resources and flows are well formed this is the whole problem
+    list."""
     problems: list[str] = []
     n = len(g.classes)
     seen_pairs: set[tuple[int, int]] = set()
@@ -137,17 +137,8 @@ def class_edge_problems_reference(g) -> list[str]:
         if pair in seen_pairs:
             problems.append(f"parallel class edge on pair {pair}")
         seen_pairs.add(pair)
-        if min(e.weight, e.relation_base, e.shared_resource_count, e.flow_cooccurrence) < 0:
-            problems.append(f"class edge {pair} has a negative component")
-        recomposed = (
-            e.relation_base
-            + g.resource_increment * e.shared_resource_count
-            + g.beta * e.flow_cooccurrence
-        )
-        if e.weight != recomposed:
-            problems.append(
-                f"class edge {pair} weight {e.weight} != recomposed {recomposed}"
-            )
+        if e.weight < 0:
+            problems.append(f"class edge {pair} has negative weight {e.weight}")
     return problems
 
 

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 from typing import Callable
 
@@ -668,6 +669,9 @@ ARTIFACT_CASES = [
     _artifact_with(GRAPH_FILE, "class_edge_u_above_v",
                    lambda d: d["class_edges"][0].update(u=1, v=0),
                    "class edge (1, 0) must satisfy u < v"),
+    _artifact_with(GRAPH_FILE, "class_edge_weight_negative",
+                   lambda d: d["class_edges"][0].update(weight="-1/2"),
+                   "class edge (0, 1) has negative weight -1/2"),
     _artifact_with(PARTITION_FILE, "partition_k_zero", lambda d: d.update(k=0),
                    "invalid partition: partition count k=0 must be >= 1"),
 ]
@@ -767,6 +771,43 @@ def _dependency_unknown_class(command: str) -> Callable[[Path], tuple[list[str],
     return case
 
 
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+LONG_INTEGER = "1" * 5_000  # past the 4,300 digits Python converts
+
+
+def _json_input(where: str, label: str, text: str) -> Callable[[Path], tuple[list[str], str]]:
+    """A command reading ``text`` as its JSON input ``where``: graph.json, a
+    --deps export, a dot --partition file or a JSON truth file."""
+
+    def case(out: Path) -> tuple[list[str], str]:
+        if where == "graph":
+            path, argv = out / GRAPH_FILE, ["partition", "--k", "2"]
+        elif where == "deps":
+            path = out.parent / "deps.json"
+            argv = ["ingest", "--deps", str(path), "--force"]
+        elif where == "partition":
+            path = out.parent / "p.json"
+            argv = ["dot", "--partition", str(path)]
+        else:
+            assert main(["partition", "--k", "2", "--out", str(out)]) == 0
+            path = out.parent / "truth.json"
+            argv = ["evaluate", "--truth", str(path), "--force"]
+        path.write_text(text)
+        return argv, f"{path}: malformed JSON"
+
+    case.__name__ = f"{where}_{label}"
+    return case
+
+
+JSON_CASES = [
+    _json_input("graph", "nested_100000_deep", DEEP_JSON),
+    _json_input("deps", "nested_100000_deep", DEEP_JSON),
+    _json_input("partition", "nested_100000_deep", DEEP_JSON),
+    _json_input("partition", "k_of_5000_digits", '{"k": ' + LONG_INTEGER + ', "assignment": {}}'),
+    _json_input("truth", "label_of_5000_digits", '{"web.Shop": ' + LONG_INTEGER + "}"),
+]
+
+
 @pytest.mark.parametrize(
     "make_case",
     [
@@ -797,6 +838,7 @@ def _dependency_unknown_class(command: str) -> Callable[[Path], tuple[list[str],
         _dependency_unknown_class("evaluate"),
         *INGEST_CASES,
         *ARTIFACT_CASES,
+        *JSON_CASES,
     ],
     ids=lambda f: f.__name__.lstrip("_"),
 )
@@ -904,6 +946,78 @@ def test_malformed_yaml_exits_2_under_either_loader(workdir, capsys, monkeypatch
     err = capsys.readouterr().err
     assert f"{bad}: malformed YAML" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [
+        ("--prices", ".nan"),
+        ("--prices", ".inf"),
+        ("--prices", "-.inf"),
+        ("--prices", "'1e-10000000'"),
+        ("--alpha", "1e-10000000"),
+        ("--epsilon", "1e+10000000"),
+    ],
+)
+def test_non_finite_or_oversized_number_exits_2_quickly(workdir, capsys, flag, value):
+    """Building 10**10000000 alone would take seconds."""
+    out = workdir / "out"
+    assert run_ingest(workdir) == 0
+    named = f"argument {flag}"
+    if flag == "--prices":
+        path = workdir / "prices.yaml"
+        path.write_text(f"cache: {value}\n")
+        value = named = str(path)
+    capsys.readouterr()
+    start = time.perf_counter()
+    try:
+        code = main(["partition", "--k", "2", flag, value, "--out", str(out)])
+    except SystemExit as exc:  # argparse exits on a bad flag value instead of returning
+        code = exc.code
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+    assert elapsed < 1
+
+
+DEEP_YAML = "[" * 100_000 + "]" * 100_000 + "\n"
+
+
+@pytest.mark.parametrize(
+    "name,text",
+    [
+        ("manifest.yaml", DEEP_YAML),
+        ("manifest.yaml", "- " * 40_000 + "x\n"),
+        ("truth.yaml", DEEP_YAML),
+        ("prices.yaml", DEEP_YAML),
+        ("flow-rules.yaml", "line_regex: '^(?P<class>\\S+)$'\nentry_points: " + DEEP_YAML),
+    ],
+    ids=["manifest", "manifest_compact", "truth", "prices", "flow_rules_entry_points"],
+)
+def test_deeply_nested_yaml_exits_2_naming_it(workdir, name, text):
+    """Run in a child process: libyaml used to crash the process on these."""
+    out = workdir / "out"
+    assert run_ingest(workdir) == 0
+    assert main(["partition", "--k", "2", "--out", str(out)]) == 0
+    (workdir / "traces.log").write_text("web.Shop\n")
+    bad = workdir / name
+    bad.write_text(text)
+    deps = ["ingest", "--deps", str(workdir / "deps.xml")]
+    argv = {
+        "manifest.yaml": [*deps, "--manifest", str(bad)],
+        "flow-rules.yaml": [*deps, "--traces", str(workdir / "traces.log"), "--flow-rules", str(bad)],
+        "truth.yaml": ["evaluate", "--truth", str(bad)],
+        "prices.yaml": ["partition", "--k", "2", "--prices", str(bad)],
+    }[name]
+    proc = subprocess.run(
+        [sys.executable, "-m", "monopart", *argv, "--out", str(out), "--force"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr[-500:]
+    assert f"{bad}: malformed YAML: nested deeper than 32 levels" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 class TestSubprocessSmoke:

@@ -24,49 +24,49 @@ def dep(u: str, v: str, relation: Relation = Relation.CALL) -> DependencyRecord:
     return DependencyRecord(u, v, relation)
 
 
+# Each term of an edge weight shows in its own decimal place: bases in the
+# units, 10 per shared resource and 100 per common flow.
+VISIBLE = WeightConfig(shared_resource_increment=Fraction(10), beta_flow=Fraction(100))
+
+
+def db1(*classes: str) -> InfraManifest:
+    """A manifest with one database, bound to ``classes``."""
+    return InfraManifest(
+        resources=(("db1", ResourceKind.DATABASE),), bindings=tuple((c, "db1") for c in classes)
+    )
+
+
 class TestWeightComposition:
     def test_single_call_edge(self):
-        g = build_graph([dep("A", "B")])
-        (e,) = g.class_edges
-        assert (e.weight, e.relation_base, e.shared_resource_count, e.flow_cooccurrence) == (
-            Fraction(1),
-            Fraction(1),
-            0,
-            0,
-        )
+        (e,) = build_graph([dep("A", "B")], cfg=VISIBLE).class_edges
+        assert (e.u, e.v, e.weight) == (0, 1, Fraction(1))
 
     def test_shared_resource_increments_weight(self):
-        manifest = parse_infra_yaml(
-            """
-            resources:
-              - {name: db1, kind: database}
-            bindings:
-              - {class: A, resource: db1}
-              - {class: B, resource: db1}
-            """
-        )
-        g = build_graph([dep("A", "B")], manifest)
-        (e,) = g.class_edges
-        assert e.weight == 2
-        assert e.shared_resource_count == 1
+        manifest = db1("A", "B")
+        assert build_graph([dep("A", "B")], manifest).class_edges[0].weight == 2
+        (e,) = build_graph([dep("A", "B")], manifest, cfg=VISIBLE).class_edges
+        assert e.weight == 11  # 1 call + 1 shared resource
 
     def test_bidirectional_deps_and_flow(self):
+        deps = [dep("A", "B"), dep("B", "A", Relation.REFERENCE)]
         flows = [FlowRecord("F0", ("A", "B"))]
-        g = build_graph(
-            [dep("A", "B"), dep("B", "A", Relation.REFERENCE)], InfraManifest(), flows
-        )
-        (e,) = g.class_edges
-        assert e.weight == 3  # 1 call + 1 reference + 1 flow co-occurrence
-        assert e.relation_base == 2
-        assert e.flow_cooccurrence == 1
+        assert build_graph(deps, InfraManifest(), flows).class_edges[0].weight == 3
+        (e,) = build_graph(deps, InfraManifest(), flows, VISIBLE).class_edges
+        assert e.weight == 102  # 1 call + 1 reference + 1 flow co-occurrence
+
+    def test_one_of_each_term(self):
+        manifest = db1("A", "B")
+        flows = [FlowRecord("F0", ("A", "B"))]
+        (e,) = build_graph([dep("A", "B")], manifest, flows, VISIBLE).class_edges
+        assert e.weight == 111
 
     def test_inheritance_base_weight(self):
         g = build_graph([dep("A", "B", Relation.INHERITANCE)])
         assert g.class_edges[0].weight == 3
 
     def test_duplicate_records_sum(self):
-        g = build_graph([dep("A", "B"), dep("A", "B")])
-        assert g.class_edges[0].relation_base == 2
+        g = build_graph([dep("A", "B"), dep("A", "B")], cfg=VISIBLE)
+        assert g.class_edges[0].weight == 2
 
     def test_custom_config(self):
         cfg = WeightConfig(base_call=Fraction(2), beta_flow=Fraction(1, 2))
@@ -74,38 +74,27 @@ class TestWeightComposition:
             [dep("A", "B")], InfraManifest(), [FlowRecord("F0", ("A", "B"))], cfg
         )
         assert g.class_edges[0].weight == Fraction(5, 2)
-        assert g.beta == Fraction(1, 2)
 
     def test_negative_config_rejected(self):
         with pytest.raises(InputError):
             WeightConfig(base_call=Fraction(-1))
 
     def test_shared_resource_only_pair_gets_edge(self):
-        manifest = parse_infra_yaml(
-            """
-            resources:
-              - {name: db1, kind: database}
-            bindings:
-              - {class: B, resource: db1}
-              - {class: C, resource: db1}
-            """
-        )
-        g = build_graph([dep("A", "B"), dep("A", "C")], manifest)
+        manifest = db1("B", "C")
+        g = build_graph([dep("A", "B"), dep("A", "C")], manifest, cfg=VISIBLE)
         ids = g.id_by_name()
         pair = tuple(sorted((ids["B"], ids["C"])))
         edge = next(e for e in g.class_edges if (e.u, e.v) == pair)
-        assert edge.relation_base == 0
-        assert edge.weight == 1
+        assert edge.weight == 10  # no dependency, 1 shared resource
 
     def test_flow_only_pair_gets_edge(self):
         g = build_graph(
-            [dep("A", "B")], InfraManifest(), [FlowRecord("F0", ("A", "C"))]
+            [dep("A", "B")], InfraManifest(), [FlowRecord("F0", ("A", "C"))], VISIBLE
         )
         ids = g.id_by_name()
         pair = tuple(sorted((ids["A"], ids["C"])))
         edge = next(e for e in g.class_edges if (e.u, e.v) == pair)
-        assert edge.flow_cooccurrence == 1
-        assert edge.relation_base == 0
+        assert edge.weight == 100  # no dependency, 1 common flow
 
 
 class TestBuildGraph:
@@ -191,11 +180,34 @@ def test_random_inputs_build_valid_graphs(deps, bindings, flow_sets):
         bindings=tuple(set(bindings)),
     )
     flows = [FlowRecord(f"F{i}", tuple(m)) for i, m in enumerate(flow_sets)]
-    g = build_graph([DependencyRecord(u, v, r) for u, v, r in deps], manifest, flows)
+    cfg = WeightConfig(
+        base_call=Fraction(1, 3),
+        base_reference=Fraction(1, 2),
+        shared_resource_increment=Fraction(10),
+        beta_flow=Fraction(100, 7),
+    )
+    g = build_graph([DependencyRecord(u, v, r) for u, v, r in deps], manifest, flows, cfg)
     assert validate_graph(g) == []
-    # recomposition spot check
-    for e in g.class_edges:
-        assert e.weight == e.relation_base + e.shared_resource_count + e.flow_cooccurrence
+    # every weight composed term by term from the inputs
+    ids = g.id_by_name()
+    expected: dict[tuple[int, int], Fraction] = {}
+
+    def add(a: str, b: str, amount: Fraction) -> None:
+        pair = tuple(sorted((ids[a], ids[b])))
+        expected[pair] = expected.get(pair, Fraction(0)) + amount
+
+    for u, v, r in deps:
+        add(u, v, cfg.base_weight(r))
+    for res in ("db1", "s3a"):
+        clients = sorted({c for c, bound in set(bindings) if bound == res})
+        for i, a in enumerate(clients):
+            for b in clients[i + 1 :]:
+                add(a, b, cfg.shared_resource_increment)
+    for members in flow_sets:
+        for i, a in enumerate(members):
+            for b in members[i + 1 :]:
+                add(a, b, cfg.beta_flow)
+    assert {(e.u, e.v): e.weight for e in g.class_edges} == expected
 
 
 class TestToDot:

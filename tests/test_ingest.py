@@ -431,6 +431,14 @@ class TestLoadFlowRules:
             load_flow_rules(text)
 
 
+# Nesting that crashes libyaml's composer: a 100,000-deep flow sequence, and
+# 40,000 levels of compact block sequences (an 80 KB file).
+DEEP_YAML = {
+    "flow": "[" * 100_000 + "]" * 100_000 + "\n",
+    "compact": "- " * 40_000 + "x\n",
+}
+
+
 class TestLoadYaml:
     """The four YAML readers load through ``load_yaml``, which uses libyaml's
     ``CSafeLoader`` when PyYAML has it."""
@@ -470,3 +478,21 @@ class TestLoadYaml:
         monkeypatch.setattr(ingest, "YAML_LOADER", yaml.SafeLoader)
         with pytest.raises(InputError, match="malformed YAML"):
             parse_infra_yaml(text)
+
+    def test_pure_python_loader_reads_fixtures_and_rejects_deep_nesting(self, monkeypatch):
+        manifests = sorted(ROOT.glob("fixtures/*/manifest.yaml"))
+        assert len(manifests) == 4
+        default = [parse_infra_yaml(path.read_bytes()) for path in manifests]
+        monkeypatch.setattr(ingest, "YAML_LOADER", yaml.SafeLoader)
+        assert [parse_infra_yaml(path.read_bytes()) for path in manifests] == default
+        for text in DEEP_YAML.values():
+            with pytest.raises(InputError, match="nested deeper than 32 levels"):
+                parse_infra_yaml(text)
+
+    def test_nesting_limit_is_exact(self):
+        nested: list = []
+        for _ in range(31):
+            nested = [nested]
+        assert ingest.load_yaml("[" * 32 + "]" * 32) == nested
+        with pytest.raises(InputError, match="nested deeper than 32 levels"):
+            ingest.load_yaml("[" * 33 + "]" * 33)

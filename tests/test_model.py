@@ -67,7 +67,7 @@ class TestFractions:
 def two_class_graph() -> ApplicationGraph:
     return ApplicationGraph(
         classes=(ClassNode(0, "A"), ClassNode(1, "B")),
-        class_edges=(ClassEdge(0, 1, Fraction(1), relation_base=Fraction(1)),),
+        class_edges=(ClassEdge(0, 1, Fraction(1)),),
     )
 
 
@@ -76,9 +76,7 @@ def bound_graph() -> ApplicationGraph:
         classes=(ClassNode(0, "A"), ClassNode(1, "B")),
         resources=(ResourceNode(0, "db1", ResourceKind.DATABASE),),
         resource_edges=(ResourceEdge(0, 0), ResourceEdge(0, 1)),
-        class_edges=(
-            ClassEdge(0, 1, Fraction(2), relation_base=Fraction(1), shared_resource_count=1),
-        ),
+        class_edges=(ClassEdge(0, 1, Fraction(2)),),
     )
 
 
@@ -90,7 +88,7 @@ class TestValidateGraph:
     def test_endpoints_must_be_ordered(self, u, v):
         g = ApplicationGraph(
             classes=(ClassNode(0, "A"), ClassNode(1, "B")),
-            class_edges=(ClassEdge(u, v, Fraction(1), relation_base=Fraction(1)),),
+            class_edges=(ClassEdge(u, v, Fraction(1)),),
         )
         assert validate_graph(g) == [f"class edge ({u}, {v}) must satisfy u < v"]
 
@@ -105,7 +103,7 @@ class TestValidateGraph:
     def test_edge_reference_out_of_range(self):
         g = ApplicationGraph(
             classes=(ClassNode(0, "A"),),
-            class_edges=(ClassEdge(0, 5, Fraction(1), relation_base=Fraction(1)),),
+            class_edges=(ClassEdge(0, 5, Fraction(1)),),
         )
         assert validate_graph(g)
 
@@ -113,18 +111,11 @@ class TestValidateGraph:
         g = ApplicationGraph(
             classes=(ClassNode(0, "A"), ClassNode(1, "B")),
             class_edges=(
-                ClassEdge(0, 1, Fraction(1), relation_base=Fraction(1)),
-                ClassEdge(0, 1, Fraction(2), relation_base=Fraction(2)),
+                ClassEdge(0, 1, Fraction(1)),
+                ClassEdge(0, 1, Fraction(2)),
             ),
         )
         assert any("parallel" in p for p in validate_graph(g))
-
-    def test_weight_recomposition_mismatch(self):
-        g = ApplicationGraph(
-            classes=(ClassNode(0, "A"), ClassNode(1, "B")),
-            class_edges=(ClassEdge(0, 1, Fraction(5), relation_base=Fraction(1)),),
-        )
-        assert any("recomposed" in p for p in validate_graph(g))
 
     def test_duplicate_binding(self):
         g = ApplicationGraph(
@@ -141,17 +132,12 @@ class TestValidateGraph:
         )
         assert any("flow" in p for p in validate_graph(g))
 
-    def test_negative_component_reported_once(self):
+    def test_negative_weight_reported(self):
         g = ApplicationGraph(
             classes=(ClassNode(0, "A"), ClassNode(1, "B")),
-            class_edges=(
-                ClassEdge(0, 1, Fraction(-1), relation_base=Fraction(-1), shared_resource_count=-1),
-            ),
+            class_edges=(ClassEdge(0, 1, Fraction(-1, 2)),),
         )
-        assert validate_graph(g) == [
-            "class edge (0, 1) has a negative component",
-            "class edge (0, 1) weight -1 != recomposed -2",
-        ]
+        assert validate_graph(g) == ["class edge (0, 1) has negative weight -1/2"]
 
     def test_blank_resource_name(self):
         g = ApplicationGraph(
@@ -175,44 +161,37 @@ class TestValidateGraph:
     def test_violation_names_offender(self):
         g = ApplicationGraph(
             classes=(ClassNode(0, "A"), ClassNode(1, "B")),
-            class_edges=(ClassEdge(0, 1, Fraction(-1), relation_base=Fraction(-1)),),
+            class_edges=(ClassEdge(0, 1, Fraction(-1)),),
         )
         problems = validate_graph(g)
         assert problems and any("(0, 1)" in p for p in problems)
 
 
 @st.composite
-def recomposition_graphs(draw) -> ApplicationGraph:
-    """Graphs with fractional beta, increment and bases whose class edges may
-    carry perturbed weights, negative components, repeated pairs or ids past
-    the last class."""
+def class_edge_graphs(draw) -> ApplicationGraph:
+    """Graphs whose class edges may carry fractional or negative weights,
+    repeated pairs, reversed endpoints or ids past the last class."""
     rationals = st.fractions(min_value=-2, max_value=5, max_denominator=12)
     n = draw(st.integers(2, 6))
-    beta, increment = draw(rationals), draw(rationals)
     edges = []
     for _ in range(draw(st.integers(0, 8))):
         u = draw(st.integers(0, n - 1))
         v = draw(st.integers(u + 1, n))
-        base = draw(rationals)
-        shared, flow = draw(st.integers(-1, 3)), draw(st.integers(-1, 3))
-        weight = base + increment * shared + beta * flow
-        if draw(st.booleans()):
-            weight += draw(rationals)
-        edges.append(ClassEdge(u, v, weight, base, shared, flow))
+        if draw(st.integers(0, 4)) == 0:
+            u, v = v, u
+        edges.append(ClassEdge(u, v, draw(rationals)))
         if draw(st.integers(0, 4)) == 0:
             edges.append(edges[-1])
     return ApplicationGraph(
         classes=tuple(ClassNode(i, f"N{i}") for i in range(n)),
         class_edges=tuple(edges),
-        beta=beta,
-        resource_increment=increment,
     )
 
 
-class TestRecompositionOracle:
+class TestClassEdgeOracle:
     @settings(max_examples=300)
-    @given(recomposition_graphs())
-    def test_problems_match_fraction_recomposition(self, g):
+    @given(class_edge_graphs())
+    def test_problems_match_reference(self, g):
         assert validate_graph(g) == class_edge_problems_reference(g)
 
 
@@ -333,21 +312,8 @@ def small_graphs(draw) -> ApplicationGraph:
             max_size=min(10, n * (n - 1) // 2),
         )
     )
-    class_edges = []
-    for u, v in sorted(pairs):
-        base = draw(st.integers(min_value=0, max_value=4))
-        shared = draw(st.integers(min_value=0, max_value=2))
-        flow = draw(st.integers(min_value=0, max_value=2))
-        class_edges.append(
-            ClassEdge(
-                u,
-                v,
-                Fraction(base + shared + flow),
-                relation_base=Fraction(base),
-                shared_resource_count=shared,
-                flow_cooccurrence=flow,
-            )
-        )
+    weights = st.fractions(min_value=0, max_value=6, max_denominator=12)
+    class_edges = [ClassEdge(u, v, draw(weights)) for u, v in sorted(pairs)]
     flows = tuple(
         FunctionalFlow(f"F{i}", tuple(sorted(draw(
             st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=n)
@@ -367,6 +333,21 @@ class TestInterchange:
     @given(small_graphs())
     def test_graph_doc_round_trip(self, g):
         assert graph_from_doc(graph_to_doc(g)) == g
+
+    @given(small_graphs(), st.fractions(min_value=0, max_value=3, max_denominator=6))
+    def test_older_document_with_weight_components_loads_the_same(self, g, beta):
+        doc = graph_to_doc(g)
+        old = {**doc, "beta": fraction_str(beta), "resource_increment": "1"}
+        old["class_edges"] = [
+            {**e, "relation_base": e["weight"], "shared_resource_count": 0, "flow_cooccurrence": 0}
+            for e in doc["class_edges"]
+        ]
+        assert graph_from_doc(old) == graph_from_doc(doc) == g
+
+    def test_class_edge_doc_holds_endpoints_and_weight_only(self):
+        doc = graph_to_doc(two_class_graph())
+        assert doc["class_edges"] == [{"u": 0, "v": 1, "weight": "1"}]
+        assert "beta" not in doc and "resource_increment" not in doc
 
     def test_graph_doc_has_schema_version(self):
         assert graph_to_doc(two_class_graph())["schema_version"] == 1
