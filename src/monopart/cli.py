@@ -65,11 +65,6 @@ def _parse_input(path: str, parse: Callable[..., T], *args: object) -> T:
         return parse(p.read_bytes(), *args)
 
 
-def _read_json(path: Path) -> object:
-    with _naming(path):
-        return ingest.load_json(ingest._as_text(path.read_bytes()))
-
-
 def _out_dir(args: argparse.Namespace) -> Path:
     if args.out is not None:
         return Path(args.out)
@@ -90,32 +85,20 @@ def _write_json(out_dir: Path, name: str, doc: dict, force: bool) -> Path:
     return _write_artifact(out_dir, name, json.dumps(doc, indent=2) + "\n", force)
 
 
-def _load_graph(out_dir: Path) -> tuple[model.ApplicationGraph, list[ingest.DependencyRecord]]:
-    path = out_dir / GRAPH_FILE
+def _load_artifact(path: Path, what: str, step: str, parse: Callable[..., T], *args: object) -> T:
+    """``parse(doc, *args)`` of the JSON artifact at ``path``, which ``step`` writes."""
     if not path.is_file():
-        raise model.InputError(f"graph artifact not found: {path} (run ingest first)")
-    doc = _read_json(path)
+        raise model.InputError(f"{what} artifact not found: {path} (run {step} first)")
     with _naming(path):
-        g = model.graph_from_doc(doc)
-        problems = model.validate_graph(g)
-        if problems:
-            raise model.InputError("; ".join(problems))
-        deps = ingest.dependencies_from_doc(doc.get("dependencies", []))
-        names = g.id_by_name()
-        for rec in deps:
-            for name in (rec.from_class, rec.to_class):
-                if name not in names:
-                    raise model.InputError(f"dependency names unknown class {name!r}")
-        return g, deps
+        return parse(ingest.load_json(ingest._as_text(path.read_bytes())), *args)
 
 
-def _load_partition(out_dir: Path, g: model.ApplicationGraph, path: str | None = None) -> model.PartitionSet:
-    p_path = Path(path) if path else out_dir / PARTITION_FILE
-    if not p_path.is_file():
-        raise model.InputError(f"partition artifact not found: {p_path} (run partition first)")
-    doc = _read_json(p_path)
-    with _naming(p_path):
-        return model.partition_from_doc(doc, g)
+def _load_graph(out_dir: Path) -> model.ApplicationGraph:
+    return _load_artifact(out_dir / GRAPH_FILE, "graph", "ingest", model.graph_from_doc)
+
+
+def _load_partition(path: Path, g: model.ApplicationGraph) -> model.PartitionSet:
+    return _load_artifact(path, "partition", "partition", model.partition_from_doc, g)
 
 
 def _load_prices(path: str | None) -> model.PriceTable:
@@ -146,10 +129,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if problems:  # every reader rejects the inputs that could cause this
         raise RuntimeError("built graph is invalid: " + "; ".join(problems))
 
-    doc = model.graph_to_doc(g)
-    doc["dependencies"] = ingest.dependencies_to_doc(deps)
     out_dir = _out_dir(args)
-    path = _write_json(out_dir, GRAPH_FILE, doc, args.force)
+    path = _write_json(out_dir, GRAPH_FILE, model.graph_to_doc(g), args.force)
     print(f"classes: {len(g.classes)}")
     print(f"class edges: {len(g.class_edges)}")
     print(f"resources: {len(g.resources)}")
@@ -167,7 +148,7 @@ def _parse_sweep(raw: str) -> tuple[int, int]:
 
 def cmd_partition(args: argparse.Namespace) -> int:
     out_dir = _out_dir(args)
-    g, _deps = _load_graph(out_dir)
+    g = _load_graph(out_dir)
     prices = _load_prices(args.prices)
 
     if args.sweep_k:
@@ -192,14 +173,16 @@ def cmd_partition(args: argparse.Namespace) -> int:
         g, p, prices, compute_floor=not args.no_compute_floor, shared_database=args.shared_db
     )
     tally = metrics._tally(g, p)
-    cut, ngm = tally.cut(), tally.modularity()
+    cut, ngm = model.fraction_str(tally.cut()), tally.modularity()
+    # Every number is turned into text before either artifact is written.
     p_doc = model.partition_to_doc(p, g, objective=obj, seed=cfg.seed)
+    r_doc = infra.infra_report_to_doc(report)
     _write_json(out_dir, PARTITION_FILE, p_doc, args.force)
-    _write_json(out_dir, INFRA_REPORT_FILE, infra.infra_report_to_doc(report), args.force)
+    _write_json(out_dir, INFRA_REPORT_FILE, r_doc, args.force)
 
     print(f"k: {p.k}")
-    print(f"objective: {model.fraction_str(obj)}")
-    print(f"edge_cut: {model.fraction_str(cut)}")
+    print(f"objective: {p_doc['objective']}")
+    print(f"edge_cut: {cut}")
     print(f"NGM: {float(ngm):.4f}")
     sizes = p.sizes()
     for idx, factor, names in report.per_partition:
@@ -207,8 +190,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
         print(f"partition {idx}: {sizes[idx]} classes, factor {_factor_str(factor)}{roster}")
     print(
         f"total factor: {_factor_str(report.total)}, "
-        f"cost {model.fraction_str(report.total_cost)} "
-        f"(baseline {model.fraction_str(report.baseline_cost)})"
+        f"cost {r_doc['total_cost']} (baseline {r_doc['baseline_cost']})"
     )
     return 0
 
@@ -219,20 +201,18 @@ def _factor_str(f: model.InfrastructureFactor) -> str:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     out_dir = _out_dir(args)
-    g, deps = _load_graph(out_dir)
-    p = _load_partition(out_dir, g)
+    g = _load_graph(out_dir)
+    p = _load_partition(out_dir / PARTITION_FILE, g)
     prices = _load_prices(args.prices)
     truth = None
     if args.truth:
         truth = _parse_input(args.truth, metrics.load_ground_truth)
         if truth.assignment.keys().isdisjoint(g.id_by_name()):
             raise model.InputError(f"{args.truth}: names no class of {GRAPH_FILE}")
-    report = metrics.evaluate(
-        g, p, deps, truth, prices, compute_floor=not args.no_compute_floor
-    )
+    report = metrics.evaluate(g, p, truth, prices, compute_floor=not args.no_compute_floor)
+    table = metrics.format_table(args.name if args.name else out_dir.name, report)
     _write_json(out_dir, EVALUATION_FILE, model.report_to_doc(report), args.force)
-    name = args.name if args.name else out_dir.name
-    print(metrics.format_table(name, report))
+    print(table)
     return 0
 
 
@@ -251,10 +231,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
     out_dir = _out_dir(args)
-    g, _deps = _load_graph(out_dir)
+    g = _load_graph(out_dir)
     assignment = None
     if args.partition:
-        p = _load_partition(out_dir, g, args.partition)
+        p = _load_partition(Path(args.partition), g)
         assignment = p.assignment
     text = graphbuild.to_dot(g, assignment)
     path = _write_artifact(out_dir, DOT_FILE, text, args.force)

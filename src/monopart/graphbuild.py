@@ -156,6 +156,7 @@ def build_graph(
         flows=model_flows,
         resource_edges=resource_edges,
         class_edges=tuple(class_edges),
+        dependencies=tuple(deps),
     )
 
 

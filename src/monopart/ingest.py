@@ -13,30 +13,12 @@ import re
 import xml.etree.ElementTree as ET
 from collections import defaultdict
 from dataclasses import dataclass
-from enum import Enum
 
 import yaml
 
-from .model import InputError, ResourceKind, as_str
+from .model import DependencyRecord, InputError, Relation, ResourceKind, as_relation, as_str
 
 log = logging.getLogger(__name__)
-
-
-class Relation(str, Enum):
-    """Kind of a class-to-class dependency."""
-
-    CALL = "call"
-    REFERENCE = "reference"
-    INHERITANCE = "inheritance"
-
-
-@dataclass(frozen=True)
-class DependencyRecord:
-    """One directed class-to-class dependency."""
-
-    from_class: str
-    to_class: str
-    relation: Relation = Relation.CALL
 
 
 @dataclass(frozen=True)
@@ -111,18 +93,27 @@ MAX_YAML_DEPTH = 32
 
 def load_yaml(text: str) -> object:
     """Parse one YAML document with the safe loader; a malformed document,
-    or one nested deeper than :data:`MAX_YAML_DEPTH`, raises
-    :class:`InputError`. The depth is checked on the parser's events,
-    before any document is built."""
+    one nested deeper than :data:`MAX_YAML_DEPTH`, or a mapping that repeats
+    a key (compared as written) raises :class:`InputError`. Both are checked
+    on the parser's events, before any document is built."""
     try:
-        depth = 0
+        # per open collection: [keys so far, nodes so far] of a mapping, None for a sequence
+        frames: list[list | None] = []
         for event in yaml.parse(text, Loader=YAML_LOADER):
+            mapping = frames[-1] if frames else None
+            if mapping is not None and isinstance(event, yaml.NodeEvent):
+                mapping[1] += 1
+                if mapping[1] % 2 and isinstance(event, yaml.ScalarEvent):
+                    if event.value in mapping[0]:
+                        line = event.start_mark.line + 1
+                        raise InputError(f"malformed YAML: repeated key {event.value!r} at line {line}")
+                    mapping[0].add(event.value)
             if isinstance(event, yaml.CollectionStartEvent):
-                depth += 1
-                if depth > MAX_YAML_DEPTH:
+                if len(frames) == MAX_YAML_DEPTH:
                     raise InputError(f"malformed YAML: nested deeper than {MAX_YAML_DEPTH} levels")
+                frames.append([set(), 0] if isinstance(event, yaml.MappingStartEvent) else None)
             elif isinstance(event, yaml.CollectionEndEvent):
-                depth -= 1
+                frames.pop()
         return yaml.load(text, Loader=YAML_LOADER)
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: a bad date or !!int scalar
         raise InputError(f"malformed YAML: {exc}") from exc
@@ -150,13 +141,6 @@ def _as_text(data: bytes | str) -> str:
 def _name(raw: object, what: str) -> str:
     """A class or resource name read from a document, whitespace-trimmed."""
     return as_str(raw, what).strip()
-
-
-def _parse_relation(raw: object) -> Relation:
-    try:
-        return Relation(_name(raw, "relation").lower())
-    except ValueError:
-        raise InputError(f"unknown relation {raw!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +179,7 @@ def parse_dependency_xml(data: bytes | str) -> list[DependencyRecord]:
                 raise InputError(
                     f"<dependsOn> under class {from_name!r} without a name attribute"
                 )
-            relation = _parse_relation(dep_el.get("relation", "call"))
+            relation = as_relation(dep_el.get("relation", "call"))
             if from_name == to_name:
                 log.warning("dropping self-dependency of class %r", from_name)
                 continue
@@ -221,7 +205,7 @@ def _dependencies_from_json(text: str) -> list[DependencyRecord]:
                 to_name, relation = dep.strip(), Relation.CALL
             elif isinstance(dep, dict):
                 to_name = _name(dep.get("name", ""), f"dependency name of {from_name!r}")
-                relation = _parse_relation(dep.get("relation", "call"))
+                relation = as_relation(dep.get("relation", "call"))
             else:
                 raise InputError(f"dependency of {from_name!r} is not an object or a name: {dep!r}")
             if not to_name:
@@ -231,29 +215,6 @@ def _dependencies_from_json(text: str) -> list[DependencyRecord]:
                 continue
             records.append(DependencyRecord(from_name, to_name, relation))
     return records
-
-
-def dependencies_to_doc(records: list[DependencyRecord]) -> list[dict]:
-    """Directed records as JSON objects (embedded in the graph artifact so
-    direction survives for interface counting)."""
-    return [
-        {"from": r.from_class, "to": r.to_class, "relation": r.relation.value}
-        for r in records
-    ]
-
-
-def dependencies_from_doc(doc: list) -> list[DependencyRecord]:
-    try:
-        return [
-            DependencyRecord(
-                as_str(e["from"], "dependency class"),
-                as_str(e["to"], "dependency class"),
-                _parse_relation(e["relation"]),
-            )
-            for e in doc
-        ]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed dependency list: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

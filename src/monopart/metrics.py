@@ -164,13 +164,13 @@ def edge_cut(g: ApplicationGraph, p: PartitionSet) -> Fraction:
 def evaluate(
     g: ApplicationGraph,
     p: PartitionSet,
-    deps: Sequence[DependencyRecord],
     truth: GroundTruth | None = None,
     prices: PriceTable | None = None,
     *,
     compute_floor: bool = True,
 ) -> EvaluationReport:
-    """Assemble the full evaluation report for one partitioning.
+    """Assemble the full evaluation report for one partitioning; the
+    interface number counts ``g.dependencies``.
 
     The partition is checked against ``g`` once, by ``build_infra_report``;
     the metrics after it take it as valid.
@@ -179,7 +179,7 @@ def evaluate(
     report = build_infra_report(g, p, prices, compute_floor=compute_floor)
     names = g.names()
     tally = _tally(g, p)
-    ifn_total, ifn_mean, _per = compute_ifn(deps, p, names)
+    ifn_total, ifn_mean, _per = compute_ifn(g.dependencies, p, names)
     f1 = compute_f1(p, truth, names) if truth is not None else None
     return EvaluationReport(
         ngm=tally.modularity(),
@@ -196,7 +196,10 @@ def evaluate(
 def _fmt(x: Fraction | None, places: int = 4) -> str:
     if x is None:
         return "-"
-    return f"{float(x):.{places}f}"
+    try:
+        return f"{float(x):.{places}f}"
+    except OverflowError:
+        raise InputError("number too large to print: beyond the float range") from None
 
 
 def format_table(name: str, r: EvaluationReport) -> str:

@@ -89,6 +89,14 @@ def as_str(value: object, what: str) -> str:
     raise InputError(f"{what} must be a string, got {value!r}")
 
 
+def as_relation(value: object) -> Relation:
+    """The :class:`Relation` a string names, trimmed and case-folded."""
+    try:
+        return Relation(as_str(value, "relation").strip().lower())
+    except ValueError:
+        raise InputError(f"unknown relation {value!r}") from None
+
+
 def to_integers(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     """L, the least common denominator of ``values``, and each value times L.
 
@@ -101,24 +109,29 @@ def to_integers(values: Sequence[Fraction]) -> tuple[int, list[int]]:
 
 
 def fraction_str(x: Fraction) -> str:
-    """Serialize a Fraction: exact decimal if one exists, else ``p/q``."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    den = x.denominator
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    while den % 5 == 0:
-        den //= 5
-        fives += 1
-    if den != 1:
-        return f"{x.numerator}/{x.denominator}"
-    shift = max(twos, fives)
-    scaled = abs(x.numerator) * 10**shift // x.denominator
-    digits = str(scaled).rjust(shift + 1, "0")
-    sign = "-" if x < 0 else ""
-    return f"{sign}{digits[:-shift]}.{digits[-shift:]}"
+    """Serialize a Fraction: exact decimal if one exists, else ``p/q``. A
+    number with more digits than Python turns into text (4300 by default)
+    is an :class:`InputError`."""
+    try:
+        if x.denominator == 1:
+            return str(x.numerator)
+        den = x.denominator
+        twos = fives = 0
+        while den % 2 == 0:
+            den //= 2
+            twos += 1
+        while den % 5 == 0:
+            den //= 5
+            fives += 1
+        if den != 1:
+            return f"{x.numerator}/{x.denominator}"
+        shift = max(twos, fives)
+        scaled = abs(x.numerator) * 10**shift // x.denominator
+        digits = str(scaled).rjust(shift + 1, "0")
+        sign = "-" if x < 0 else ""
+        return f"{sign}{digits[:-shift]}.{digits[-shift:]}"
+    except ValueError:  # int-to-str past the interpreter's digit limit
+        raise InputError(f"number too large to write: over {MAX_EXPONENT} digits") from None
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +145,23 @@ class ResourceKind(str, Enum):
     FILE_STORAGE = "file_storage"
     DATABASE = "database"
     CACHE = "cache"
+
+
+class Relation(str, Enum):
+    """Kind of a class-to-class dependency."""
+
+    CALL = "call"
+    REFERENCE = "reference"
+    INHERITANCE = "inheritance"
+
+
+@dataclass(frozen=True)
+class DependencyRecord:
+    """One directed class-to-class dependency, between class names."""
+
+    from_class: str
+    to_class: str
+    relation: Relation = Relation.CALL
 
 
 @dataclass(frozen=True)
@@ -185,13 +215,15 @@ class FunctionalFlow:
 
 @dataclass(frozen=True)
 class ApplicationGraph:
-    """The full application model: class nodes, resource nodes, flows, edges."""
+    """The full application model: class nodes, resource nodes, flows, edges,
+    and the directed dependencies the interface number counts, in parse order."""
 
     classes: tuple[ClassNode, ...]
     resources: tuple[ResourceNode, ...] = ()
     flows: tuple[FunctionalFlow, ...] = ()
     resource_edges: tuple[ResourceEdge, ...] = ()
     class_edges: tuple[ClassEdge, ...] = ()
+    dependencies: tuple[DependencyRecord, ...] = ()
 
     @functools.cached_property
     def integer_edge_weights(self) -> tuple[int, tuple[int, ...]]:
@@ -425,6 +457,11 @@ def validate_graph(g: ApplicationGraph) -> list[str]:
             if not (0 <= cid < n):
                 problems.append(f"flow {flow.id!r} references missing class id {cid}")
 
+    class_names = {c.name for c in g.classes}
+    ends = (name for r in g.dependencies for name in (r.from_class, r.to_class))
+    unknown = dict.fromkeys(name for name in ends if name not in class_names)
+    problems += [f"dependency names unknown class {name!r}" for name in unknown]
+
     return problems
 
 
@@ -449,6 +486,10 @@ def graph_to_doc(g: ApplicationGraph) -> dict:
         "class_edges": [
             {"u": e.u, "v": e.v, "weight": fraction_str(e.weight)} for e in g.class_edges
         ],
+        "dependencies": [
+            {"from": r.from_class, "to": r.to_class, "relation": r.relation.value}
+            for r in g.dependencies
+        ],
     }
 
 
@@ -459,10 +500,12 @@ def _check_schema_version(doc: Mapping, what: str) -> None:
 
 
 def graph_from_doc(doc: Mapping) -> ApplicationGraph:
-    """Parse the canonical interchange document back into a graph.
+    """Parse the canonical interchange document back into a graph that
+    :func:`validate_graph` accepts; any problem raises :class:`InputError`.
 
     Keys it does not read are ignored, so an older document whose class
-    edges also carry their weight components still loads.
+    edges also carry their weight components still loads. An absent
+    ``dependencies`` list reads as empty.
     """
     if not isinstance(doc, Mapping):
         raise InputError("graph document must be a JSON object")
@@ -512,13 +555,22 @@ def graph_from_doc(doc: Mapping) -> ApplicationGraph:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed graph document: {exc}") from exc
-    return ApplicationGraph(
-        classes=classes,
-        resources=resources,
-        flows=flows,
-        resource_edges=resource_edges,
-        class_edges=class_edges,
-    )
+    try:
+        dependencies = tuple(
+            DependencyRecord(
+                as_str(e["from"], "dependency class"),
+                as_str(e["to"], "dependency class"),
+                as_relation(e["relation"]),
+            )
+            for e in doc.get("dependencies", [])
+        )
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"malformed dependency list: {exc}") from exc
+    g = ApplicationGraph(classes, resources, flows, resource_edges, class_edges, dependencies)
+    problems = validate_graph(g)
+    if problems:
+        raise InputError("; ".join(problems))
+    return g
 
 
 def partition_to_doc(

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from monopart.model import ApplicationGraph, ClassEdge, ClassNode
+from monopart.model import ApplicationGraph, ClassEdge, ClassNode, DependencyRecord
 
 FIXTURES_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -20,14 +20,17 @@ def fixtures_dir() -> Path:
 
 
 def graph_from_edges(
-    n: int, edges: dict[tuple[int, int], Fraction | int]
+    n: int,
+    edges: dict[tuple[int, int], Fraction | int],
+    dependencies: tuple[DependencyRecord, ...] = (),
 ) -> ApplicationGraph:
-    """Bare class graph with the given edge weights."""
+    """Bare class graph N0..N(n-1) with the given edge weights and
+    directed dependencies."""
     classes = tuple(ClassNode(i, f"N{i}") for i in range(n))
     class_edges = tuple(
         ClassEdge(u=u, v=v, weight=Fraction(w)) for (u, v), w in sorted(edges.items())
     )
-    return ApplicationGraph(classes=classes, class_edges=class_edges)
+    return ApplicationGraph(classes=classes, class_edges=class_edges, dependencies=dependencies)
 
 
 def clique_pair_xml(size: int, bridges: list[tuple[int, int]] | None = None) -> str:

@@ -68,6 +68,26 @@ def run_ingest(workdir: Path, *extra: str) -> int:
     )
 
 
+def yaml_input(workdir: Path, name: str, text: str) -> tuple[list[str], Path]:
+    """Write ``text`` as the YAML input ``name`` (manifest, flow rules, truth
+    or prices) of an ingested ``workdir``; return the argv of the command
+    that reads it, less ``--out``, and its path."""
+    out = workdir / "out"
+    if name == "truth.yaml":
+        assert main(["partition", "--k", "2", "--out", str(out)]) == 0
+    (workdir / "traces.log").write_text("web.Shop\n")
+    bad = workdir / name
+    bad.write_text(text)
+    deps = ["ingest", "--deps", str(workdir / "deps.xml")]
+    argv = {
+        "manifest.yaml": [*deps, "--manifest", str(bad)],
+        "flow-rules.yaml": [*deps, "--traces", str(workdir / "traces.log"), "--flow-rules", str(bad)],
+        "truth.yaml": ["evaluate", "--truth", str(bad)],
+        "prices.yaml": ["partition", "--k", "2", "--prices", str(bad)],
+    }[name]
+    return [*argv, "--force"], bad
+
+
 def ingest_jpetstore_and_partition_k5(out: Path, *flags: str) -> None:
     """jpetstore at k=5 and the default seed: one database's clients land in
     two partitions, and the manifest declares no compute resource."""
@@ -757,6 +777,26 @@ INGEST_CASES = [
 ]
 
 
+def _repeated_key(name: str, text: str) -> Callable[[Path], tuple[list[str], str]]:
+    """The YAML input ``name`` repeating a key; its reader must not keep
+    the last value."""
+
+    def case(out: Path) -> tuple[list[str], str]:
+        argv, bad = yaml_input(out.parent, name, text)
+        return argv, f"{bad}: malformed YAML: repeated key"
+
+    case.__name__ = f"repeated_key_{name.split('.')[0].replace('-', '_')}"
+    return case
+
+
+REPEATED_KEY_CASES = [
+    _repeated_key("truth.yaml", "web.Shop: a\nweb.Cart: a\ndata.Orders: b\nweb.Shop: b\n"),
+    _repeated_key("prices.yaml", "cache: 1\ncache: 5\n"),
+    _repeated_key("manifest.yaml", "resources:\n  - {name: db, kind: database, name: db2}\n"),
+    _repeated_key("flow-rules.yaml", "line_regex: '^(?P<class>\\S+)$'\nline_regex: '('\n"),
+]
+
+
 def _dependency_unknown_class(command: str) -> Callable[[Path], tuple[list[str], str]]:
     def case(out: Path) -> tuple[list[str], str]:
         assert main(["partition", "--k", "2", "--out", str(out)]) == 0
@@ -839,6 +879,7 @@ JSON_CASES = [
         *INGEST_CASES,
         *ARTIFACT_CASES,
         *JSON_CASES,
+        *REPEATED_KEY_CASES,
     ],
     ids=lambda f: f.__name__.lstrip("_"),
 )
@@ -926,26 +967,28 @@ def test_usage_error_exits_2(workdir, capsys, make_case):
 def test_malformed_yaml_exits_2_under_either_loader(workdir, capsys, monkeypatch, name, loader):
     if not hasattr(yaml, loader):
         pytest.skip("PyYAML built without libyaml")
-    out = workdir / "out"
     assert run_ingest(workdir) == 0
-    assert main(["partition", "--k", "2", "--out", str(out)]) == 0
-    (workdir / "traces.log").write_text("web.Shop\n")
-    (workdir / "flow-rules.yaml").write_text("line_regex: '^(?P<class>\\S+)$'\n")
-    bad = workdir / name
-    bad.write_text("a: [1\nb: 2\n")
-    argv = {
-        "manifest.yaml": ["ingest", "--deps", str(workdir / "deps.xml"), "--manifest", str(bad)],
-        "flow-rules.yaml": ["ingest", "--deps", str(workdir / "deps.xml"),
-                            "--traces", str(workdir / "traces.log"), "--flow-rules", str(bad)],
-        "truth.yaml": ["evaluate", "--truth", str(bad)],
-        "prices.yaml": ["partition", "--k", "2", "--prices", str(bad)],
-    }[name]
+    argv, bad = yaml_input(workdir, name, "a: [1\nb: 2\n")
     monkeypatch.setattr(ingest, "YAML_LOADER", getattr(yaml, loader))
     capsys.readouterr()
-    assert main([*argv, "--out", str(out), "--force"]) == 2
+    assert main([*argv, "--out", str(workdir / "out")]) == 2
     err = capsys.readouterr().err
     assert f"{bad}: malformed YAML" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
+@pytest.mark.parametrize("name", ["manifest.yaml", "flow-rules.yaml", "truth.yaml", "prices.yaml"])
+def test_repeated_yaml_key_exits_2_under_either_loader(workdir, capsys, monkeypatch, name, loader):
+    """Either loader would keep the last value silently."""
+    if not hasattr(yaml, loader):
+        pytest.skip("PyYAML built without libyaml")
+    assert run_ingest(workdir) == 0
+    argv, bad = yaml_input(workdir, name, "a: 1\nb:\n  c: 2\n  c: 3\n")
+    monkeypatch.setattr(ingest, "YAML_LOADER", getattr(yaml, loader))
+    capsys.readouterr()
+    assert main([*argv, "--out", str(workdir / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: malformed YAML: repeated key 'c' at line 4\n"
 
 
 @pytest.mark.parametrize(
@@ -982,6 +1025,43 @@ def test_non_finite_or_oversized_number_exits_2_quickly(workdir, capsys, flag, v
     assert elapsed < 1
 
 
+# 10**4300 has 4301 digits, one more than Python turns into text; 10**400
+# is past the float range the evaluation table prints through.
+TOO_MANY_DIGITS, PAST_FLOAT = "1e4300", "1e400"
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["ingest_base_call", "partition_price", "evaluate_price", "evaluate_price_past_float",
+     "dot_edge_weight"],
+)
+def test_number_too_large_to_write_exits_2_writing_nothing(workdir, capsys, case):
+    out = workdir / "out"
+    assert run_ingest(workdir) == 0
+    prices = workdir / "prices.yaml"
+    prices.write_text(f'compute: "{PAST_FLOAT if case.endswith("float") else TOO_MANY_DIGITS}"\n')
+    if case == "ingest_base_call":
+        out = workdir / "fresh"
+        argv = ["ingest", "--deps", str(workdir / "deps.xml"), "--base-call", TOO_MANY_DIGITS]
+    elif case == "partition_price":
+        argv = ["partition", "--k", "2", "--prices", str(prices)]
+    elif case == "dot_edge_weight":
+        doc = json.loads((out / GRAPH_FILE).read_text())
+        doc["class_edges"][0]["weight"] = TOO_MANY_DIGITS
+        (out / GRAPH_FILE).write_text(json.dumps(doc))
+        argv = ["dot"]
+    else:
+        assert main(["partition", "--k", "2", "--out", str(out)]) == 0
+        argv = ["evaluate", "--prices", str(prices)]
+    before = sorted(out.iterdir()) if out.exists() else []
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: number too large to ")
+    assert err.count("\n") == 1
+    assert (sorted(out.iterdir()) if out.exists() else []) == before
+
+
 DEEP_YAML = "[" * 100_000 + "]" * 100_000 + "\n"
 
 
@@ -998,21 +1078,10 @@ DEEP_YAML = "[" * 100_000 + "]" * 100_000 + "\n"
 )
 def test_deeply_nested_yaml_exits_2_naming_it(workdir, name, text):
     """Run in a child process: libyaml used to crash the process on these."""
-    out = workdir / "out"
     assert run_ingest(workdir) == 0
-    assert main(["partition", "--k", "2", "--out", str(out)]) == 0
-    (workdir / "traces.log").write_text("web.Shop\n")
-    bad = workdir / name
-    bad.write_text(text)
-    deps = ["ingest", "--deps", str(workdir / "deps.xml")]
-    argv = {
-        "manifest.yaml": [*deps, "--manifest", str(bad)],
-        "flow-rules.yaml": [*deps, "--traces", str(workdir / "traces.log"), "--flow-rules", str(bad)],
-        "truth.yaml": ["evaluate", "--truth", str(bad)],
-        "prices.yaml": ["partition", "--k", "2", "--prices", str(bad)],
-    }[name]
+    argv, bad = yaml_input(workdir, name, text)
     proc = subprocess.run(
-        [sys.executable, "-m", "monopart", *argv, "--out", str(out), "--force"],
+        [sys.executable, "-m", "monopart", *argv, "--out", str(workdir / "out")],
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 2, proc.stderr[-500:]

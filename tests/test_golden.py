@@ -1,10 +1,15 @@
-"""partition.json is byte-identical to the committed golden files.
+"""Artifacts are byte-identical to the committed golden files.
 
 Each case runs ``ingest`` and ``partition`` through ``cli.main`` and compares
 the written ``partition.json`` with ``tests/golden/<case>.json``. The golden
 files pin the partitions the multilevel partitioner chooses, so a change to
 its internal arithmetic that alters any choice (a tie-break, a cap test, a
 gain comparison) fails here.
+
+For the cases in ``PIPELINE_CASES`` every other artifact and the stdout of
+all four commands are pinned too, under ``tests/golden/<case>/``. The same
+``partition``, ``evaluate`` and ``dot`` runs on the golden ``graph.json``
+pin that a graph written earlier stays readable, with the same output.
 """
 
 from pathlib import Path
@@ -13,7 +18,14 @@ import pytest
 
 from conftest import FIXTURES_DIR
 
-from monopart.cli import PARTITION_FILE, main
+from monopart.cli import (
+    DOT_FILE,
+    EVALUATION_FILE,
+    GRAPH_FILE,
+    INFRA_REPORT_FILE,
+    PARTITION_FILE,
+    main,
+)
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -51,3 +63,65 @@ def run_case(case: str, work: Path) -> bytes:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_partition_matches_golden(case, tmp_path, capsys):
     assert run_case(case, tmp_path) == (GOLDEN_DIR / f"{case}.json").read_bytes()
+
+
+PIPELINE_CASES = ("jpetstore", "jpetstore-fractional")
+# case -> flags of evaluate besides --truth
+EVALUATE_FLAGS = {"jpetstore": [], "jpetstore-fractional": ["--prices", "{prices}"]}
+# what partition, evaluate and dot write; ingest also writes GRAPH_FILE
+LATER_ARTIFACTS = (PARTITION_FILE, INFRA_REPORT_FILE, EVALUATION_FILE, DOT_FILE)
+
+
+def run_pipeline(case: str, work: Path, capsys, graph: Path | None = None) -> dict[str, bytes]:
+    """Run ingest (or copy ``graph`` in its place), partition, evaluate
+    --truth and dot --partition for ``case`` in ``work``. Returns each
+    artifact and each command's stdout (``<command>.stdout``), with the
+    output directory written as ``OUT``."""
+    fixture, ingest_flags, partition_flags = CASES[case]
+    src = FIXTURES_DIR / fixture
+    out = work / "out"
+    prices = work / "prices.yaml"
+    prices.write_text(FRACTIONAL_PRICES, encoding="utf-8")
+    commands = {
+        "partition": ["partition", *partition_flags],
+        "evaluate": ["evaluate", "--truth", str(src / "truth.yaml"), *EVALUATE_FLAGS[case]],
+        "dot": ["dot", "--partition", str(out / PARTITION_FILE)],
+    }
+    if graph is None:
+        commands = {"ingest": ["ingest", "--deps", str(src / "deps.xml"),
+                               "--manifest", str(src / "manifest.yaml"), *ingest_flags],
+                    **commands}
+    else:
+        out.mkdir()
+        (out / GRAPH_FILE).write_bytes(graph.read_bytes())
+    outputs = {}
+    capsys.readouterr()
+    for command, argv in commands.items():
+        argv = [a.format(prices=prices) for a in argv]
+        assert main([*argv, "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out.replace(str(out), "OUT")
+        outputs[f"{command}.stdout"] = stdout.encode("utf-8")
+    names = LATER_ARTIFACTS if graph is not None else (GRAPH_FILE, *LATER_ARTIFACTS)
+    outputs.update({name: (out / name).read_bytes() for name in names})
+    return outputs
+
+
+def golden_outputs(case: str, names) -> dict[str, bytes]:
+    """The golden copy of each output in ``names``; partition.json is the
+    case's ``<case>.json``."""
+    paths = {name: GOLDEN_DIR / case / name for name in names}
+    if PARTITION_FILE in paths:
+        paths[PARTITION_FILE] = GOLDEN_DIR / f"{case}.json"
+    return {name: path.read_bytes() for name, path in paths.items()}
+
+
+@pytest.mark.parametrize("case", PIPELINE_CASES)
+def test_every_output_matches_golden(case, tmp_path, capsys):
+    outputs = run_pipeline(case, tmp_path, capsys)
+    assert outputs == golden_outputs(case, outputs)
+
+
+@pytest.mark.parametrize("case", PIPELINE_CASES)
+def test_golden_graph_gives_the_golden_outputs(case, tmp_path, capsys):
+    outputs = run_pipeline(case, tmp_path, capsys, graph=GOLDEN_DIR / case / GRAPH_FILE)
+    assert outputs == golden_outputs(case, outputs)

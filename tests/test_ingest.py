@@ -1,5 +1,6 @@
 """Parsers for dependency exports, manifests, and trace logs."""
 
+import json
 import logging
 from pathlib import Path
 
@@ -9,14 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monopart import ingest
+from monopart.graphbuild import build_graph
 from monopart.infra import load_price_table
 from monopart.ingest import (
     DependencyRecord,
     FlowRuleConfig,
     InfraManifest,
     Relation,
-    dependencies_from_doc,
-    dependencies_to_doc,
     group_flows,
     load_flow_rules,
     manifest_to_yaml,
@@ -25,7 +25,7 @@ from monopart.ingest import (
     parse_traces,
 )
 from monopart.metrics import load_ground_truth
-from monopart.model import InputError, ResourceKind
+from monopart.model import InputError, ResourceKind, graph_from_doc, graph_to_doc
 
 from oracles import group_flows_reference
 
@@ -139,11 +139,19 @@ class TestDependencyXml:
         assert len(distinct) == 111
 
     def test_doc_round_trip(self):
-        records = [
-            DependencyRecord("A", "B", Relation.CALL),
-            DependencyRecord("B", "C", Relation.INHERITANCE),
+        """The records reach graph.json and come back in parse order."""
+        records = parse_dependency_xml(
+            '<dependencies><class name="B"><dependsOn name="C" relation="Inheritance"/></class>'
+            '<class name="A"><dependsOn name="B"/><dependsOn name="C" relation="reference"/>'
+            "</class></dependencies>"
+        )
+        doc = json.loads(json.dumps(graph_to_doc(build_graph(records))))
+        assert doc["dependencies"] == [
+            {"from": "B", "to": "C", "relation": "inheritance"},
+            {"from": "A", "to": "B", "relation": "call"},
+            {"from": "A", "to": "C", "relation": "reference"},
         ]
-        assert dependencies_from_doc(dependencies_to_doc(records)) == records
+        assert graph_from_doc(doc).dependencies == tuple(records)
 
 
 class TestInfraYaml:

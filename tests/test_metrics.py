@@ -19,7 +19,6 @@ from oracles import (
     report_from_json,
 )
 
-from monopart.ingest import DependencyRecord
 from monopart.metrics import (
     GroundTruth,
     compute_f1,
@@ -30,7 +29,7 @@ from monopart.metrics import (
     format_table,
     load_ground_truth,
 )
-from monopart.model import InputError, PartitionSet, PriceTable, report_to_doc
+from monopart.model import DependencyRecord, InputError, PartitionSet, PriceTable, report_to_doc
 
 
 class TestLoadGroundTruth:
@@ -158,7 +157,7 @@ class TestModularity:
         g = graph_from_edges(3, edges)
         p = PartitionSet(2, (0, 0, 1))
         assert compute_ngm(g, p) == 0
-        assert evaluate(g, p, []).ngm == 0
+        assert evaluate(g, p).ngm == 0
 
     def test_matches_matrix_oracle_exactly(self):
         rng = random.Random(41)
@@ -255,18 +254,18 @@ class TestClusterStats:
     """Partition sizes as :func:`evaluate` reports them."""
 
     def test_single(self):
-        report = evaluate(graph_from_edges(5, {}), PartitionSet(1, (0,) * 5), [])
+        report = evaluate(graph_from_edges(5, {}), PartitionSet(1, (0,) * 5))
         assert report.cluster_sizes == (5,)
 
     def test_even_split(self):
-        report = evaluate(graph_from_edges(6, {}), PartitionSet(3, (0, 0, 1, 1, 2, 2)), [])
+        report = evaluate(graph_from_edges(6, {}), PartitionSet(3, (0, 0, 1, 1, 2, 2)))
         assert report.cluster_sizes == (2, 2, 2)
 
     @given(st.lists(st.integers(0, 4), min_size=1, max_size=30))
     def test_sizes_sum_to_class_count(self, raw):
         remap = {lbl: i for i, lbl in enumerate(sorted(set(raw)))}
         p = PartitionSet(len(remap), tuple(remap[a] for a in raw))
-        sizes = evaluate(graph_from_edges(len(raw), {}), p, []).cluster_sizes
+        sizes = evaluate(graph_from_edges(len(raw), {}), p).cluster_sizes
         assert sum(sizes) == len(raw)
         assert sizes == tuple(p.assignment.count(i) for i in range(p.k))
 
@@ -283,10 +282,10 @@ class TestEdgeCut:
 
 class TestEvaluate:
     def test_single_partition_identities(self):
-        deps = [DependencyRecord("N0", "N1"), DependencyRecord("N1", "N2")]
-        g = graph_from_edges(3, {(0, 1): 1, (1, 2): 1})
+        deps = (DependencyRecord("N0", "N1"), DependencyRecord("N1", "N2"))
+        g = graph_from_edges(3, {(0, 1): 1, (1, 2): 1}, deps)
         p = PartitionSet(1, (0, 0, 0))
-        report = evaluate(g, p, deps)
+        report = evaluate(g, p)
         assert report.ngm == 0
         assert report.ifn_total == 0
         assert report.edge_cut == 0
@@ -294,44 +293,43 @@ class TestEvaluate:
         assert report.cluster_sizes == (3,)
 
     def test_f1_present_with_truth(self):
-        deps = [DependencyRecord("N0", "N1")]
-        g = graph_from_edges(2, {(0, 1): 1})
+        deps = (DependencyRecord("N0", "N1"),)
+        g = graph_from_edges(2, {(0, 1): 1}, deps)
         p = PartitionSet(1, (0, 0))
         truth = GroundTruth({"N0": "x", "N1": "x"})
-        report = evaluate(g, p, deps, truth=truth)
+        report = evaluate(g, p, truth=truth)
         assert report.f1 == 1
 
     def test_round_trip(self):
-        deps = [DependencyRecord("N0", "N1")]
-        g = graph_from_edges(2, {(0, 1): 1})
+        deps = (DependencyRecord("N0", "N1"),)
+        g = graph_from_edges(2, {(0, 1): 1}, deps)
         p = PartitionSet(2, (0, 1))
-        report = evaluate(g, p, deps, prices=PriceTable.default())
+        report = evaluate(g, p, prices=PriceTable.default())
         assert report_from_json(json.dumps(report_to_doc(report))) == report
 
     def test_edgeless_graph_reports_zero_ngm(self):
-        deps = []
         g = graph_from_edges(2, {})
-        report = evaluate(g, PartitionSet(2, (0, 1)), deps)
+        report = evaluate(g, PartitionSet(2, (0, 1)))
         assert report.ngm == 0
 
 
 class TestFormatTable:
     def test_dash_for_missing_f1(self):
-        deps = [DependencyRecord("N0", "N1")]
-        g = graph_from_edges(2, {(0, 1): 1})
+        deps = (DependencyRecord("N0", "N1"),)
+        g = graph_from_edges(2, {(0, 1): 1}, deps)
         p = PartitionSet(2, (0, 1))
-        report = evaluate(g, p, deps)
+        report = evaluate(g, p)
         text = format_table("demo", report)
         lines = text.splitlines()
         assert "F1" in lines[0]
         assert " - " in lines[1] or lines[1].endswith("-") or "- " in lines[1]
 
     def test_columns_align(self):
-        deps = [DependencyRecord("N0", "N1")]
-        g = graph_from_edges(2, {(0, 1): 1})
+        deps = (DependencyRecord("N0", "N1"),)
+        g = graph_from_edges(2, {(0, 1): 1}, deps)
         p = PartitionSet(2, (0, 1))
         truth = GroundTruth({"N0": "x", "N1": "y"})
-        r1 = evaluate(g, p, deps, truth=truth)
+        r1 = evaluate(g, p, truth=truth)
         for name in ("short", "a-much-longer-name"):
             header, row = format_table(name, r1).splitlines()
             k_at = header.index("k")

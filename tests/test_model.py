@@ -1,7 +1,7 @@
 """Domain types, validation, and interchange round-trips."""
 
 import json
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from fractions import Fraction
 
 import pytest
@@ -10,16 +10,19 @@ from hypothesis import strategies as st
 
 from oracles import class_edge_problems_reference, report_from_json
 
+from monopart.metrics import evaluate
 from monopart.model import (
     ApplicationGraph,
     ClassEdge,
     ClassNode,
+    DependencyRecord,
     EvaluationReport,
     FunctionalFlow,
     InfrastructureFactor,
     InputError,
     PartitionSet,
     PriceTable,
+    Relation,
     ResourceEdge,
     ResourceKind,
     ResourceNode,
@@ -83,6 +86,13 @@ def bound_graph() -> ApplicationGraph:
 class TestValidateGraph:
     def test_well_formed(self):
         assert validate_graph(bound_graph()) == []
+
+    def test_dependency_naming_an_unknown_class(self):
+        deps = (DependencyRecord("A", "Z"), DependencyRecord("Z", "B"), DependencyRecord("B", "Y"))
+        assert validate_graph(replace(bound_graph(), dependencies=deps)) == [
+            "dependency names unknown class 'Z'",
+            "dependency names unknown class 'Y'",
+        ]
 
     @pytest.mark.parametrize("u,v", [(1, 0), (1, 1)])
     def test_endpoints_must_be_ordered(self, u, v):
@@ -320,12 +330,17 @@ def small_graphs(draw) -> ApplicationGraph:
         ))))
         for i in range(draw(st.integers(min_value=0, max_value=2)))
     )
+    class_name = st.sampled_from(class_names)
+    dependencies = draw(st.lists(
+        st.builds(DependencyRecord, class_name, class_name, st.sampled_from(Relation)), max_size=6
+    ))
     return ApplicationGraph(
         classes=classes,
         resources=resources,
         flows=flows,
         resource_edges=resource_edges,
         class_edges=tuple(class_edges),
+        dependencies=tuple(dependencies),
     )
 
 
@@ -348,6 +363,32 @@ class TestInterchange:
         doc = graph_to_doc(two_class_graph())
         assert doc["class_edges"] == [{"u": 0, "v": 1, "weight": "1"}]
         assert "beta" not in doc and "resource_increment" not in doc
+
+    def test_document_without_dependencies_loads_none(self):
+        g = replace(two_class_graph(), dependencies=(DependencyRecord("A", "B"),))
+        doc = graph_to_doc(g)
+        split = PartitionSet(2, (0, 1))
+        assert evaluate(graph_from_doc(doc), split).ifn_total == 1
+        del doc["dependencies"]
+        loaded = graph_from_doc(doc)
+        assert loaded.dependencies == ()
+        assert evaluate(loaded, split).ifn_total == 0
+
+    @pytest.mark.parametrize(
+        "edit,problem",
+        [
+            (lambda d: d["dependencies"].append({"from": "A", "to": "Z", "relation": "call"}),
+             "dependency names unknown class 'Z'"),
+            (lambda d: d["classes"].append({"id": 2, "name": "A"}), "duplicate class name 'A'"),
+        ],
+        ids=["unknown dependency class", "duplicate class name"],
+    )
+    def test_reader_rejects_an_invalid_graph(self, edit, problem):
+        doc = graph_to_doc(two_class_graph())
+        edit(doc)
+        with pytest.raises(InputError) as exc:
+            graph_from_doc(doc)
+        assert str(exc.value) == problem
 
     def test_graph_doc_has_schema_version(self):
         assert graph_to_doc(two_class_graph())["schema_version"] == 1

@@ -86,16 +86,16 @@ class TestObjectiveConfig:
         assert cfg.alpha == Fraction(3, 10)
 
 
-JPETSTORE_DEPS = parse_dependency_xml((FIXTURES_DIR / "jpetstore" / "deps.xml").read_bytes())
 JPETSTORE = build_graph(
-    JPETSTORE_DEPS, parse_infra_yaml((FIXTURES_DIR / "jpetstore" / "manifest.yaml").read_bytes())
+    parse_dependency_xml((FIXTURES_DIR / "jpetstore" / "deps.xml").read_bytes()),
+    parse_infra_yaml((FIXTURES_DIR / "jpetstore" / "manifest.yaml").read_bytes()),
 )
 SCORERS = {
     "duplication_cost": lambda g, p: duplication_cost(g, p, PRICES),
     "edge_cut": edge_cut,
     "compute_ngm": compute_ngm,
     "build_infra_report": lambda g, p: build_infra_report(g, p, PRICES),
-    "evaluate": lambda g, p: evaluate(g, p, JPETSTORE_DEPS),
+    "evaluate": evaluate,
     "objective": lambda g, p: objective(g, p, PRICES, ObjectiveConfig(k=p.k)),
 }
 
