@@ -40,6 +40,16 @@ def _fraction_arg(raw: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _sweep_arg(raw: str) -> tuple[int, int]:
+    """``LO..HI`` as two integers; the message never echoes the value, which
+    may hold thousands of digits."""
+    m = re.fullmatch(r"(\d+)\.\.(\d+)", raw)
+    try:
+        return int(m[1]), int(m[2])
+    except (TypeError, ValueError):  # no match, or more digits than int() reads
+        raise argparse.ArgumentTypeError("expects LO..HI, two integers") from None
+
+
 def _config(cls: type[T], args: argparse.Namespace, **overrides: object) -> T:
     """The config dataclass ``cls`` built from the flags whose dest is one of
     its field names, with ``overrides`` taking precedence."""
@@ -65,13 +75,6 @@ def _parse_input(path: str, parse: Callable[..., T], *args: object) -> T:
         return parse(p.read_bytes(), *args)
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    if args.out is not None:
-        return Path(args.out)
-    env = os.environ.get("MONOPART_OUT")
-    return Path(env) if env else Path("out")
-
-
 def _write_artifact(out_dir: Path, name: str, text: str, force: bool) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     target = out_dir / name
@@ -85,16 +88,24 @@ def _write_json(out_dir: Path, name: str, doc: dict, force: bool) -> Path:
     return _write_artifact(out_dir, name, json.dumps(doc, indent=2) + "\n", force)
 
 
-def _load_artifact(path: Path, what: str, step: str, parse: Callable[..., T], *args: object) -> T:
+def _load_artifact(
+    path: Path, what: str, step: str, parse: Callable[..., T], *args: object, unique_keys: bool = True
+) -> T:
     """``parse(doc, *args)`` of the JSON artifact at ``path``, which ``step`` writes."""
     if not path.is_file():
         raise model.InputError(f"{what} artifact not found: {path} (run {step} first)")
     with _naming(path):
-        return parse(ingest.load_json(ingest._as_text(path.read_bytes())), *args)
+        doc = ingest.load_json(ingest._as_text(path.read_bytes()), unique_keys=unique_keys)
+        return parse(doc, *args)
 
 
 def _load_graph(out_dir: Path) -> model.ApplicationGraph:
-    return _load_artifact(out_dir / GRAPH_FILE, "graph", "ingest", model.graph_from_doc)
+    # graph.json is the one large JSON input, ingest writes it and every read
+    # validates it; a repeated-key check would more than double its decode
+    # time (one hook call per object, about 40,000 on a 2.4 MB file).
+    return _load_artifact(
+        out_dir / GRAPH_FILE, "graph", "ingest", model.graph_from_doc, unique_keys=False
+    )
 
 
 def _load_partition(path: Path, g: model.ApplicationGraph) -> model.PartitionSet:
@@ -129,8 +140,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if problems:  # every reader rejects the inputs that could cause this
         raise RuntimeError("built graph is invalid: " + "; ".join(problems))
 
-    out_dir = _out_dir(args)
-    path = _write_json(out_dir, GRAPH_FILE, model.graph_to_doc(g), args.force)
+    path = _write_json(args.out, GRAPH_FILE, model.graph_to_doc(g), args.force)
     print(f"classes: {len(g.classes)}")
     print(f"class edges: {len(g.class_edges)}")
     print(f"resources: {len(g.resources)}")
@@ -139,33 +149,17 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_sweep(raw: str) -> tuple[int, int]:
-    m = re.fullmatch(r"(\d+)\.\.(\d+)", raw)
-    if not m:
-        raise model.InputError(f"--sweep-k expects LO..HI, got {raw!r}")
-    return int(m.group(1)), int(m.group(2))
-
-
 def cmd_partition(args: argparse.Namespace) -> int:
-    out_dir = _out_dir(args)
-    g = _load_graph(out_dir)
+    g = _load_graph(args.out)
     prices = _load_prices(args.prices)
-
     if args.sweep_k:
-        if args.k is not None:
-            raise model.InputError("--k and --sweep-k cannot be given together")
-        lo, hi = _parse_sweep(args.sweep_k)
-        k0 = max(lo, 1)
-    elif args.k is None:
-        raise model.InputError("one of --k or --sweep-k is required")
-    else:
-        k0 = args.k
-    cfg = _config(partitioner.ObjectiveConfig, args, k=k0)
-    if args.sweep_k:
+        lo, hi = args.sweep_k
+        cfg = _config(partitioner.ObjectiveConfig, args, k=max(lo, 1))
         k, p = partitioner.sweep_k(g, prices, cfg, lo, hi)
         cfg = replace(cfg, k=k)
         print(f"sweep selected k={k}")
     else:
+        cfg = _config(partitioner.ObjectiveConfig, args)
         p = partitioner.partition_graph(g, prices, cfg)
 
     obj = partitioner.objective(g, p, prices, cfg)
@@ -177,8 +171,8 @@ def cmd_partition(args: argparse.Namespace) -> int:
     # Every number is turned into text before either artifact is written.
     p_doc = model.partition_to_doc(p, g, objective=obj, seed=cfg.seed)
     r_doc = infra.infra_report_to_doc(report)
-    _write_json(out_dir, PARTITION_FILE, p_doc, args.force)
-    _write_json(out_dir, INFRA_REPORT_FILE, r_doc, args.force)
+    _write_json(args.out, PARTITION_FILE, p_doc, args.force)
+    _write_json(args.out, INFRA_REPORT_FILE, r_doc, args.force)
 
     print(f"k: {p.k}")
     print(f"objective: {p_doc['objective']}")
@@ -200,9 +194,8 @@ def _factor_str(f: model.InfrastructureFactor) -> str:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    out_dir = _out_dir(args)
-    g = _load_graph(out_dir)
-    p = _load_partition(out_dir / PARTITION_FILE, g)
+    g = _load_graph(args.out)
+    p = _load_partition(args.out / PARTITION_FILE, g)
     prices = _load_prices(args.prices)
     truth = None
     if args.truth:
@@ -210,40 +203,39 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if truth.assignment.keys().isdisjoint(g.id_by_name()):
             raise model.InputError(f"{args.truth}: names no class of {GRAPH_FILE}")
     report = metrics.evaluate(g, p, truth, prices, compute_floor=not args.no_compute_floor)
-    table = metrics.format_table(args.name if args.name else out_dir.name, report)
-    _write_json(out_dir, EVALUATION_FILE, model.report_to_doc(report), args.force)
+    table = metrics.format_table(args.name or os.path.basename(os.path.abspath(args.out)), report)
+    _write_json(args.out, EVALUATION_FILE, model.report_to_doc(report), args.force)
     print(table)
     return 0
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
     fixture = fixturegen.generate_fixture(_config(fixturegen.FixtureSpec, args))
-    out_dir = _out_dir(args)
     for name, text in (
         ("deps.xml", fixture.deps_xml),
         ("manifest.yaml", fixture.manifest_yaml),
         ("truth.yaml", fixture.truth_yaml),
     ):
-        path = _write_artifact(out_dir, name, text, args.force)
+        path = _write_artifact(args.out, name, text, args.force)
         print(f"wrote {path}")
     return 0
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
-    out_dir = _out_dir(args)
-    g = _load_graph(out_dir)
+    g = _load_graph(args.out)
     assignment = None
     if args.partition:
         p = _load_partition(Path(args.partition), g)
         assignment = p.assignment
     text = graphbuild.to_dot(g, assignment)
-    path = _write_artifact(out_dir, DOT_FILE, text, args.force)
+    path = _write_artifact(args.out, DOT_FILE, text, args.force)
     print(f"wrote {path}")
     return 0
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--out", default=None, help="output directory (default: $MONOPART_OUT or ./out)")
+    out = os.environ.get("MONOPART_OUT") or "out"
+    sub.add_argument("--out", type=Path, default=out, help="output directory (default: $MONOPART_OUT or ./out)")
     sub.add_argument("--force", action="store_true", help="overwrite existing artifacts")
 
 
@@ -260,26 +252,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.add_argument("--manifest", help="infrastructure manifest YAML")
     p_ingest.add_argument("--traces", help="execution trace log")
     p_ingest.add_argument("--flow-rules", help="flow rule YAML for --traces")
-    weights = graphbuild.WeightConfig
-    p_ingest.add_argument("--base-call", type=_fraction_arg, default=weights.base_call)
-    p_ingest.add_argument("--base-reference", type=_fraction_arg, default=weights.base_reference)
-    p_ingest.add_argument("--base-inheritance", type=_fraction_arg, default=weights.base_inheritance)
-    p_ingest.add_argument("--beta-flow", type=_fraction_arg, default=weights.beta_flow)
-    p_ingest.add_argument(
-        "--shared-resource-increment", type=_fraction_arg, default=weights.shared_resource_increment
-    )
+    for weight in fields(graphbuild.WeightConfig):
+        flag = "--" + weight.name.replace("_", "-")
+        p_ingest.add_argument(flag, type=_fraction_arg, default=weight.default)
     _add_common(p_ingest)
     p_ingest.set_defaults(func=cmd_ingest)
 
     p_part = sub.add_parser("partition", help="partition graph.json")
-    p_part.add_argument("--k", type=int, default=None, help="number of partitions")
+    k_or_sweep = p_part.add_mutually_exclusive_group(required=True)
+    k_or_sweep.add_argument("--k", type=int, help="number of partitions")
     objective = partitioner.ObjectiveConfig
     p_part.add_argument("--alpha", type=_fraction_arg, default=objective.alpha)
     p_part.add_argument("--epsilon", type=_fraction_arg, default=objective.epsilon)
     p_part.add_argument("--seed", type=int, default=objective.seed)
     p_part.add_argument("--restarts", type=int, default=objective.restarts)
     p_part.add_argument("--prices", help="price table YAML")
-    p_part.add_argument("--sweep-k", help="try k in LO..HI, keep max modularity")
+    k_or_sweep.add_argument("--sweep-k", type=_sweep_arg, help="try k in LO..HI, keep max modularity")
     p_part.add_argument("--no-compute-floor", action="store_true")
     p_part.add_argument("--shared-db", action="store_true", help="report databases as shared, not duplicated")
     _add_common(p_part)
@@ -314,8 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits after --help (0) and on a usage error (2)
+        return exc.code
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",

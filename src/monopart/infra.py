@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import astuple, dataclass
 from fractions import Fraction
 
-from .ingest import _as_text, load_yaml
+from .ingest import _as_text, check_keys, load_yaml
 from .model import (
     FACTOR_KINDS,
     SCHEMA_VERSION,
@@ -131,10 +131,7 @@ def load_price_table(data: bytes | str) -> PriceTable:
         return PriceTable.default()
     if not isinstance(doc, dict):
         raise InputError("price table must be a YAML mapping")
-    known = {kind.value for kind in ResourceKind}
-    unknown = set(doc) - known
-    if unknown:
-        raise InputError(f"unknown price table key {min(unknown, key=str)!r}")
+    check_keys(doc, (kind.value for kind in ResourceKind), "price table")
     return PriceTable(**doc)
 
 

@@ -13,6 +13,7 @@ import re
 import xml.etree.ElementTree as ET
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import Iterable
 
 import yaml
 
@@ -119,14 +120,34 @@ def load_yaml(text: str) -> object:
         raise InputError(f"malformed YAML: {exc}") from exc
 
 
-def load_json(text: str) -> object:
+def _reject_repeated_keys(pairs: list[tuple[str, object]]) -> dict:
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise InputError(f"malformed JSON: repeated key {key!r}")
+            seen.add(key)
+    return doc
+
+
+def load_json(text: str, *, unique_keys: bool = True) -> object:
     """Parse one JSON document; a malformed one, one nested past the
-    interpreter's recursion limit, or an integer of more than 4300 digits
-    raises :class:`InputError`."""
+    interpreter's recursion limit, an integer of more than 4300 digits, or,
+    with ``unique_keys``, an object that repeats a key raises
+    :class:`InputError`. Without it the last value of a repeated key wins."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_reject_repeated_keys if unique_keys else None)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise InputError(f"malformed JSON: {exc}") from exc
+
+
+def check_keys(doc: dict, known: Iterable[str], what: str) -> None:
+    """Reject a top-level key that the reader of ``what`` does not read, such
+    as a misspelt section that would otherwise be dropped without a word."""
+    unknown = doc.keys() - set(known)
+    if unknown:
+        raise InputError(f"unknown {what} key {min(unknown, key=str)!r}")
 
 
 def _as_text(data: bytes | str) -> str:
@@ -233,6 +254,7 @@ def parse_infra_yaml(data: bytes | str) -> InfraManifest:
         return InfraManifest()
     if not isinstance(doc, dict):
         raise InputError("manifest must be a YAML mapping")
+    check_keys(doc, ("resources", "bindings"), "manifest")
 
     resources: list[tuple[str, ResourceKind]] = []
     declared: set[str] = set()
@@ -308,6 +330,7 @@ def load_flow_rules(data: bytes | str) -> FlowRuleConfig:
     doc = load_yaml(_as_text(data))
     if not isinstance(doc, dict) or "line_regex" not in doc:
         raise InputError("flow rules must be a mapping with a line_regex key")
+    check_keys(doc, ("line_regex", "entry_points"), "flow rules")
     entry_points = doc.get("entry_points")
     if not isinstance(entry_points, (list, type(None))):
         raise InputError(f"flow rule entry_points must be a list, got {entry_points!r}")

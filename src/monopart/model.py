@@ -21,9 +21,10 @@ import math
 from dataclasses import asdict, astuple, dataclass, fields
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
 
 SCHEMA_VERSION = 1
+T = TypeVar("T")
 
 
 class InputError(Exception):
@@ -499,6 +500,22 @@ def _check_schema_version(doc: Mapping, what: str) -> None:
         raise InputError(f"{what}: unsupported schema_version {version!r}")
 
 
+def _parsed_once(parse: Callable[[object], T]) -> Callable[[object], T]:
+    """``parse`` that parses each distinct string once and keeps the result.
+    Only strings are kept: 1, 1.0 and True hash alike."""
+    parsed: dict[str, T] = {}
+
+    def once(value: object) -> T:
+        if type(value) is not str:
+            return parse(value)
+        x = parsed.get(value)
+        if x is None:
+            x = parsed[value] = parse(value)
+        return x
+
+    return once
+
+
 def graph_from_doc(doc: Mapping) -> ApplicationGraph:
     """Parse the canonical interchange document back into a graph that
     :func:`validate_graph` accepts; any problem raises :class:`InputError`.
@@ -510,17 +527,9 @@ def graph_from_doc(doc: Mapping) -> ApplicationGraph:
     if not isinstance(doc, Mapping):
         raise InputError("graph document must be a JSON object")
     _check_schema_version(doc, "graph document")
-    # Weights repeat a handful of distinct strings; each is parsed once per
-    # document. Only strings are shared: 1, 1.0 and True hash alike.
-    parsed: dict[str, Fraction] = {}
-
-    def rational(value: object) -> Fraction:
-        if type(value) is not str:
-            return as_fraction(value)
-        x = parsed.get(value)
-        if x is None:
-            x = parsed[value] = as_fraction(value)
-        return x
+    # Weights and relations repeat a handful of distinct strings; each is
+    # parsed once per document.
+    rational, relation = _parsed_once(as_fraction), _parsed_once(as_relation)
 
     try:
         classes = tuple(
@@ -560,7 +569,7 @@ def graph_from_doc(doc: Mapping) -> ApplicationGraph:
             DependencyRecord(
                 as_str(e["from"], "dependency class"),
                 as_str(e["to"], "dependency class"),
-                as_relation(e["relation"]),
+                relation(e["relation"]),
             )
             for e in doc.get("dependencies", [])
         )

@@ -18,7 +18,7 @@ import pytest
 
 from conftest import FIXTURES_DIR, graph_from_edges
 
-from monopart import partitioner
+from monopart import graphbuild, ingest, partitioner
 from monopart.graphbuild import build_graph
 from monopart.ingest import parse_dependency_xml, parse_infra_yaml
 from monopart.model import PriceTable
@@ -115,3 +115,26 @@ def test_notes_read_partition_graph_calls(monkeypatch, graph, k):
     assert all(isinstance(o, Fraction) for o in restart_objectives)
     assert sum(1 for name, *_ in calls if name == "partitioner.objective") == cfg.restarts
     assert sum(1 for name, *_ in calls if name == "model.adjacency") == 1
+
+
+def test_notes_read_ingest_calls(monkeypatch):
+    """The ingest notes apply to the calls that ``monopart ingest`` makes on
+    jpetstore with a tagged trace log."""
+    calls = trace_calls(monkeypatch)
+    src = FIXTURES_DIR / "jpetstore"
+    deps = ingest.parse_dependency_xml((src / "deps.xml").read_text())
+    manifest = ingest.parse_infra_yaml((src / "manifest.yaml").read_text())
+    rules = ingest.load_flow_rules((FIXTURES_DIR.parent / "config" / "flow-rules.example.yaml").read_text())
+    log = "[a] app.m0.C000\n[a] app.m0.C001\nnot a class line\n[b] app.m0.C002\napp.m0.C003\n"
+    parsed = ingest.parse_traces(log, rules)
+    g = graphbuild.build_graph(deps, manifest, ingest.group_flows(parsed.records))
+
+    noted = [(name, NOTES[name](args, result)) for name, _parent, args, result in calls
+             if name in NOTES]
+    assert noted == [
+        ("ingest.parse_dependency_xml", len(deps)),
+        ("ingest.parse_infra_yaml", len(manifest.bindings)),
+        ("ingest.parse_traces", 5),
+        ("graphbuild.build_graph", len(g.class_edges)),
+    ]
+    assert len(manifest.bindings) > 0 and len(g.flows) == 3

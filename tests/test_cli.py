@@ -272,7 +272,9 @@ class TestPartition:
         assert code == 2
         code = main(["partition", "--k", "3", "--sweep-k", "2..3", "--out", str(workdir / "out")])
         assert code == 2
-        assert "--k and --sweep-k" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "one of the arguments --k --sweep-k is required" in err
+        assert "argument --sweep-k: not allowed with argument --k" in err
         assert not (workdir / "out" / PARTITION_FILE).exists()
 
     def test_sweep(self, workdir, capsys):
@@ -343,6 +345,14 @@ class TestEvaluate:
         table = capsys.readouterr().out
         row = table.splitlines()[1]
         assert " - " in row or row.split()[2] == "-"
+
+    def test_out_dot_names_the_directory(self, workdir, capsys, monkeypatch):
+        run_ingest(workdir)
+        assert main(["partition", "--k", "2", "--out", str(workdir / "out")]) == 0
+        monkeypatch.chdir(workdir / "out")
+        capsys.readouterr()
+        assert main(["evaluate", "--out", "."]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split()[0] == "out"
 
     def test_truth_with_unknown_classes_only(self, workdir, capsys):
         run_ingest(workdir)
@@ -764,6 +774,12 @@ INGEST_CASES = [
                  "manifest_class_blank", "manifest class must not be blank"),
     _ingest_with("manifest.yaml", "resources:\n  - {name: ' ', kind: database}\n",
                  "manifest_name_blank", "manifest name must not be blank"),
+    _ingest_with("manifest.yaml",
+                 "resources:\n  - {name: db, kind: database}\nbindngs:\n"
+                 "  - {class: web.Shop, resource: db}\n",
+                 "manifest_unknown_key", "unknown manifest key 'bindngs'"),
+    _ingest_with("flow-rules.yaml", "line_regex: '^(?P<class>\\S+)$'\nentry_point: [web.Shop]\n",
+                 "rules_unknown_key", "unknown flow rules key 'entry_point'"),
     _ingest_with("flow-rules.yaml", "line_regex: '('\n", "rules_regex_unbalanced"),
     _ingest_with("flow-rules.yaml", "line_regex: 5\n", "rules_regex_number"),
     _ingest_with("flow-rules.yaml", "line_regex: '(?P<flow>\\w+)'\n", "rules_no_class_group"),
@@ -815,13 +831,20 @@ DEEP_JSON = "[" * 100_000 + "]" * 100_000
 LONG_INTEGER = "1" * 5_000  # past the 4,300 digits Python converts
 
 
-def _json_input(where: str, label: str, text: str) -> Callable[[Path], tuple[list[str], str]]:
+def _json_input(
+    where: str, label: str, text: str, problem: str = ""
+) -> Callable[[Path], tuple[list[str], str]]:
     """A command reading ``text`` as its JSON input ``where``: graph.json, a
-    --deps export, a dot --partition file or a JSON truth file."""
+    --deps export, a dot --partition file, the partition.json that evaluate
+    reads or a JSON truth file; the error must name the file, then
+    ``malformed JSON`` and ``problem``."""
 
     def case(out: Path) -> tuple[list[str], str]:
         if where == "graph":
             path, argv = out / GRAPH_FILE, ["partition", "--k", "2"]
+        elif where == "evaluate":
+            assert main(["partition", "--k", "2", "--out", str(out)]) == 0
+            path, argv = out / PARTITION_FILE, ["evaluate"]
         elif where == "deps":
             path = out.parent / "deps.json"
             argv = ["ingest", "--deps", str(path), "--force"]
@@ -833,7 +856,7 @@ def _json_input(where: str, label: str, text: str) -> Callable[[Path], tuple[lis
             path = out.parent / "truth.json"
             argv = ["evaluate", "--truth", str(path), "--force"]
         path.write_text(text)
-        return argv, f"{path}: malformed JSON"
+        return argv, f"{path}: malformed JSON{problem}"
 
     case.__name__ = f"{where}_{label}"
     return case
@@ -845,6 +868,21 @@ JSON_CASES = [
     _json_input("partition", "nested_100000_deep", DEEP_JSON),
     _json_input("partition", "k_of_5000_digits", '{"k": ' + LONG_INTEGER + ', "assignment": {}}'),
     _json_input("truth", "label_of_5000_digits", '{"web.Shop": ' + LONG_INTEGER + "}"),
+    # Each of these loads with the last value of the repeated key if that is kept.
+    _json_input("truth", "repeated_key",
+                '{"web.Shop": "a", "web.Cart": "a", "data.Orders": "b", "web.Shop": "b"}',
+                ": repeated key 'web.Shop'"),
+    _json_input("deps", "repeated_key",
+                '{"classes": [{"name": "web.Shop", "dependsOn": ["web.Cart"], "name": "x"}]}',
+                ": repeated key 'name'"),
+    _json_input("partition", "repeated_key",
+                '{"k": 2, "assignment": {"web.Shop": 1, "web.Cart": 1, "data.Orders": 1, '
+                '"web.Shop": 0}}',
+                ": repeated key 'web.Shop'"),
+    _json_input("evaluate", "repeated_key",
+                '{"k": 2, "assignment": {"web.Shop": 0}, "assignment": '
+                '{"web.Shop": 0, "web.Cart": 1, "data.Orders": 1}}',
+                ": repeated key 'assignment'"),
 ]
 
 
@@ -937,6 +975,24 @@ def _zero_clusters(root: Path) -> tuple[list[str], str]:
     )
 
 
+def _sweep_k_of_5000_digits(root: Path) -> tuple[list[str], str]:
+    return ["partition", "--sweep-k", "2.." + "9" * 5000, "--out", str(root / "out")], (
+        "error: argument --sweep-k: expects LO..HI, two integers"
+    )
+
+
+def _k_and_sweep_k(root: Path) -> tuple[list[str], str]:
+    return ["partition", "--k", "3", "--sweep-k", "2..3", "--out", str(root / "out")], (
+        "error: argument --sweep-k: not allowed with argument --k"
+    )
+
+
+def _neither_k_nor_sweep_k(root: Path) -> tuple[list[str], str]:
+    return ["partition", "--out", str(root / "out")], (
+        "error: one of the arguments --k --sweep-k is required"
+    )
+
+
 @pytest.mark.parametrize(
     "make_case",
     [
@@ -946,20 +1002,25 @@ def _zero_clusters(root: Path) -> tuple[list[str], str]:
         _sweep_infeasible,
         _alpha_not_rational,
         _zero_clusters,
+        _sweep_k_of_5000_digits,
+        _k_and_sweep_k,
+        _neither_k_nor_sweep_k,
     ],
     ids=lambda f: f.__name__.lstrip("_"),
 )
 def test_usage_error_exits_2(workdir, capsys, make_case):
     argv, message = make_case(workdir)
+    before = {path: path.read_bytes() for path in workdir.rglob("*") if path.is_file()}
     capsys.readouterr()
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse exits on a bad flag value instead of returning
-        code = exc.code
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
     assert code == 2
     err = capsys.readouterr().err
-    assert message in err
+    assert err.count("error:") == 1 and err.endswith(message + "\n")
     assert "Traceback" not in err
+    assert {path: path.read_bytes() for path in workdir.rglob("*") if path.is_file()} == before
+    assert elapsed < 1
 
 
 @pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
@@ -1013,10 +1074,7 @@ def test_non_finite_or_oversized_number_exits_2_quickly(workdir, capsys, flag, v
         value = named = str(path)
     capsys.readouterr()
     start = time.perf_counter()
-    try:
-        code = main(["partition", "--k", "2", flag, value, "--out", str(out)])
-    except SystemExit as exc:  # argparse exits on a bad flag value instead of returning
-        code = exc.code
+    code = main(["partition", "--k", "2", flag, value, "--out", str(out)])
     elapsed = time.perf_counter() - start
     assert code == 2
     err = capsys.readouterr().err

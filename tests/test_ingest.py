@@ -504,3 +504,11 @@ class TestLoadYaml:
         assert ingest.load_yaml("[" * 32 + "]" * 32) == nested
         with pytest.raises(InputError, match="nested deeper than 32 levels"):
             ingest.load_yaml("[" * 33 + "]" * 33)
+
+
+def test_load_json_rejects_a_repeated_key_unless_told_not_to():
+    text = '{"a": {"b": 1, "b": 2}}'
+    with pytest.raises(InputError, match="^malformed JSON: repeated key 'b'$"):
+        ingest.load_json(text)
+    assert ingest.load_json(text, unique_keys=False) == {"a": {"b": 2}}
+    assert ingest.load_json('{"b": 1, "c": [{"b": 2}]}') == {"b": 1, "c": [{"b": 2}]}
