@@ -10,7 +10,6 @@ input/usage error, 1 internal error.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import re
@@ -40,14 +39,27 @@ def _fraction_arg(raw: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _sweep_arg(raw: str) -> tuple[int, int]:
-    """``LO..HI`` as two integers; the message never echoes the value, which
-    may hold thousands of digits."""
-    m = re.fullmatch(r"(\d+)\.\.(\d+)", raw)
+# Integer flags hold at most 20 digits, enough for the 64-bit seed range, so
+# no message can echo thousands of them; their own messages never echo one.
+MAX_FLAG_DIGITS = 20
+
+
+def _int_arg(raw: str) -> int:
     try:
-        return int(m[1]), int(m[2])
-    except (TypeError, ValueError):  # no match, or more digits than int() reads
-        raise argparse.ArgumentTypeError("expects LO..HI, two integers") from None
+        value = int(raw)
+    except ValueError:  # not an integer, or more digits than int() reads
+        raise argparse.ArgumentTypeError("expects an integer") from None
+    if abs(value) >= 10**MAX_FLAG_DIGITS:
+        raise argparse.ArgumentTypeError(f"expects an integer of at most {MAX_FLAG_DIGITS} digits")
+    return value
+
+
+def _sweep_arg(raw: str) -> tuple[int, int]:
+    """``LO..HI`` as two integers."""
+    m = re.fullmatch(rf"(\d{{1,{MAX_FLAG_DIGITS}}})\.\.(\d{{1,{MAX_FLAG_DIGITS}}})", raw)
+    if m is None:
+        raise argparse.ArgumentTypeError("expects LO..HI, two integers")
+    return int(m[1]), int(m[2])
 
 
 def _config(cls: type[T], args: argparse.Namespace, **overrides: object) -> T:
@@ -75,17 +87,21 @@ def _parse_input(path: str, parse: Callable[..., T], *args: object) -> T:
         return parse(p.read_bytes(), *args)
 
 
-def _write_artifact(out_dir: Path, name: str, text: str, force: bool) -> Path:
+def _write_artifacts(out_dir: Path, texts: dict[str, str], force: bool) -> list[Path]:
+    """Write each ``name: text`` into ``out_dir``. Without ``force`` an
+    existing target is refused before any of them is written."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    target = out_dir / name
-    if target.exists() and not force:
-        raise model.InputError(f"refusing to overwrite {target} (use --force)")
-    target.write_text(text, encoding="utf-8")
-    return target
+    targets = {out_dir / name: text for name, text in texts.items()}
+    for target in targets:
+        if target.exists() and not force:
+            raise model.InputError(f"refusing to overwrite {target} (use --force)")
+    for target, text in targets.items():
+        target.write_text(text, encoding="utf-8")
+    return list(targets)
 
 
-def _write_json(out_dir: Path, name: str, doc: dict, force: bool) -> Path:
-    return _write_artifact(out_dir, name, json.dumps(doc, indent=2) + "\n", force)
+def _json(doc: dict) -> str:
+    return model.json_text(doc) + "\n"
 
 
 def _load_artifact(
@@ -140,7 +156,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if problems:  # every reader rejects the inputs that could cause this
         raise RuntimeError("built graph is invalid: " + "; ".join(problems))
 
-    path = _write_json(args.out, GRAPH_FILE, model.graph_to_doc(g), args.force)
+    [path] = _write_artifacts(args.out, {GRAPH_FILE: _json(model.graph_to_doc(g))}, args.force)
     print(f"classes: {len(g.classes)}")
     print(f"class edges: {len(g.class_edges)}")
     print(f"resources: {len(g.resources)}")
@@ -171,8 +187,8 @@ def cmd_partition(args: argparse.Namespace) -> int:
     # Every number is turned into text before either artifact is written.
     p_doc = model.partition_to_doc(p, g, objective=obj, seed=cfg.seed)
     r_doc = infra.infra_report_to_doc(report)
-    _write_json(args.out, PARTITION_FILE, p_doc, args.force)
-    _write_json(args.out, INFRA_REPORT_FILE, r_doc, args.force)
+    texts = {PARTITION_FILE: _json(p_doc), INFRA_REPORT_FILE: _json(r_doc)}
+    _write_artifacts(args.out, texts, args.force)
 
     print(f"k: {p.k}")
     print(f"objective: {p_doc['objective']}")
@@ -204,19 +220,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise model.InputError(f"{args.truth}: names no class of {GRAPH_FILE}")
     report = metrics.evaluate(g, p, truth, prices, compute_floor=not args.no_compute_floor)
     table = metrics.format_table(args.name or os.path.basename(os.path.abspath(args.out)), report)
-    _write_json(args.out, EVALUATION_FILE, model.report_to_doc(report), args.force)
+    _write_artifacts(args.out, {EVALUATION_FILE: _json(model.report_to_doc(report))}, args.force)
     print(table)
     return 0
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
     fixture = fixturegen.generate_fixture(_config(fixturegen.FixtureSpec, args))
-    for name, text in (
-        ("deps.xml", fixture.deps_xml),
-        ("manifest.yaml", fixture.manifest_yaml),
-        ("truth.yaml", fixture.truth_yaml),
-    ):
-        path = _write_artifact(args.out, name, text, args.force)
+    texts = {
+        "deps.xml": fixture.deps_xml,
+        "manifest.yaml": fixture.manifest_yaml,
+        "truth.yaml": fixture.truth_yaml,
+    }
+    for path in _write_artifacts(args.out, texts, args.force):
         print(f"wrote {path}")
     return 0
 
@@ -228,7 +244,7 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
         p = _load_partition(Path(args.partition), g)
         assignment = p.assignment
     text = graphbuild.to_dot(g, assignment)
-    path = _write_artifact(args.out, DOT_FILE, text, args.force)
+    [path] = _write_artifacts(args.out, {DOT_FILE: text}, args.force)
     print(f"wrote {path}")
     return 0
 
@@ -260,12 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_part = sub.add_parser("partition", help="partition graph.json")
     k_or_sweep = p_part.add_mutually_exclusive_group(required=True)
-    k_or_sweep.add_argument("--k", type=int, help="number of partitions")
+    k_or_sweep.add_argument("--k", type=_int_arg, help="number of partitions")
     objective = partitioner.ObjectiveConfig
     p_part.add_argument("--alpha", type=_fraction_arg, default=objective.alpha)
     p_part.add_argument("--epsilon", type=_fraction_arg, default=objective.epsilon)
-    p_part.add_argument("--seed", type=int, default=objective.seed)
-    p_part.add_argument("--restarts", type=int, default=objective.restarts)
+    p_part.add_argument("--seed", type=_int_arg, default=objective.seed)
+    p_part.add_argument("--restarts", type=_int_arg, default=objective.restarts)
     p_part.add_argument("--prices", help="price table YAML")
     k_or_sweep.add_argument("--sweep-k", type=_sweep_arg, help="try k in LO..HI, keep max modularity")
     p_part.add_argument("--no-compute-floor", action="store_true")
@@ -282,14 +298,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_gen = sub.add_parser("generate", help="generate a planted fixture")
-    p_gen.add_argument("--classes", type=int, required=True)
-    p_gen.add_argument("--clusters", type=int, required=True)
+    p_gen.add_argument("--classes", type=_int_arg, required=True)
+    p_gen.add_argument("--clusters", type=_int_arg, required=True)
     p_gen.add_argument("--p-in", type=float, required=True)
     p_gen.add_argument("--p-out", type=float, required=True)
     p_gen.add_argument(
-        "--resources-per-cluster", type=int, default=fixturegen.FixtureSpec.resources_per_cluster
+        "--resources-per-cluster", type=_int_arg, default=fixturegen.FixtureSpec.resources_per_cluster
     )
-    p_gen.add_argument("--seed", type=int, required=True)
+    p_gen.add_argument("--seed", type=_int_arg, required=True)
     _add_common(p_gen)
     p_gen.set_defaults(func=cmd_generate)
 

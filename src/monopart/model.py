@@ -17,6 +17,8 @@ is built again only for a result.
 from __future__ import annotations
 
 import functools
+import itertools
+import json
 import math
 from dataclasses import asdict, astuple, dataclass, fields
 from enum import Enum
@@ -428,7 +430,7 @@ def validate_graph(g: ApplicationGraph) -> list[str]:
         if pair in seen_pairs:
             problems.append(f"parallel class edge on pair {pair}")
         seen_pairs.add(pair)
-        if e.weight < 0:
+        if e.weight.numerator < 0:  # a Fraction comparison costs several times more
             problems.append(f"class edge {pair} has negative weight {e.weight}")
 
     seen_bindings: set[tuple[int, int]] = set()
@@ -469,6 +471,62 @@ def validate_graph(g: ApplicationGraph) -> list[str]:
 # ---------------------------------------------------------------------------
 # canonical JSON interchange
 # ---------------------------------------------------------------------------
+
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.lru_cache(maxsize=64)  # one per depth; a flow list asks for the same few
+def _encoder(newline: str) -> Callable[[object], str]:
+    """The stdlib C encoder (where ``_json`` exists) writing one flat
+    container, with ``newline`` (a line break and an indent) after each
+    item separator."""
+    return json.JSONEncoder(separators=("," + newline, ": "), check_circular=False).encode
+
+
+def json_text(doc: object) -> str:
+    """``json.dumps(doc, indent=2)``, the text of every JSON artifact, for a
+    document whose object keys are strings.
+
+    The stdlib writes with its pure-Python encoder whenever ``indent`` is
+    set. Here Python walks only the upper levels. A container of scalars,
+    and a list of non-empty objects of scalars (a list of records), each go
+    to the C encoder in one call, with the line break and indent as the item
+    separator; only the brackets are added around the result. With
+    ``ensure_ascii`` every newline inside a string is escaped, so each raw
+    newline in the encoder's output is structural, and ``"},<newline>{"``
+    can only be the seam between two records.
+    """
+    return _json_text(doc, "\n")
+
+
+def _json_text(value: object, newline: str) -> str:
+    # ``newline`` is a line break and the indent of the line ``value`` ends on
+    if not isinstance(value, (dict, list, tuple)):
+        return _encoder(newline)(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = newline + "  "
+    items = value.values() if isinstance(value, dict) else value
+    if set(map(type, items)) <= _SCALAR_TYPES:
+        text = _encoder(inner)(value)
+        return text[0] + inner + text[1:-1] + newline + text[-1]
+    if isinstance(value, dict):
+        key = _encoder(inner)
+        return "{" + inner + ("," + inner).join(
+            key(k) + ": " + _json_text(v, inner) for k, v in value.items()
+        ) + newline + "}"
+    if all(type(d) is dict and d for d in value) and set(
+        map(type, itertools.chain.from_iterable(map(dict.values, value)))
+    ) <= _SCALAR_TYPES:
+        deeper = inner + "  "
+        body = _encoder(deeper)(value)[2:-2]
+        seam = inner + "}," + inner + "{" + deeper
+        return (
+            "[" + inner + "{" + deeper + body.replace("}," + deeper + "{", seam)
+            + inner + "}" + newline + "]"
+        )
+    return "[" + inner + ("," + inner).join(_json_text(v, inner) for v in value) + newline + "]"
+
 
 def graph_to_doc(g: ApplicationGraph) -> dict:
     """The canonical interchange document for a graph (JSON-serializable)."""

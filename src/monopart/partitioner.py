@@ -561,7 +561,7 @@ def sweep_k(
     """Try every k in [k_lo, k_hi] and keep the max-modularity result
     (ties to the lowest k); k values above the class count are skipped."""
     if k_lo < 1 or k_hi < k_lo:
-        raise InputError(f"invalid sweep range {k_lo}..{k_hi}")
+        raise InputError("invalid sweep range: LO..HI needs 1 <= LO <= HI")
     n = len(g.classes)
     best: tuple[Fraction, int, PartitionSet] | None = None
     for k in range(k_lo, min(k_hi, n) + 1):

@@ -155,6 +155,9 @@ class TestIngest:
         )
         assert proc.returncode == 0
         assert proc.stderr == "skipped trace lines: 1\n"
+        text = (workdir / "out" / GRAPH_FILE).read_text()
+        assert json.loads(text)["flows"]
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
     def test_out_env_honored(self, workdir, capsys, monkeypatch):
         monkeypatch.setenv("MONOPART_OUT", str(workdir / "envout"))
@@ -247,6 +250,17 @@ class TestPartition:
         assert main(["partition", "--k", "2", "--out", str(workdir / "out")]) == 2
         assert not (workdir / "out" / PARTITION_FILE).exists()
         assert not (workdir / "out" / INFRA_REPORT_FILE).exists()
+
+    @pytest.mark.parametrize("existing", [PARTITION_FILE, INFRA_REPORT_FILE])
+    def test_refuses_overwrite_before_writing_either(self, workdir, capsys, existing):
+        run_ingest(workdir)
+        old = workdir / "out" / existing
+        old.write_text("old\n")
+        capsys.readouterr()
+        assert main(["partition", "--k", "2", "--out", str(workdir / "out")]) == 2
+        assert capsys.readouterr().err == f"error: refusing to overwrite {old} (use --force)\n"
+        assert sorted(p.name for p in (workdir / "out").iterdir()) == sorted([GRAPH_FILE, existing])
+        assert old.read_text() == "old\n"
 
     def test_zero_edge_weight_scores_ngm_zero(self, tmp_path, capsys):
         out = str(tmp_path / "out")
@@ -529,6 +543,13 @@ class TestGenerate:
             assert (tmp_path / name / fname).read_bytes() == (
                 FIXTURES_DIR / name / fname
             ).read_bytes(), f"{name}/{fname} drifted from the generator"
+
+    def test_refuses_overwrite_before_writing_any(self, tmp_path, capsys):
+        (tmp_path / "gen").mkdir()
+        (tmp_path / "gen" / "truth.yaml").write_text("old\n")
+        assert self.gen(tmp_path / "gen") == 2
+        assert "truth.yaml (use --force)" in capsys.readouterr().err
+        assert [p.name for p in (tmp_path / "gen").iterdir()] == ["truth.yaml"]
 
     def test_invalid_params(self, tmp_path, capsys):
         code = main(
@@ -993,9 +1014,48 @@ def _neither_k_nor_sweep_k(root: Path) -> tuple[list[str], str]:
     )
 
 
+def _sweep_lo_above_hi(root: Path) -> tuple[list[str], str]:
+    assert run_ingest(root) == 0
+    return ["partition", "--sweep-k", "5..3", "--out", str(root / "out")], (
+        "error: invalid sweep range: LO..HI needs 1 <= LO <= HI"
+    )
+
+
+def _sweep_lo_of_3000_digits(root: Path) -> tuple[list[str], str]:
+    assert run_ingest(root) == 0
+    return ["partition", "--sweep-k", "9" * 3000 + "..1", "--out", str(root / "out")], (
+        "error: argument --sweep-k: expects LO..HI, two integers"
+    )
+
+
+GENERATE_ARGV = ["generate", "--classes", "5", "--clusters", "2", "--p-in", "0.5", "--p-out", "0.1",
+                 "--seed", "1"]
+
+
+def _flag_of_3000_digits(argv: list[str], flag: str) -> Callable[[Path], tuple[list[str], str]]:
+    """``argv`` with ``flag`` given 3,000 digits, which int() reads and a
+    later message would echo whole."""
+
+    def case(root: Path) -> tuple[list[str], str]:
+        assert run_ingest(root) == 0
+        return [*argv, flag, "9" * 3000, "--out", str(root / "out")], (
+            f"error: argument {flag}: expects an integer of at most 20 digits"
+        )
+
+    case.__name__ = f"{argv[0]}_{flag.lstrip('-')}_of_3000_digits"
+    return case
+
+
 @pytest.mark.parametrize(
     "make_case",
     [
+        _sweep_lo_above_hi,
+        _sweep_lo_of_3000_digits,
+        _flag_of_3000_digits(["partition"], "--k"),
+        _flag_of_3000_digits(["partition", "--k", "2"], "--seed"),
+        _flag_of_3000_digits(["partition", "--k", "2"], "--restarts"),
+        *(_flag_of_3000_digits(GENERATE_ARGV, flag)
+          for flag in ("--classes", "--clusters", "--resources-per-cluster", "--seed")),
         _out_is_a_file,
         _traces_without_flow_rules,
         _evaluate_before_partition,
@@ -1018,7 +1078,7 @@ def test_usage_error_exits_2(workdir, capsys, make_case):
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and err.endswith(message + "\n")
-    assert "Traceback" not in err
+    assert "Traceback" not in err and len(err) < 1000
     assert {path: path.read_bytes() for path in workdir.rglob("*") if path.is_file()} == before
     assert elapsed < 1
 

@@ -5,7 +5,7 @@ from dataclasses import astuple, replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import class_edge_problems_reference, report_from_json
@@ -32,6 +32,7 @@ from monopart.model import (
     fraction_str,
     graph_from_doc,
     graph_to_doc,
+    json_text,
     partition_from_doc,
     partition_to_doc,
     report_to_doc,
@@ -462,3 +463,28 @@ class TestInterchange:
         doc = {"schema_version": 1, "k": value, "assignment": {"A": 0, "B": 0}}
         with pytest.raises(InputError, match="must be an integer"):
             partition_from_doc(doc, g)
+
+
+# Pieces that could confuse a writer splicing the encoder's output: raw
+# newlines, quotes, backslashes, the seam between two records, non-ASCII.
+_JSON_STRINGS = st.lists(
+    st.sampled_from(["\n", '"', "\\", "},\n  {", "},\n    {", "é", "\u2028", "\U0001f4a1"])
+    | st.text(max_size=3),
+    max_size=4,
+).map("".join)
+_JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | _JSON_STRINGS
+_JSON_RECORDS = st.lists(st.dictionaries(_JSON_STRINGS, _JSON_SCALARS, min_size=1), min_size=1)
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS | _JSON_RECORDS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_JSON_STRINGS, children, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestJsonText:
+    @given(_JSON_DOCS)
+    @example([{"a": "},\n    {", "b": 1}, {"c": None}])
+    @example({"flows": [{"id": "F0", "members": [0, 1]}], "edges": [{"u": 0}, {}], "mixed": [{"a": 1}, 2]})
+    def test_equals_json_dumps_indent_2(self, doc):
+        assert json_text(doc) == json.dumps(doc, indent=2)
