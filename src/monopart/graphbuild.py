@@ -16,14 +16,13 @@ from itertools import combinations
 from .ingest import DependencyRecord, FlowRecord, InfraManifest, Relation
 from .model import (
     ApplicationGraph,
-    ClassEdge,
+    ClassEdges,
     ClassNode,
     FunctionalFlow,
     InputError,
     ResourceEdge,
     ResourceNode,
     as_fraction,
-    fraction_str,
     to_integers,
 )
 
@@ -135,27 +134,30 @@ def build_graph(
             counts[pair][slot] += 1
 
     # Few distinct (base, shared, flow) triples occur; each one's weight is
-    # composed once.
-    weights: dict[tuple[int, ...], Fraction] = {}
-    class_edges = []
-    for u, v in sorted(counts):  # the pairs, not the items: sorting those is ~3x slower
-        key = tuple(counts[u, v])
-        weight = weights.get(key)
-        if weight is None:
-            base_l, n_shared, n_flow = key
-            weight = weights[key] = (
-                Fraction(base_l, base_scale)
-                + cfg.shared_resource_increment * n_shared
-                + cfg.beta_flow * n_flow
-            )
-        class_edges.append(ClassEdge(u, v, weight))
+    # composed and scaled to an integer over L once.
+    pairs = sorted(counts)  # the pairs, not the items: sorting those is ~3x slower
+    keys = [tuple(counts[pair]) for pair in pairs]
+    composed = {
+        key: Fraction(key[0], base_scale)
+        + cfg.shared_resource_increment * key[1]
+        + cfg.beta_flow * key[2]
+        for key in dict.fromkeys(keys)
+    }
+    scale, scaled = to_integers(list(composed.values()))
+    integer = dict(zip(composed, scaled))
+    class_edges = ClassEdges(
+        tuple(u for u, _v in pairs),
+        tuple(v for _u, v in pairs),
+        tuple(map(integer.__getitem__, keys)),
+        scale,
+    )
 
     return ApplicationGraph(
         classes=classes,
         resources=resources,
         flows=model_flows,
         resource_edges=resource_edges,
-        class_edges=tuple(class_edges),
+        class_edges=class_edges,
         dependencies=tuple(deps),
     )
 
@@ -188,8 +190,9 @@ def to_dot(g: ApplicationGraph, assignment: tuple[int, ...] | None = None) -> st
         lines.append(
             f'  r{r.id} [label="{_dot_escape(r.name)}", shape=box, style=dashed];'
         )
-    for e in g.class_edges:
-        lines.append(f'  c{e.u} -- c{e.v} [label="{fraction_str(e.weight)}"];')
+    edges = g.class_edges
+    for u, v, weight in zip(edges.u, edges.v, edges.weight_texts()):
+        lines.append(f'  c{u} -- c{v} [label="{weight}"];')
     for edge in g.resource_edges:
         lines.append(f"  c{edge.cls} -- r{edge.resource} [style=dotted];")
     lines.append("}")

@@ -107,17 +107,17 @@ class _EdgeTally(NamedTuple):
 
 def _tally(g: ApplicationGraph, p: PartitionSet) -> _EdgeTally:
     """One pass over the class edges of a partition already checked against ``g``."""
-    scale, weights = g.integer_edge_weights
+    edges = g.class_edges
     intra = [0] * p.k
     attached = [0] * p.k
     assignment = p.assignment
-    for e, w in zip(g.class_edges, weights):
-        cu, cv = assignment[e.u], assignment[e.v]
+    for u, v, w in zip(edges.u, edges.v, edges.weight):
+        cu, cv = assignment[u], assignment[v]
         attached[cu] += w
         attached[cv] += w
         if cu == cv:
             intra[cu] += w
-    return _EdgeTally(scale, sum(weights), intra, attached)
+    return _EdgeTally(edges.scale, sum(edges.weight), intra, attached)
 
 
 def compute_ngm(g: ApplicationGraph, p: PartitionSet) -> Fraction:

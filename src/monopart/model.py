@@ -20,10 +20,11 @@ import functools
 import itertools
 import json
 import math
+import operator
 from dataclasses import asdict, astuple, dataclass, fields
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 SCHEMA_VERSION = 1
 T = TypeVar("T")
@@ -186,15 +187,45 @@ class ResourceNode:
 
 
 @dataclass(frozen=True)
-class ClassEdge:
-    """Merged undirected edge between two classes, with its weight as
-    :func:`monopart.graphbuild.build_graph` composed it. Endpoints are
+class ClassEdges:
+    """The merged undirected class edges, column by column: edge ``i`` joins
+    ``u[i]`` and ``v[i]`` and weighs the exact rational ``weight[i] / scale``,
+    where ``scale`` (L) is the least common denominator of the weights as
+    :func:`monopart.graphbuild.build_graph` composed them. Endpoints are
     stored canonically with ``u < v``, which :func:`validate_graph` checks.
+    The integer weights are what every loop over the edges reads; a
+    Fraction is made only for a weight that is written or reported.
     """
 
-    u: int
-    v: int
-    weight: Fraction
+    u: tuple[int, ...] = ()
+    v: tuple[int, ...] = ()
+    weight: tuple[int, ...] = ()
+    scale: int = 1
+
+    def __post_init__(self) -> None:
+        if not len(self.u) == len(self.v) == len(self.weight) or self.scale < 1:
+            raise ValueError("class edge columns must have one length and a scale >= 1")
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[tuple[int, int, Fraction]]) -> "ClassEdges":
+        """The columns of ``(u, v, weight)`` rows, the weights turned into
+        integers by :func:`to_integers`."""
+        rows = list(rows)
+        scale, weights = to_integers([w for _u, _v, w in rows])
+        return cls(tuple(r[0] for r in rows), tuple(r[1] for r in rows), tuple(weights), scale)
+
+    def __len__(self) -> int:
+        return len(self.u)
+
+    def fraction(self, i: int) -> Fraction:
+        """The rational weight of edge ``i``."""
+        return Fraction(self.weight[i], self.scale)
+
+    def weight_texts(self) -> list[str]:
+        """:func:`fraction_str` of each edge's weight, written once per
+        distinct weight."""
+        text = {w: fraction_str(Fraction(w, self.scale)) for w in set(self.weight)}
+        return list(map(text.__getitem__, self.weight))
 
 
 @dataclass(frozen=True)
@@ -225,15 +256,8 @@ class ApplicationGraph:
     resources: tuple[ResourceNode, ...] = ()
     flows: tuple[FunctionalFlow, ...] = ()
     resource_edges: tuple[ResourceEdge, ...] = ()
-    class_edges: tuple[ClassEdge, ...] = ()
+    class_edges: ClassEdges = ClassEdges()
     dependencies: tuple[DependencyRecord, ...] = ()
-
-    @functools.cached_property
-    def integer_edge_weights(self) -> tuple[int, tuple[int, ...]]:
-        """``(L, weights)``: :func:`to_integers` of the class-edge weights,
-        in ``class_edges`` order, computed once per graph."""
-        scale, weights = to_integers([e.weight for e in self.class_edges])
-        return scale, tuple(weights)
 
     def names(self) -> list[str]:
         return [c.name for c in self.classes]
@@ -242,13 +266,14 @@ class ApplicationGraph:
         return {c.name: c.id for c in self.classes}
 
 
-def adjacency(g: ApplicationGraph, values: Sequence[int]) -> list[list[tuple[int, int]]]:
-    """Per-class adjacency lists ``[(neighbor, value), ...]`` sorted by id,
-    where ``values[i]`` belongs to ``g.class_edges[i]``."""
+def adjacency(g: ApplicationGraph) -> list[list[tuple[int, int]]]:
+    """Per-class adjacency lists ``[(neighbor, weight), ...]`` sorted by id,
+    with the class edges' integer weights."""
     adj: list[list[tuple[int, int]]] = [[] for _ in g.classes]
-    for e, value in zip(g.class_edges, values):
-        adj[e.u].append((e.v, value))
-        adj[e.v].append((e.u, value))
+    edges = g.class_edges
+    for u, v, weight in zip(edges.u, edges.v, edges.weight):
+        adj[u].append((v, weight))
+        adj[v].append((u, weight))
     for lst in adj:
         lst.sort(key=lambda t: t[0])
     return adj
@@ -418,20 +443,7 @@ def validate_graph(g: ApplicationGraph) -> list[str]:
         else:
             seen_res.add(r.name)
 
-    seen_pairs: set[tuple[int, int]] = set()
-    for e in g.class_edges:
-        if not (0 <= e.u < n) or not (0 <= e.v < n):
-            problems.append(f"class edge ({e.u}, {e.v}) references a missing class id")
-            continue
-        pair = (e.u, e.v)
-        if e.u >= e.v:
-            problems.append(f"class edge {pair} must satisfy u < v")
-            continue
-        if pair in seen_pairs:
-            problems.append(f"parallel class edge on pair {pair}")
-        seen_pairs.add(pair)
-        if e.weight.numerator < 0:  # a Fraction comparison costs several times more
-            problems.append(f"class edge {pair} has negative weight {e.weight}")
+    problems += _class_edge_problems(g.class_edges, n)
 
     seen_bindings: set[tuple[int, int]] = set()
     for re_ in g.resource_edges:
@@ -468,14 +480,50 @@ def validate_graph(g: ApplicationGraph) -> list[str]:
     return problems
 
 
+def _class_edge_problems(edges: ClassEdges, n: int) -> list[str]:
+    """The class-edge problems, in edge order, for ``n`` classes. The
+    columns are checked whole first; only a graph that fails there is
+    walked edge by edge for the messages. Pairs in increasing order, as
+    :func:`monopart.graphbuild.build_graph` emits them, are distinct
+    without a set of them being built."""
+    u, v, weight = edges.u, edges.v, edges.weight
+    if (
+        all(map(operator.lt, u, v))
+        and (not u or (min(u) >= 0 and max(v) < n))
+        and (
+            all(map(operator.lt, zip(u, v), zip(u[1:], v[1:])))
+            or len(set(zip(u, v))) == len(u)
+        )
+        and (not weight or min(weight) >= 0)
+    ):
+        return []
+    problems: list[str] = []
+    seen_pairs: set[tuple[int, int]] = set()
+    for i, pair in enumerate(zip(u, v)):
+        a, b = pair
+        if not (0 <= a < n) or not (0 <= b < n):
+            problems.append(f"class edge ({a}, {b}) references a missing class id")
+            continue
+        if a >= b:
+            problems.append(f"class edge {pair} must satisfy u < v")
+            continue
+        if pair in seen_pairs:
+            problems.append(f"parallel class edge on pair {pair}")
+        seen_pairs.add(pair)
+        if weight[i] < 0:
+            problems.append(f"class edge {pair} has negative weight {edges.fraction(i)}")
+    return problems
+
+
 # ---------------------------------------------------------------------------
 # canonical JSON interchange
 # ---------------------------------------------------------------------------
 
 _SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+_ARRAY_TYPES = frozenset({list, tuple})
 
 
-@functools.lru_cache(maxsize=64)  # one per depth; a flow list asks for the same few
+@functools.lru_cache(maxsize=64)  # one per depth
 def _encoder(newline: str) -> Callable[[object], str]:
     """The stdlib C encoder (where ``_json`` exists) writing one flat
     container, with ``newline`` (a line break and an indent) after each
@@ -483,18 +531,22 @@ def _encoder(newline: str) -> Callable[[object], str]:
     return json.JSONEncoder(separators=("," + newline, ": "), check_circular=False).encode
 
 
+# The C encoder with a bare line break as item separator and a tab after each
+# key. With ``ensure_ascii`` no string holds a raw control character, so each
+# raw tab ends a key and each raw newline is an item separator.
+_marked = json.JSONEncoder(separators=(",\n", ":\t"), check_circular=False).encode
+
+
 def json_text(doc: object) -> str:
     """``json.dumps(doc, indent=2)``, the text of every JSON artifact, for a
     document whose object keys are strings.
 
     The stdlib writes with its pure-Python encoder whenever ``indent`` is
-    set. Here Python walks only the upper levels. A container of scalars,
-    and a list of non-empty objects of scalars (a list of records), each go
-    to the C encoder in one call, with the line break and indent as the item
-    separator; only the brackets are added around the result. With
-    ``ensure_ascii`` every newline inside a string is escaped, so each raw
-    newline in the encoder's output is structural, and ``"},<newline>{"``
-    can only be the seam between two records.
+    set. Here Python walks only the upper levels. A container of scalars
+    goes to the C encoder in one call, with the line break and indent as the
+    item separator; only the brackets are added around the result. So does
+    a record, an object whose values are scalars or lists of scalars, and a
+    list of records: see :func:`_records_text`.
     """
     return _json_text(doc, "\n")
 
@@ -511,21 +563,55 @@ def _json_text(value: object, newline: str) -> str:
         text = _encoder(inner)(value)
         return text[0] + inner + text[1:-1] + newline + text[-1]
     if isinstance(value, dict):
+        if (text := _records_text([value], newline)) is not None:
+            return text
         key = _encoder(inner)
         return "{" + inner + ("," + inner).join(
             key(k) + ": " + _json_text(v, inner) for k, v in value.items()
         ) + newline + "}"
-    if all(type(d) is dict and d for d in value) and set(
-        map(type, itertools.chain.from_iterable(map(dict.values, value)))
-    ) <= _SCALAR_TYPES:
-        deeper = inner + "  "
-        body = _encoder(deeper)(value)[2:-2]
-        seam = inner + "}," + inner + "{" + deeper
-        return (
-            "[" + inner + "{" + deeper + body.replace("}," + deeper + "{", seam)
-            + inner + "}" + newline + "]"
-        )
+    if all(type(d) is dict and d for d in value):
+        if (text := _records_text(value, inner)) is not None:
+            return "[" + inner + text + newline + "]"
     return "[" + inner + ("," + inner).join(_json_text(v, inner) for v in value) + newline + "]"
+
+
+def _records_text(records: Sequence[dict], brace: str) -> str | None:
+    """The indented text of non-empty records, objects whose values are
+    scalars or lists of scalars, each opening and closing on a line that
+    ``brace`` (a line break and an indent) starts, joined by ``,``; None
+    unless every object is a record.
+
+    All of them go to the C encoder in one call. Without a list, the line
+    break and indent of a field is the item separator, and ``"},"`` before
+    a line break can only be the seam between two records. With one, each
+    item separator is a bare line break and each key ends with a tab (see
+    :data:`_marked`); a line break before a known key and its tab lies
+    between two fields, and the rest between two records or two list items.
+    The marks become the line breaks and indents of ``json.dumps(indent=2)``,
+    and an empty list stays ``[]``. The control characters standing in
+    meanwhile cannot occur raw in the encoder's output.
+    """
+    key, item = brace + "  ", brace + "    "
+    types = set(map(type, itertools.chain.from_iterable(map(dict.values, records))))
+    if types <= _SCALAR_TYPES:
+        body = _encoder(key)(records)[2:-2]
+        seam = brace + "}," + brace + "{" + key
+        return "{" + key + body.replace("}," + key + "{", seam) + brace + "}"
+    arrays = (v for record in records for v in record.values() if type(v) in _ARRAY_TYPES)
+    if not types <= _SCALAR_TYPES | _ARRAY_TYPES or not set(
+        map(type, itertools.chain.from_iterable(arrays))
+    ) <= _SCALAR_TYPES:
+        return None
+    text = _marked(records)[1:-1].replace(":\t[]", ":\t\0")
+    for name in map(_marked, set(itertools.chain.from_iterable(records))):
+        text = text.replace(",\n" + name + ":\t", "\1" + name + ":\t")
+    text = text.replace("},\n{", "\2").replace(",\n", "," + item)
+    text = text.replace(":\t[", ": [" + item).replace(":\t", ": ")
+    text = text.replace("]\1", key + "]\1").replace("]\2", key + "]\2")
+    if text[-2] == "]":  # the last record ends with a list
+        text = text[:-2] + key + "]}"
+    text = text.replace("\1", "," + key).replace("\2", brace + "}," + brace + "{" + key)
+    return "{" + key + text[1:-1].replace("\0", "[]") + brace + "}"
 
 
 def graph_to_doc(g: ApplicationGraph) -> dict:
@@ -543,7 +629,8 @@ def graph_to_doc(g: ApplicationGraph) -> dict:
             {"resource": e.resource, "class": e.cls} for e in g.resource_edges
         ],
         "class_edges": [
-            {"u": e.u, "v": e.v, "weight": fraction_str(e.weight)} for e in g.class_edges
+            {"u": u, "v": v, "weight": w}
+            for u, v, w in zip(g.class_edges.u, g.class_edges.v, g.class_edges.weight_texts())
         ],
         "dependencies": [
             {"from": r.from_class, "to": r.to_class, "relation": r.relation.value}
@@ -574,6 +661,31 @@ def _parsed_once(parse: Callable[[object], T]) -> Callable[[object], T]:
     return once
 
 
+def _read_class_edges(raw: object) -> ClassEdges:
+    """The document's class edges as columns.
+
+    A document as :func:`graph_to_doc` writes it, with integer endpoints and
+    weight strings, is read a column at a time: each distinct weight string
+    is parsed once and mapped to its integer over L. Any other document is
+    read edge by edge, so the error raised is the first bad edge's, its
+    fields checked in the order u, v, weight.
+    """
+    try:
+        u, v, weight = (tuple(map(operator.itemgetter(key), raw)) for key in ("u", "v", "weight"))
+        if set(map(type, u + v)) <= {int} and set(map(type, weight)) <= {str}:
+            parsed = {text: as_fraction(text) for text in set(weight)}
+            scale, scaled = to_integers(list(parsed.values()))
+            integer = dict(zip(parsed, scaled))
+            return ClassEdges(u, v, tuple(map(integer.__getitem__, weight)), scale)
+    except (KeyError, TypeError, InputError):
+        pass
+    rational = _parsed_once(as_fraction)
+    return ClassEdges.from_rows(
+        (as_int(e["u"], "class id"), as_int(e["v"], "class id"), rational(e["weight"]))
+        for e in raw
+    )
+
+
 def graph_from_doc(doc: Mapping) -> ApplicationGraph:
     """Parse the canonical interchange document back into a graph that
     :func:`validate_graph` accepts; any problem raises :class:`InputError`.
@@ -585,9 +697,8 @@ def graph_from_doc(doc: Mapping) -> ApplicationGraph:
     if not isinstance(doc, Mapping):
         raise InputError("graph document must be a JSON object")
     _check_schema_version(doc, "graph document")
-    # Weights and relations repeat a handful of distinct strings; each is
-    # parsed once per document.
-    rational, relation = _parsed_once(as_fraction), _parsed_once(as_relation)
+    # Relations repeat three distinct strings; each is parsed once per document.
+    relation = _parsed_once(as_relation)
 
     try:
         classes = tuple(
@@ -616,10 +727,7 @@ def graph_from_doc(doc: Mapping) -> ApplicationGraph:
             ResourceEdge(as_int(e["resource"], "resource id"), as_int(e["class"], "class id"))
             for e in doc.get("resource_edges", [])
         )
-        class_edges = tuple(
-            ClassEdge(as_int(e["u"], "class id"), as_int(e["v"], "class id"), rational(e["weight"]))
-            for e in doc.get("class_edges", [])
-        )
+        class_edges = _read_class_edges(doc.get("class_edges", []))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed graph document: {exc}") from exc
     try:

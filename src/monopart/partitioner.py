@@ -7,13 +7,14 @@ growing on the coarsest level, then balance-constrained boundary
 refinement while projecting back. Several seeded restarts run and the
 lowest objective wins (ties go to the lowest seed).
 
-Numeric policy: rationals at the boundaries, integers inside. The graph,
-prices and alpha arrive as exact rationals, and each restart is scored by
-the exact rational :func:`objective`. In between, :func:`scale` converts
-everything once: edge weights are multiplied by L, the LCM of their
-denominators, and unit prices by U, the LCM of theirs; with alpha = a/d, a
-move's gain times d*L*U is the integer ``a*U*dcut + (d-a)*L*ddup`` in the
-scaled units. Loads are integers, so the balance cap is the floor of the
+Numeric policy: rationals at the boundaries, integers inside. The graph
+holds its edge weights as integers over L, the LCM of their denominators
+(``ApplicationGraph.class_edges``); prices and alpha arrive as exact
+rationals, and each restart is scored by the exact rational
+:func:`objective`. In between, :func:`scale` converts the rest once: unit
+prices are multiplied by U, the LCM of their denominators; with alpha =
+a/d, a move's gain times d*L*U is the integer ``a*U*dcut + (d-a)*L*ddup``
+in the scaled units. Loads are integers, so the balance cap is the floor of the
 rational one. Multiplying every compared quantity by the same positive
 constant keeps each comparison and tie-break, so the integer kernels
 choose exactly the partitions rational arithmetic would.
@@ -135,29 +136,32 @@ class CoarseLevel:
 def scale(g: ApplicationGraph, prices: PriceTable, cfg: ObjectiveConfig) -> tuple[Level, Gains]:
     """The finest level of ``g`` and the objective's gains, as integers.
 
-    Edge weights are multiplied by L, the LCM of their denominators, and
-    unit prices by U, the LCM of theirs. With alpha = a/d a move's gain
-    times d*L*U is ``a*U * scaled cut gain + (d-a)*L * scaled dup gain``.
+    Edge weights are the graph's integers over L, and unit prices are
+    multiplied by U, the LCM of their denominators. With alpha = a/d a
+    move's gain times d*L*U is ``a*U * scaled cut gain + (d-a)*L * scaled
+    dup gain``.
     A negative edge weight raises :class:`InputError`: refinement's gain
     bound needs every weight to be non-negative.
     """
-    lcm_edges, edge_weights = g.integer_edge_weights
-    if edge_weights and min(edge_weights) < 0:
-        e = next(e for e, w in zip(g.class_edges, edge_weights) if w < 0)
-        raise InputError(f"class edge ({e.u}, {e.v}) has negative weight {e.weight}")
+    edges = g.class_edges
+    if edges.weight and min(edges.weight) < 0:
+        i = next(i for i, w in enumerate(edges.weight) if w < 0)
+        raise InputError(
+            f"class edge ({edges.u[i]}, {edges.v[i]}) has negative weight {edges.fraction(i)}"
+        )
     lcm_prices, unit = to_integers([prices.unit_cost(r.kind) for r in g.resources])
     bound: list[set[int]] = [set() for _ in g.classes]
     for edge in g.resource_edges:
         bound[edge.cls].add(edge.resource)
     level = Level(
         weights=[c.weight for c in g.classes],
-        adj=adjacency(g, edge_weights),
+        adj=adjacency(g),
         res_of=[tuple(sorted(b)) for b in bound],
     )
     a, d = cfg.alpha.numerator, cfg.alpha.denominator
     gains = Gains(
         cut=a * lcm_prices,
-        dup=[(d - a) * lcm_edges * u for u in unit],
+        dup=[(d - a) * edges.scale * u for u in unit],
     )
     return level, gains
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from monopart.model import ApplicationGraph, ClassEdge, ClassNode, DependencyRecord
+from monopart.model import ApplicationGraph, ClassEdges, ClassNode, DependencyRecord
 
 FIXTURES_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -27,10 +27,14 @@ def graph_from_edges(
     """Bare class graph N0..N(n-1) with the given edge weights and
     directed dependencies."""
     classes = tuple(ClassNode(i, f"N{i}") for i in range(n))
-    class_edges = tuple(
-        ClassEdge(u=u, v=v, weight=Fraction(w)) for (u, v), w in sorted(edges.items())
-    )
+    class_edges = ClassEdges.from_rows((u, v, Fraction(w)) for (u, v), w in sorted(edges.items()))
     return ApplicationGraph(classes=classes, class_edges=class_edges, dependencies=dependencies)
+
+
+def edge_weights(g: ApplicationGraph) -> dict[tuple[int, int], Fraction]:
+    """``{(u, v): weight}`` of a graph's class edges, each weight a Fraction."""
+    edges = g.class_edges
+    return {(edges.u[i], edges.v[i]): edges.fraction(i) for i in range(len(edges))}
 
 
 def clique_pair_xml(size: int, bridges: list[tuple[int, int]] | None = None) -> str:

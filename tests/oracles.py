@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from monopart.model import InputError, PartitionSet
+from monopart.model import InputError, PartitionSet, as_fraction, as_int
 from monopart.partitioner import _MAX_REFINE_PASSES, Gains, Level, ObjectiveConfig, _balance_cap
 
 
@@ -118,35 +118,76 @@ def pairwise_f1_enumerated(
     return 2 * precision * recall / (precision + recall)
 
 
-def class_edge_problems_reference(g) -> list[str]:
-    """The class-edge checks of ``validate_graph``, written out one rule
-    after another; the same messages in the same order. On a graph whose
-    classes, resources and flows are well formed this is the whole problem
-    list."""
+def class_edge_rows_reference(doc) -> list[tuple[int, int, Fraction]]:
+    """The class edges of a graph document read one edge at a time, as
+    ``(u, v, weight)`` rows with each weight a Fraction: each field is
+    checked in the order u, v, weight, so an error names the first bad
+    edge. The reference for ``graph_from_doc``, which reads the edges a
+    column at a time."""
+    rows = []
+    for e in doc.get("class_edges", []):
+        u = as_int(e["u"], "class id")
+        v = as_int(e["v"], "class id")
+        rows.append((u, v, as_fraction(e["weight"])))
+    return rows
+
+
+def class_edge_row_problems(n: int, rows) -> list[str]:
+    """The class-edge rules of ``validate_graph``, written out one rule
+    after another over ``(u, v, Fraction weight)`` rows for ``n`` classes;
+    the same messages in the same order."""
     problems: list[str] = []
-    n = len(g.classes)
     seen_pairs: set[tuple[int, int]] = set()
-    for e in g.class_edges:
-        if not (0 <= e.u < n) or not (0 <= e.v < n):
-            problems.append(f"class edge ({e.u}, {e.v}) references a missing class id")
+    for u, v, weight in rows:
+        if not (0 <= u < n) or not (0 <= v < n):
+            problems.append(f"class edge ({u}, {v}) references a missing class id")
             continue
-        pair = (e.u, e.v)
-        if e.u >= e.v:
+        pair = (u, v)
+        if u >= v:
             problems.append(f"class edge {pair} must satisfy u < v")
             continue
         if pair in seen_pairs:
             problems.append(f"parallel class edge on pair {pair}")
         seen_pairs.add(pair)
-        if e.weight < 0:
-            problems.append(f"class edge {pair} has negative weight {e.weight}")
+        if weight < 0:
+            problems.append(f"class edge {pair} has negative weight {weight}")
     return problems
+
+
+def class_edge_problems_reference(g) -> list[str]:
+    """:func:`class_edge_row_problems` of a graph's class-edge columns, each
+    weight rebuilt as a Fraction. On a graph whose classes, resources and
+    flows are well formed this is the whole problem list."""
+    edges = g.class_edges
+    rows = [
+        (u, v, Fraction(w, edges.scale)) for u, v, w in zip(edges.u, edges.v, edges.weight)
+    ]
+    return class_edge_row_problems(len(g.classes), rows)
+
+
+def graph_reader_error_reference(doc) -> str | None:
+    """The message of the ``InputError`` that reading ``doc`` raises, or None
+    when it reads, for a document whose every part but ``class_edges`` is
+    valid: the per-edge reader's error, else the rule problems."""
+    try:
+        rows = class_edge_rows_reference(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        return f"malformed graph document: {exc}"
+    except InputError as exc:
+        return str(exc)
+    return "; ".join(class_edge_row_problems(len(doc["classes"]), rows)) or None
 
 
 def edge_cut_reference(g, assignment) -> Fraction:
     """Edge cut as a Fraction sum over the edges whose endpoints sit in
     different partitions."""
+    edges = g.class_edges
     return sum(
-        (e.weight for e in g.class_edges if assignment[e.u] != assignment[e.v]),
+        (
+            Fraction(w, edges.scale)
+            for u, v, w in zip(edges.u, edges.v, edges.weight)
+            if assignment[u] != assignment[v]
+        ),
         Fraction(0),
     )
 

@@ -23,6 +23,7 @@ from monopart.cli import (
     PARTITION_FILE,
     main,
 )
+from monopart.fixturegen import MAX_CLASSES, MAX_PAIR_DRAWS, FixtureSpec
 from monopart.model import PartitionSet
 
 DEPS_XML = """\
@@ -996,6 +997,13 @@ def _zero_clusters(root: Path) -> tuple[list[str], str]:
     )
 
 
+def _classes_of_20_digits(root: Path) -> tuple[list[str], str]:
+    argv = ["generate", "--classes", "9" * 20, "--clusters", "2", "--p-in", "0.5", "--p-out", "0.1"]
+    return [*argv, "--seed", "1", "--out", str(root / "out")], (
+        f"error: classes must be at most {MAX_CLASSES} ({MAX_PAIR_DRAWS} class pairs), got {'9' * 20}"
+    )
+
+
 def _sweep_k_of_5000_digits(root: Path) -> tuple[list[str], str]:
     return ["partition", "--sweep-k", "2.." + "9" * 5000, "--out", str(root / "out")], (
         "error: argument --sweep-k: expects LO..HI, two integers"
@@ -1062,6 +1070,7 @@ def _flag_of_3000_digits(argv: list[str], flag: str) -> Callable[[Path], tuple[l
         _sweep_infeasible,
         _alpha_not_rational,
         _zero_clusters,
+        _classes_of_20_digits,
         _sweep_k_of_5000_digits,
         _k_and_sweep_k,
         _neither_k_nor_sweep_k,
@@ -1081,6 +1090,13 @@ def test_usage_error_exits_2(workdir, capsys, make_case):
     assert "Traceback" not in err and len(err) < 1000
     assert {path: path.read_bytes() for path in workdir.rglob("*") if path.is_file()} == before
     assert elapsed < 1
+
+
+def test_class_bound_admits_exactly_the_pairs_allowed():
+    assert MAX_CLASSES * (MAX_CLASSES - 1) // 2 <= MAX_PAIR_DRAWS < (MAX_CLASSES + 1) * MAX_CLASSES // 2
+    FixtureSpec(classes=MAX_CLASSES, clusters=2, p_in=0.5, p_out=0.1)  # checked, never generated
+    with pytest.raises(model.InputError, match=f"classes must be at most {MAX_CLASSES} "):
+        FixtureSpec(classes=MAX_CLASSES + 1, clusters=2, p_in=0.5, p_out=0.1)
 
 
 @pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import edge_weights
 from oracles import check_dot
 
 from monopart.graphbuild import WeightConfig, build_graph, to_dot
@@ -38,42 +39,41 @@ def db1(*classes: str) -> InfraManifest:
 
 class TestWeightComposition:
     def test_single_call_edge(self):
-        (e,) = build_graph([dep("A", "B")], cfg=VISIBLE).class_edges
-        assert (e.u, e.v, e.weight) == (0, 1, Fraction(1))
+        assert edge_weights(build_graph([dep("A", "B")], cfg=VISIBLE)) == {(0, 1): 1}
 
     def test_shared_resource_increments_weight(self):
         manifest = db1("A", "B")
-        assert build_graph([dep("A", "B")], manifest).class_edges[0].weight == 2
-        (e,) = build_graph([dep("A", "B")], manifest, cfg=VISIBLE).class_edges
-        assert e.weight == 11  # 1 call + 1 shared resource
+        assert edge_weights(build_graph([dep("A", "B")], manifest)) == {(0, 1): 2}
+        g = build_graph([dep("A", "B")], manifest, cfg=VISIBLE)
+        assert edge_weights(g) == {(0, 1): 11}  # 1 call + 1 shared resource
 
     def test_bidirectional_deps_and_flow(self):
         deps = [dep("A", "B"), dep("B", "A", Relation.REFERENCE)]
         flows = [FlowRecord("F0", ("A", "B"))]
-        assert build_graph(deps, InfraManifest(), flows).class_edges[0].weight == 3
-        (e,) = build_graph(deps, InfraManifest(), flows, VISIBLE).class_edges
-        assert e.weight == 102  # 1 call + 1 reference + 1 flow co-occurrence
+        assert edge_weights(build_graph(deps, InfraManifest(), flows)) == {(0, 1): 3}
+        g = build_graph(deps, InfraManifest(), flows, VISIBLE)
+        assert edge_weights(g) == {(0, 1): 102}  # 1 call + 1 reference + 1 flow co-occurrence
 
     def test_one_of_each_term(self):
         manifest = db1("A", "B")
         flows = [FlowRecord("F0", ("A", "B"))]
-        (e,) = build_graph([dep("A", "B")], manifest, flows, VISIBLE).class_edges
-        assert e.weight == 111
+        assert edge_weights(build_graph([dep("A", "B")], manifest, flows, VISIBLE)) == {(0, 1): 111}
 
     def test_inheritance_base_weight(self):
         g = build_graph([dep("A", "B", Relation.INHERITANCE)])
-        assert g.class_edges[0].weight == 3
+        assert edge_weights(g) == {(0, 1): 3}
 
     def test_duplicate_records_sum(self):
         g = build_graph([dep("A", "B"), dep("A", "B")], cfg=VISIBLE)
-        assert g.class_edges[0].weight == 2
+        assert edge_weights(g) == {(0, 1): 2}
 
     def test_custom_config(self):
         cfg = WeightConfig(base_call=Fraction(2), beta_flow=Fraction(1, 2))
         g = build_graph(
             [dep("A", "B")], InfraManifest(), [FlowRecord("F0", ("A", "B"))], cfg
         )
-        assert g.class_edges[0].weight == Fraction(5, 2)
+        assert edge_weights(g) == {(0, 1): Fraction(5, 2)}
+        assert (g.class_edges.weight, g.class_edges.scale) == ((5,), 2)
 
     def test_negative_config_rejected(self):
         with pytest.raises(InputError):
@@ -84,8 +84,7 @@ class TestWeightComposition:
         g = build_graph([dep("A", "B"), dep("A", "C")], manifest, cfg=VISIBLE)
         ids = g.id_by_name()
         pair = tuple(sorted((ids["B"], ids["C"])))
-        edge = next(e for e in g.class_edges if (e.u, e.v) == pair)
-        assert edge.weight == 10  # no dependency, 1 shared resource
+        assert edge_weights(g)[pair] == 10  # no dependency, 1 shared resource
 
     def test_flow_only_pair_gets_edge(self):
         g = build_graph(
@@ -93,8 +92,7 @@ class TestWeightComposition:
         )
         ids = g.id_by_name()
         pair = tuple(sorted((ids["A"], ids["C"])))
-        edge = next(e for e in g.class_edges if (e.u, e.v) == pair)
-        assert edge.weight == 100  # no dependency, 1 common flow
+        assert edge_weights(g)[pair] == 100  # no dependency, 1 common flow
 
 
 class TestBuildGraph:
@@ -207,7 +205,7 @@ def test_random_inputs_build_valid_graphs(deps, bindings, flow_sets):
         for i, a in enumerate(members):
             for b in members[i + 1 :]:
                 add(a, b, cfg.beta_flow)
-    assert {(e.u, e.v): e.weight for e in g.class_edges} == expected
+    assert edge_weights(g) == expected
 
 
 class TestToDot:

@@ -1,5 +1,6 @@
 """Domain types, validation, and interchange round-trips."""
 
+import copy
 import json
 from dataclasses import astuple, replace
 from fractions import Fraction
@@ -8,12 +9,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import class_edge_problems_reference, report_from_json
+from oracles import (
+    class_edge_problems_reference,
+    class_edge_rows_reference,
+    graph_reader_error_reference,
+    report_from_json,
+)
 
 from monopart.metrics import evaluate
 from monopart.model import (
     ApplicationGraph,
-    ClassEdge,
+    ClassEdges,
     ClassNode,
     DependencyRecord,
     EvaluationReport,
@@ -71,7 +77,7 @@ class TestFractions:
 def two_class_graph() -> ApplicationGraph:
     return ApplicationGraph(
         classes=(ClassNode(0, "A"), ClassNode(1, "B")),
-        class_edges=(ClassEdge(0, 1, Fraction(1)),),
+        class_edges=ClassEdges.from_rows([(0, 1, Fraction(1))]),
     )
 
 
@@ -80,7 +86,7 @@ def bound_graph() -> ApplicationGraph:
         classes=(ClassNode(0, "A"), ClassNode(1, "B")),
         resources=(ResourceNode(0, "db1", ResourceKind.DATABASE),),
         resource_edges=(ResourceEdge(0, 0), ResourceEdge(0, 1)),
-        class_edges=(ClassEdge(0, 1, Fraction(2)),),
+        class_edges=ClassEdges.from_rows([(0, 1, Fraction(2))]),
     )
 
 
@@ -99,7 +105,7 @@ class TestValidateGraph:
     def test_endpoints_must_be_ordered(self, u, v):
         g = ApplicationGraph(
             classes=(ClassNode(0, "A"), ClassNode(1, "B")),
-            class_edges=(ClassEdge(u, v, Fraction(1)),),
+            class_edges=ClassEdges.from_rows([(u, v, Fraction(1))]),
         )
         assert validate_graph(g) == [f"class edge ({u}, {v}) must satisfy u < v"]
 
@@ -114,17 +120,14 @@ class TestValidateGraph:
     def test_edge_reference_out_of_range(self):
         g = ApplicationGraph(
             classes=(ClassNode(0, "A"),),
-            class_edges=(ClassEdge(0, 5, Fraction(1)),),
+            class_edges=ClassEdges.from_rows([(0, 5, Fraction(1))]),
         )
         assert validate_graph(g)
 
     def test_parallel_edges(self):
         g = ApplicationGraph(
             classes=(ClassNode(0, "A"), ClassNode(1, "B")),
-            class_edges=(
-                ClassEdge(0, 1, Fraction(1)),
-                ClassEdge(0, 1, Fraction(2)),
-            ),
+            class_edges=ClassEdges.from_rows([(0, 1, Fraction(1)), (0, 1, Fraction(2))]),
         )
         assert any("parallel" in p for p in validate_graph(g))
 
@@ -146,7 +149,7 @@ class TestValidateGraph:
     def test_negative_weight_reported(self):
         g = ApplicationGraph(
             classes=(ClassNode(0, "A"), ClassNode(1, "B")),
-            class_edges=(ClassEdge(0, 1, Fraction(-1, 2)),),
+            class_edges=ClassEdges.from_rows([(0, 1, Fraction(-1, 2))]),
         )
         assert validate_graph(g) == ["class edge (0, 1) has negative weight -1/2"]
 
@@ -172,7 +175,7 @@ class TestValidateGraph:
     def test_violation_names_offender(self):
         g = ApplicationGraph(
             classes=(ClassNode(0, "A"), ClassNode(1, "B")),
-            class_edges=(ClassEdge(0, 1, Fraction(-1)),),
+            class_edges=ClassEdges.from_rows([(0, 1, Fraction(-1))]),
         )
         problems = validate_graph(g)
         assert problems and any("(0, 1)" in p for p in problems)
@@ -190,12 +193,12 @@ def class_edge_graphs(draw) -> ApplicationGraph:
         v = draw(st.integers(u + 1, n))
         if draw(st.integers(0, 4)) == 0:
             u, v = v, u
-        edges.append(ClassEdge(u, v, draw(rationals)))
+        edges.append((u, v, draw(rationals)))
         if draw(st.integers(0, 4)) == 0:
             edges.append(edges[-1])
     return ApplicationGraph(
         classes=tuple(ClassNode(i, f"N{i}") for i in range(n)),
-        class_edges=tuple(edges),
+        class_edges=ClassEdges.from_rows(edges),
     )
 
 
@@ -324,7 +327,7 @@ def small_graphs(draw) -> ApplicationGraph:
         )
     )
     weights = st.fractions(min_value=0, max_value=6, max_denominator=12)
-    class_edges = [ClassEdge(u, v, draw(weights)) for u, v in sorted(pairs)]
+    class_edges = ClassEdges.from_rows((u, v, draw(weights)) for u, v in sorted(pairs))
     flows = tuple(
         FunctionalFlow(f"F{i}", tuple(sorted(draw(
             st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=n)
@@ -340,7 +343,7 @@ def small_graphs(draw) -> ApplicationGraph:
         resources=resources,
         flows=flows,
         resource_edges=resource_edges,
-        class_edges=tuple(class_edges),
+        class_edges=class_edges,
         dependencies=tuple(dependencies),
     )
 
@@ -465,15 +468,101 @@ class TestInterchange:
             partition_from_doc(doc, g)
 
 
+# Values an edge field may be mutated to: wrong types, strings the rational
+# parser rejects or reads as negative, and numbers the reader accepts.
+_ENDPOINTS = st.sampled_from([True, False, 1.0, 0.5, "0", None, [0], -1, 99, 10**30])
+_WEIGHTS = st.sampled_from(
+    [[1], {"w": 1}, "nan", "-1/2", "1/0", "1e5000", "x", " 3 ", 0.5, 2, -1, True, None, float("nan")]
+)
+_NOT_OBJECTS = st.sampled_from([[0, 1, "1"], "edge", 3, None])
+_NOT_LISTS = st.sampled_from([{"u": 0, "v": 1, "weight": "1"}, "u", 5, None])
+
+
+@st.composite
+def mutated_graph_docs(draw) -> dict:
+    """A valid graph document whose ``class_edges`` then takes one to three
+    mutations: a bad endpoint or weight, a missing key, an entry that is not
+    an object, a reversed, out-of-range or repeated pair, or a list that is
+    not a list."""
+    doc = graph_to_doc(draw(small_graphs()))
+    n = len(doc["classes"])
+    edges = doc["class_edges"]
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(
+            ["endpoint", "weight", "missing", "entry", "reverse", "range", "parallel", "container"]
+        ))
+        if not isinstance(edges, list) or not edges or kind == "container":
+            edges = doc["class_edges"] = draw(_NOT_LISTS) if kind == "container" else [
+                {"u": 0, "v": 1, "weight": "1"}
+            ]
+            continue
+        i = draw(st.integers(0, len(edges) - 1))
+        edge = edges[i]
+        if not isinstance(edge, dict):
+            continue
+        if kind == "endpoint":
+            edge[draw(st.sampled_from("uv"))] = draw(_ENDPOINTS)
+        elif kind == "weight":
+            edge["weight"] = draw(_WEIGHTS)
+        elif kind == "missing":
+            edge.pop(draw(st.sampled_from(["u", "v", "weight"])), None)
+        elif kind == "entry":
+            edges[i] = draw(_NOT_OBJECTS)
+        elif kind == "reverse":
+            edge["u"], edge["v"] = edge.get("v"), edge.get("u")
+        elif kind == "range":
+            edge["v"] = n + draw(st.integers(0, 3))
+        else:
+            edges.insert(draw(st.integers(0, len(edges))), copy.deepcopy(edge))
+    return doc
+
+
+class TestReaderMatchesPerEdgeReference:
+    """``graph_from_doc`` reads class edges column by column; on any edit of
+    a valid document's edges it raises exactly what the per-edge reader
+    raises, and reads the same edges when that reader accepts them."""
+
+    @settings(max_examples=400)
+    @given(mutated_graph_docs())
+    @example({  # several bad weight strings: the first in document order is named
+        "classes": [{"id": i, "name": f"N{i}"} for i in range(4)],
+        "class_edges": [
+            {"u": 0, "v": 1, "weight": "1"},
+            {"u": 0, "v": 2, "weight": "x"},
+            {"u": 1, "v": 2, "weight": "1/0"},
+            {"u": 1, "v": 3, "weight": "nan"},
+            {"u": 2, "v": 3, "weight": "1e5000"},
+        ],
+    })
+    def test_same_error_or_same_edges(self, doc):
+        expected = graph_reader_error_reference(doc)
+        if expected is None:
+            rows = class_edge_rows_reference(doc)
+            assert graph_from_doc(doc).class_edges == ClassEdges.from_rows(rows)
+        else:
+            with pytest.raises(InputError) as info:
+                graph_from_doc(doc)
+            assert str(info.value) == expected
+
+
 # Pieces that could confuse a writer splicing the encoder's output: raw
-# newlines, quotes, backslashes, the seam between two records, non-ASCII.
+# newlines, tabs and the control characters it marks with, quotes,
+# backslashes, the seams between two records, two fields and a list's end,
+# a key with its separator, non-ASCII.
 _JSON_STRINGS = st.lists(
-    st.sampled_from(["\n", '"', "\\", "},\n  {", "},\n    {", "é", "\u2028", "\U0001f4a1"])
+    st.sampled_from([
+        "\n", "\t", "\0", "\1", "\2", '"', "\\", "},\n  {", "},\n    {", "],", "]}", ":\t[",
+        '"members"', '"members": [', "é", "\u2028", "\U0001f4a1",
+    ])
     | st.text(max_size=3),
     max_size=4,
 ).map("".join)
 _JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | _JSON_STRINGS
-_JSON_RECORDS = st.lists(st.dictionaries(_JSON_STRINGS, _JSON_SCALARS, min_size=1), min_size=1)
+# Records: objects whose values are scalars or lists (or tuples) of scalars.
+_JSON_FIELDS = _JSON_SCALARS | st.lists(_JSON_SCALARS, max_size=3) | st.tuples(_JSON_SCALARS)
+_JSON_RECORDS = st.lists(
+    st.dictionaries(_JSON_STRINGS | st.just("members"), _JSON_FIELDS, min_size=1), min_size=1
+)
 _JSON_DOCS = st.recursive(
     _JSON_SCALARS | _JSON_RECORDS,
     lambda children: st.lists(children, max_size=4)
@@ -486,5 +575,7 @@ class TestJsonText:
     @given(_JSON_DOCS)
     @example([{"a": "},\n    {", "b": 1}, {"c": None}])
     @example({"flows": [{"id": "F0", "members": [0, 1]}], "edges": [{"u": 0}, {}], "mixed": [{"a": 1}, 2]})
+    @example([{"id": "],\n", "members": ["\"members\": [", "],"]}, {"members": [], "id": [1]}])
+    @example({"members": ["]}"], "k": 1})
     def test_equals_json_dumps_indent_2(self, doc):
         assert json_text(doc) == json.dumps(doc, indent=2)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES_DIR, clique_pair_xml, graph_from_edges, random_edge_set
+from conftest import FIXTURES_DIR, clique_pair_xml, edge_weights, graph_from_edges, random_edge_set
 
 from oracles import (
     duplication_cost_reference,
@@ -610,7 +610,7 @@ class TestProperties:
         assert edge_cut(g, p) == cut
         assert duplication_cost(g, p, prices) == dup
         assert objective(g, p, prices, cfg) == cfg.alpha * cut + (1 - cfg.alpha) * dup
-        edges = {(e.u, e.v): e.weight for e in g.class_edges}
+        edges = edge_weights(g)
         if any(edges.values()):
             assert compute_ngm(g, p) == modularity_matrix_form(len(g.classes), edges, p.assignment)
         else:
