@@ -520,7 +520,6 @@ def _class_edge_problems(edges: ClassEdges, n: int) -> list[str]:
 # ---------------------------------------------------------------------------
 
 _SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
-_ARRAY_TYPES = frozenset({list, tuple})
 
 
 @functools.lru_cache(maxsize=64)  # one per depth
@@ -531,12 +530,6 @@ def _encoder(newline: str) -> Callable[[object], str]:
     return json.JSONEncoder(separators=("," + newline, ": "), check_circular=False).encode
 
 
-# The C encoder with a bare line break as item separator and a tab after each
-# key. With ``ensure_ascii`` no string holds a raw control character, so each
-# raw tab ends a key and each raw newline is an item separator.
-_marked = json.JSONEncoder(separators=(",\n", ":\t"), check_circular=False).encode
-
-
 def json_text(doc: object) -> str:
     """``json.dumps(doc, indent=2)``, the text of every JSON artifact, for a
     document whose object keys are strings.
@@ -545,8 +538,8 @@ def json_text(doc: object) -> str:
     set. Here Python walks only the upper levels. A container of scalars
     goes to the C encoder in one call, with the line break and indent as the
     item separator; only the brackets are added around the result. So does
-    a record, an object whose values are scalars or lists of scalars, and a
-    list of records: see :func:`_records_text`.
+    a list of records, objects whose values are all scalars: see
+    :func:`_records_text`.
     """
     return _json_text(doc, "\n")
 
@@ -563,8 +556,6 @@ def _json_text(value: object, newline: str) -> str:
         text = _encoder(inner)(value)
         return text[0] + inner + text[1:-1] + newline + text[-1]
     if isinstance(value, dict):
-        if (text := _records_text([value], newline)) is not None:
-            return text
         key = _encoder(inner)
         return "{" + inner + ("," + inner).join(
             key(k) + ": " + _json_text(v, inner) for k, v in value.items()
@@ -576,42 +567,22 @@ def _json_text(value: object, newline: str) -> str:
 
 
 def _records_text(records: Sequence[dict], brace: str) -> str | None:
-    """The indented text of non-empty records, objects whose values are
-    scalars or lists of scalars, each opening and closing on a line that
-    ``brace`` (a line break and an indent) starts, joined by ``,``; None
-    unless every object is a record.
+    """The indented text of non-empty records, objects whose values are all
+    scalars, each opening and closing on a line that ``brace`` (a line break
+    and an indent) starts, joined by ``,``; None unless every object is a
+    record.
 
-    All of them go to the C encoder in one call. Without a list, the line
-    break and indent of a field is the item separator, and ``"},"`` before
-    a line break can only be the seam between two records. With one, each
-    item separator is a bare line break and each key ends with a tab (see
-    :data:`_marked`); a line break before a known key and its tab lies
-    between two fields, and the rest between two records or two list items.
-    The marks become the line breaks and indents of ``json.dumps(indent=2)``,
-    and an empty list stays ``[]``. The control characters standing in
-    meanwhile cannot occur raw in the encoder's output.
+    All of them go to the C encoder in one call, with the line break and
+    indent of a field as the item separator, so ``"},"`` before a line
+    break can only be the seam between two records.
     """
-    key, item = brace + "  ", brace + "    "
+    key = brace + "  "
     types = set(map(type, itertools.chain.from_iterable(map(dict.values, records))))
-    if types <= _SCALAR_TYPES:
-        body = _encoder(key)(records)[2:-2]
-        seam = brace + "}," + brace + "{" + key
-        return "{" + key + body.replace("}," + key + "{", seam) + brace + "}"
-    arrays = (v for record in records for v in record.values() if type(v) in _ARRAY_TYPES)
-    if not types <= _SCALAR_TYPES | _ARRAY_TYPES or not set(
-        map(type, itertools.chain.from_iterable(arrays))
-    ) <= _SCALAR_TYPES:
+    if not types <= _SCALAR_TYPES:
         return None
-    text = _marked(records)[1:-1].replace(":\t[]", ":\t\0")
-    for name in map(_marked, set(itertools.chain.from_iterable(records))):
-        text = text.replace(",\n" + name + ":\t", "\1" + name + ":\t")
-    text = text.replace("},\n{", "\2").replace(",\n", "," + item)
-    text = text.replace(":\t[", ": [" + item).replace(":\t", ": ")
-    text = text.replace("]\1", key + "]\1").replace("]\2", key + "]\2")
-    if text[-2] == "]":  # the last record ends with a list
-        text = text[:-2] + key + "]}"
-    text = text.replace("\1", "," + key).replace("\2", brace + "}," + brace + "{" + key)
-    return "{" + key + text[1:-1].replace("\0", "[]") + brace + "}"
+    body = _encoder(key)(records)[2:-2]
+    seam = brace + "}," + brace + "{" + key
+    return "{" + key + body.replace("}," + key + "{", seam) + brace + "}"
 
 
 def graph_to_doc(g: ApplicationGraph) -> dict:
@@ -775,13 +746,13 @@ def partition_from_doc(doc: Mapping, g: ApplicationGraph) -> PartitionSet:
     if not isinstance(raw, Mapping):
         raise InputError("partition assignment must map class names to partition indices")
     ids = g.id_by_name()
-    assignment = [-1] * len(g.classes)
+    assignment: list[int | None] = [None] * len(g.classes)
     for name, part in raw.items():
         if name not in ids:
             raise InputError(f"partition references unknown class {name!r}")
         assignment[ids[name]] = as_int(part, f"partition of class {name!r}")
     for cid, part in enumerate(assignment):
-        if part < 0:
+        if part is None:
             raise InputError(
                 f"partition is missing class {g.classes[cid].name!r}"
             )

@@ -19,21 +19,26 @@ rational one. Multiplying every compared quantity by the same positive
 constant keeps each comparison and tie-break, so the integer kernels
 choose exactly the partitions rational arithmetic would.
 
-Refinement keeps, per vertex, its scaled edge weight and its neighbour
-count into each partition, and a move updates only the moved vertex's
-neighbours, so a pass costs the candidates it visits rather than a rescan
-of every edge. A candidate is skipped when not even the best case gains:
-all of its edge weight outside its partition going to one target, and
-every resource copy it alone keeps alive disappearing. That bound holds
-only because edge weights, alpha and prices are non-negative, so each is
-checked: ``scale`` rejects a negative edge weight, and ``ObjectiveConfig``
-and ``PriceTable`` reject the others when they are made.
+Growth, balance repair and refinement share one move state, ``_Moves``:
+the partition loads and sizes, per vertex its scaled edge weight and its
+neighbour count into each partition, and per resource its client count
+in each partition. A move updates only the moved vertex's neighbours and
+resources, so a refinement pass costs the candidates it visits rather
+than a rescan of every edge. A candidate is skipped when not even the
+best case gains: all of its edge weight outside its partition going to
+one target, and every resource copy it alone keeps alive disappearing.
+That bound holds only because edge weights, alpha and prices are
+non-negative, so each is checked: ``scale`` rejects a negative edge
+weight, and ``ObjectiveConfig`` and ``PriceTable`` reject the others
+when they are made.
 """
 
 from __future__ import annotations
 
 import logging
 import random
+from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import compress
@@ -261,6 +266,70 @@ def coarsen(
 
 
 # ---------------------------------------------------------------------------
+# move state
+# ---------------------------------------------------------------------------
+
+class _Moves:
+    """A partition of a level under construction, with every tally a move
+    changes.
+
+    ``assign[v]`` is v's partition; ``load[r]`` and ``size[r]`` are the
+    summed weight and the vertex count of partition r; ``conn[v][r]`` is the
+    scaled edge weight from v into r and ``nbrs[v][r]`` the number of v's
+    neighbours in r; ``res_count[rid]`` maps each partition holding a client
+    of resource rid to its number of clients there. :meth:`move` keeps all
+    of them true, touching only the moved vertex's neighbours and resources.
+    """
+
+    def __init__(self, level: Level, assign: Sequence[int], parts: int) -> None:
+        self.level = level
+        self.assign = assign = list(assign)
+        self.load = load = [0] * parts
+        self.size = size = [0] * parts
+        for part, weight in zip(assign, level.weights):
+            load[part] += weight
+            size[part] += 1
+        self.conn: list[list[int]] = []
+        self.nbrs: list[list[int]] = []
+        for row in level.adj:
+            weight_to, count_in = [0] * parts, [0] * parts
+            for u, w in row:
+                part = assign[u]
+                weight_to[part] += w
+                count_in[part] += 1
+            self.conn.append(weight_to)
+            self.nbrs.append(count_in)
+        self.res_count: defaultdict[int, dict[int, int]] = defaultdict(dict)
+        for part, res in zip(assign, level.res_of):
+            for rid in res:
+                counts = self.res_count[rid]
+                counts[part] = counts.get(part, 0) + 1
+
+    def move(self, v: int, dst: int) -> None:
+        """Move vertex v into partition ``dst``."""
+        assign, load, size, level = self.assign, self.load, self.size, self.level
+        src = assign[v]
+        assign[v] = dst
+        load[src] -= level.weights[v]
+        load[dst] += level.weights[v]
+        size[src] -= 1
+        size[dst] += 1
+        res_count = self.res_count
+        for rid in level.res_of[v]:
+            counts = res_count[rid]
+            counts[src] -= 1
+            if counts[src] == 0:
+                del counts[src]
+            counts[dst] = counts.get(dst, 0) + 1
+        conn, nbrs = self.conn, self.nbrs
+        for u, w in level.adj[v]:
+            conn[u][src] -= w
+            conn[u][dst] += w
+            nbrs[u][src] -= 1
+            nbrs[u][dst] += 1
+
+
+# ---------------------------------------------------------------------------
 # initial partition and balance repair
 # ---------------------------------------------------------------------------
 
@@ -271,7 +340,8 @@ def initial_partition(coarse: Level, cfg: ObjectiveConfig) -> PartitionSet:
     highest connection weight among cap-respecting regions (ties to the
     lowest vertex id, then lowest region); vertices with no positive
     connection go to the lightest region. Growth is cut-driven; the
-    infrastructure term enters during refinement.
+    infrastructure term enters during refinement. Unplaced vertices wait in
+    an extra partition k of the move state, so a placement is a move.
     """
     weights = coarse.weights
     n = len(weights)
@@ -280,39 +350,27 @@ def initial_partition(coarse: Level, cfg: ObjectiveConfig) -> PartitionSet:
         raise InputError(f"k={k} exceeds vertex count {n}")
     rng = random.Random(cfg.seed)
     cap = _balance_cap(weights, cfg)
-    adj = coarse.adj
-
-    assign = [-1] * n
-    load = [0] * k
-    # conn[v][r]: total edge weight from unassigned v into region r
-    conn = [[0] * k for _ in range(n)]
+    state = _Moves(coarse, [k] * n, k + 1)
+    assign, load, conn = state.assign, state.load, state.conn
     for region, v in enumerate(rng.sample(range(n), k)):
-        assign[v] = region
-        load[region] = weights[v]
-        for u, w in adj[v]:
-            if assign[u] == -1:
-                conn[u][region] += w
+        state.move(v, region)
 
     for _ in range(n - k):
         best_v = best_r = -1
         best_w = 0
         for v in range(n):
-            if assign[v] != -1:
+            if assign[v] != k:
                 continue
             row = conn[v]
             for r in range(k):
                 if row[r] > best_w and load[r] + weights[v] <= cap:
                     best_v, best_r, best_w = v, r, row[r]
         if best_v == -1:
-            best_v = next(v for v in range(n) if assign[v] == -1)
+            best_v = assign.index(k)
             feasible = [r for r in range(k) if load[r] + weights[best_v] <= cap]
             candidates = feasible if feasible else list(range(k))
             best_r = min(candidates, key=lambda r: (load[r], r))
-        assign[best_v] = best_r
-        load[best_r] += weights[best_v]
-        for u, w in adj[best_v]:
-            if assign[u] == -1:
-                conn[u][best_r] += w
+        state.move(best_v, best_r)
     return PartitionSet(k=k, assignment=tuple(assign))
 
 
@@ -320,44 +378,37 @@ def _rebalance(level: Level, assign: list[int], cfg: ObjectiveConfig) -> Partiti
     """Move vertices out of over-cap partitions, cheapest cut damage first.
 
     Always succeeds on unit vertex weights; on lumpy coarse levels it is
-    best-effort (finer levels repair the rest).
+    best-effort (finer levels repair the rest). A level already within the
+    cap is returned as it is, without building the move state.
     """
     weights = level.weights
-    n = len(weights)
     k = cfg.k
     cap = _balance_cap(weights, cfg)
-    adj = level.adj
-    load = [0] * k
-    size = [0] * k
-    for v, r in enumerate(assign):
-        load[r] += weights[v]
-        size[r] += 1
-
+    loads = [0] * k
+    for w, r in zip(weights, assign):
+        loads[r] += w
+    if max(loads) <= cap:
+        return PartitionSet(k, tuple(assign))
+    state = _Moves(level, assign, k)
+    assign, load, size, conn = state.assign, state.load, state.size, state.conn
     while True:
         src = min(range(k), key=lambda r: (-load[r], r))
         if load[src] <= cap or size[src] < 2:
             break
         best: tuple[int, int, int] | None = None  # (cut increase, vertex, target)
-        for v in range(n):
-            if assign[v] != src:
+        for v, part in enumerate(assign):
+            if part != src:
                 continue
-            conn = [0] * k
-            for u, w in adj[v]:
-                conn[assign[u]] += w
+            row = conn[v]
             for dst in range(k):
                 if dst == src or load[dst] + weights[v] > cap:
                     continue
-                key = (conn[src] - conn[dst], v, dst)
+                key = (row[src] - row[dst], v, dst)
                 if best is None or key < best:
                     best = key
         if best is None:
             break
-        _, v, dst = best
-        assign[v] = dst
-        load[src] -= weights[v]
-        load[dst] += weights[v]
-        size[src] -= 1
-        size[dst] += 1
+        state.move(best[1], best[2])
     return PartitionSet(k, tuple(assign))
 
 
@@ -380,12 +431,11 @@ def refine(
     incremental copy counts. Stops when a pass applies nothing, or after 10
     passes; the objective never increases.
 
-    Nothing is rescanned per pass. ``conn[v][r]``, the scaled edge weight
-    from v into partition r, and ``nbrs[v][r]``, the number of v's
-    neighbours in r, are built once and a move updates them at the moved
-    vertex's neighbours. v is on the boundary when ``nbrs[v][assign[v]]``
-    is not its degree (a cross edge of weight 0 counts), and its targets are
-    the partitions holding a neighbour or a copy of one of its resources.
+    Nothing is rescanned per pass: the tallies are those of the shared
+    move state ``_Moves``, built once per call. v is on the boundary when
+    ``nbrs[v][assign[v]]`` is not its degree (a cross edge of weight 0
+    counts), and its targets are the partitions holding a neighbour or a
+    copy of one of its resources.
     A candidate is skipped when ``cut * (wdeg[v] - 2 * conn[v][src]) +
     dupsum[v] <= 0``, with ``wdeg[v]`` its total edge weight and
     ``dupsum[v]`` the summed ``dup`` of its resources: with non-negative
@@ -395,40 +445,16 @@ def refine(
     k = p.k
     weights = level.weights
     n = len(weights)
-    assign = list(p.assignment)
     cap = _balance_cap(weights, cfg)
     adj = level.adj
     res_of = level.res_of
     cut_gain = gains.cut
     dup = gains.dup
-
-    # res_count[rid]: partition -> number of bound client vertices in it
-    res_count: list[dict[int, int]] = [{} for _ in dup]
-    for v in range(n):
-        for rid in res_of[v]:
-            counts = res_count[rid]
-            counts[assign[v]] = counts.get(assign[v], 0) + 1
-
-    load = [0] * k
-    size = [0] * k
-    for v, r in enumerate(assign):
-        load[r] += weights[v]
-        size[r] += 1
-
-    conn: list[list[int]] = []
-    nbrs: list[list[int]] = []
+    state = _Moves(level, p.assignment, k)
+    assign, load, size = state.assign, state.load, state.size
+    conn, nbrs, res_count = state.conn, state.nbrs, state.res_count
     # ceiling[v] - 2 * cut * conn[v][src] bounds the gain of every move of v
-    ceiling: list[int] = []
-    for row, res in zip(adj, res_of):
-        weight_to = [0] * k
-        count_in = [0] * k
-        for u, w in row:
-            part = assign[u]
-            weight_to[part] += w
-            count_in[part] += 1
-        conn.append(weight_to)
-        nbrs.append(count_in)
-        ceiling.append(cut_gain * sum(weight_to) + sum(dup[rid] for rid in res))
+    ceiling = [cut_gain * sum(row) + sum(dup[rid] for rid in res) for row, res in zip(conn, res_of)]
 
     for _ in range(_MAX_REFINE_PASSES):
         candidates = [
@@ -461,26 +487,9 @@ def refine(
                     gain += saved - sum(dup[rid] for rid in res if dst not in res_count[rid])
                 if gain > best_gain:
                     best_gain, best_dst = gain, dst
-            if best_dst == -1:
-                continue
-            dst = best_dst
-            assign[v] = dst
-            load[src] -= weights[v]
-            load[dst] += weights[v]
-            size[src] -= 1
-            size[dst] += 1
-            for rid in res:
-                counts = res_count[rid]
-                counts[src] -= 1
-                if counts[src] == 0:
-                    del counts[src]
-                counts[dst] = counts.get(dst, 0) + 1
-            for u, w in adj[v]:
-                conn[u][src] -= w
-                conn[u][dst] += w
-                nbrs[u][src] -= 1
-                nbrs[u][dst] += 1
-            moved = True
+            if best_dst != -1:
+                state.move(v, best_dst)
+                moved = True
         if not moved:
             break
     return PartitionSet(k=k, assignment=tuple(assign))

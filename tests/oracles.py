@@ -8,6 +8,7 @@ meaningful.
 from __future__ import annotations
 
 import json
+import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -213,6 +214,98 @@ class TraceRecord:
     flow_hint: str
     seq: int
     class_name: str
+
+
+def initial_partition_reference(coarse: Level, cfg: ObjectiveConfig) -> PartitionSet:
+    """Greedy graph growing with its own tables: ``conn[v][r]`` counts only
+    the edges from a still unplaced v, and nothing is kept for placed
+    vertices. ``partitioner.initial_partition`` must return the same
+    partition."""
+    weights = coarse.weights
+    n = len(weights)
+    k = cfg.k
+    if k > n:
+        raise InputError(f"k={k} exceeds vertex count {n}")
+    rng = random.Random(cfg.seed)
+    cap = _balance_cap(weights, cfg)
+    adj = coarse.adj
+
+    assign = [-1] * n
+    load = [0] * k
+    # conn[v][r]: total edge weight from unassigned v into region r
+    conn = [[0] * k for _ in range(n)]
+    for region, v in enumerate(rng.sample(range(n), k)):
+        assign[v] = region
+        load[region] = weights[v]
+        for u, w in adj[v]:
+            if assign[u] == -1:
+                conn[u][region] += w
+
+    for _ in range(n - k):
+        best_v = best_r = -1
+        best_w = 0
+        for v in range(n):
+            if assign[v] != -1:
+                continue
+            row = conn[v]
+            for r in range(k):
+                if row[r] > best_w and load[r] + weights[v] <= cap:
+                    best_v, best_r, best_w = v, r, row[r]
+        if best_v == -1:
+            best_v = next(v for v in range(n) if assign[v] == -1)
+            feasible = [r for r in range(k) if load[r] + weights[best_v] <= cap]
+            candidates = feasible if feasible else list(range(k))
+            best_r = min(candidates, key=lambda r: (load[r], r))
+        assign[best_v] = best_r
+        load[best_r] += weights[best_v]
+        for u, w in adj[best_v]:
+            if assign[u] == -1:
+                conn[u][best_r] += w
+    return PartitionSet(k=k, assignment=tuple(assign))
+
+
+def rebalance_reference(level: Level, assign: list[int], cfg: ObjectiveConfig) -> PartitionSet:
+    """Balance repair that rescans, for every move, the adjacency of each
+    vertex in the heaviest partition. ``partitioner._rebalance`` must
+    return the same partition."""
+    weights = level.weights
+    n = len(weights)
+    k = cfg.k
+    cap = _balance_cap(weights, cfg)
+    adj = level.adj
+    assign = list(assign)
+    load = [0] * k
+    size = [0] * k
+    for v, r in enumerate(assign):
+        load[r] += weights[v]
+        size[r] += 1
+
+    while True:
+        src = min(range(k), key=lambda r: (-load[r], r))
+        if load[src] <= cap or size[src] < 2:
+            break
+        best: tuple[int, int, int] | None = None  # (cut increase, vertex, target)
+        for v in range(n):
+            if assign[v] != src:
+                continue
+            conn = [0] * k
+            for u, w in adj[v]:
+                conn[assign[u]] += w
+            for dst in range(k):
+                if dst == src or load[dst] + weights[v] > cap:
+                    continue
+                key = (conn[src] - conn[dst], v, dst)
+                if best is None or key < best:
+                    best = key
+        if best is None:
+            break
+        _, v, dst = best
+        assign[v] = dst
+        load[src] -= weights[v]
+        load[dst] += weights[v]
+        size[src] -= 1
+        size[dst] += 1
+    return PartitionSet(k, tuple(assign))
 
 
 def refine_reference(

@@ -34,8 +34,10 @@ FRACTIONAL_PRICES = "cache: 0.3\nfile_storage: 1/6\n"
 # case -> (fixture, ingest flags, partition flags)
 CASES = {
     "daytrader": ("daytrader", [], ["--k", "6"]),
+    "daytrader-sweep": ("daytrader", [], ["--sweep-k", "2..6"]),
     "jpetstore": ("jpetstore", [], ["--k", "3"]),
     "pbw": ("pbw", [], ["--k", "4"]),
+    "pbw-eps0": ("pbw", [], ["--k", "3", "--epsilon", "0"]),
     "springblog": ("springblog", [], ["--k", "5"]),
     "jpetstore-fractional": (
         "jpetstore",

@@ -243,10 +243,11 @@ class TestValidatePartition:
         [
             (0, {"A": 0, "B": 0}, "partition count k=0 must be >= 1"),
             (2, {"A": 0, "B": 5}, "class 1 assigned to out-of-range partition 5; partition 1 is empty"),
+            (2, {"A": -1, "B": 0}, "class 0 assigned to out-of-range partition -1; partition 1 is empty"),
             (2, {"A": 1, "B": 1}, "partition 0 is empty"),
             (3, {"A": 0, "B": 1}, "k=3 exceeds class count 2"),
         ],
-        ids=["k_below_one", "out_of_range", "empty", "k_above_class_count"],
+        ids=["k_below_one", "out_of_range", "negative", "empty", "k_above_class_count"],
     )
     def test_partition_doc_problem_is_input_error(self, k, assignment, problem):
         doc = {"schema_version": 1, "k": k, "assignment": assignment}

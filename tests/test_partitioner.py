@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,9 @@ from conftest import FIXTURES_DIR, clique_pair_xml, edge_weights, graph_from_edg
 from oracles import (
     duplication_cost_reference,
     edge_cut_reference,
+    initial_partition_reference,
     modularity_matrix_form,
+    rebalance_reference,
     refine_reference,
 )
 
@@ -599,6 +602,26 @@ class TestProperties:
     def test_refine_equals_rescanning_reference(self, case):
         level, gains, cfg, p = case
         assert refine(level, p, cfg, gains) == refine_reference(level, p, cfg, gains)
+
+    @settings(max_examples=300, deadline=None)
+    @given(refine_cases(), st.integers(0, 2**32))
+    def test_initial_partition_equals_reference(self, case, seed):
+        level, _gains, cfg, _p = case
+        cfg = replace(cfg, seed=seed)
+        assert initial_partition(level, cfg) == initial_partition_reference(level, cfg)
+
+    @settings(max_examples=300, deadline=None)
+    @given(refine_cases(), st.booleans())
+    def test_rebalance_equals_reference(self, case, unit_weights):
+        """Balance repair matches the rescanning reference, and on unit
+        weights it always ends within the cap, as its docstring says."""
+        level, _gains, cfg, p = case
+        if unit_weights:
+            level = replace(level, weights=[1] * len(level.weights))
+        after = partitioner._rebalance(level, list(p.assignment), cfg)
+        assert after == rebalance_reference(level, list(p.assignment), cfg)
+        if all(w == 1 for w in level.weights):
+            assert max(after.sizes()) <= partitioner._balance_cap(level.weights, cfg)
 
     @settings(max_examples=300, deadline=None)
     @given(problems(), st.randoms(use_true_random=False))
