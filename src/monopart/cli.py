@@ -148,6 +148,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         if parsed.skipped:
             print(f"skipped trace lines: {parsed.skipped}", file=sys.stderr)
         flows = ingest.group_flows(parsed.records)
+        del parsed  # one pointer per trace line: not held through the graph build and write
 
     cfg = _config(graphbuild.WeightConfig, args)
     with _naming(args.deps):  # a build fails only on a graph without dependencies

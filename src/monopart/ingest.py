@@ -66,7 +66,11 @@ class FlowRuleConfig:
 
 @dataclass(frozen=True)
 class TraceParseResult:
-    records: list[tuple[str, str]]  # (flow id, class name) per parsed line, in log order
+    """``records`` holds one ``(flow id, class name)`` pair per parsed line,
+    in log order; lines of the same pair repeat one shared tuple, so the
+    list costs one pointer per line. ``skipped`` counts the lines left out."""
+
+    records: list[tuple[str, str]]
     skipped: int
 
 
@@ -325,6 +329,12 @@ def manifest_to_yaml(manifest: InfraManifest) -> str:
 # execution traces
 # ---------------------------------------------------------------------------
 
+# Characters per block that `parse_traces` splits into lines at a time. A
+# block ends just after a "\n", so no line boundary of `str.splitlines`,
+# "\r\n" included, falls between two blocks.
+_TRACE_BLOCK = 1 << 16
+
+
 def load_flow_rules(data: bytes | str) -> FlowRuleConfig:
     """Load a flow-rule config: YAML ``{line_regex: ..., entry_points: [...]}``."""
     doc = load_yaml(_as_text(data))
@@ -354,29 +364,36 @@ def parse_traces(data: bytes | str, rules: FlowRuleConfig) -> TraceParseResult:
     entry_points = frozenset(rules.entry_points)
     records: list[tuple[str, str]] = []
     append = records.append
+    shared = {}.setdefault  # one tuple per distinct (flow id, class name) pair
     tags: set[str] = set()
     add_tag = tags.add
     skipped = 0
     segment = -1
     untagged = ""
-    for line in _as_text(data).splitlines():
-        match = search(line)
-        if match is None:
-            skipped += 1
-            continue
-        cls = (match["class"] or "").strip()
-        if not cls:
-            skipped += 1
-            continue
-        flow = (match["flow"] or "").strip() if tagged else ""
-        if flow:
-            append((flow, cls))
-            add_tag(flow)
-            continue
-        if segment < 0 or cls in entry_points:
-            segment += 1
-            untagged = f"F{segment}"
-        append((untagged, cls))
+    text = _as_text(data)
+    start, size = 0, len(text)
+    while start < size:
+        end = text.find("\n", start + _TRACE_BLOCK - 1) + 1 or size
+        for line in text[start:end].splitlines():
+            match = search(line)
+            if match is None:
+                skipped += 1
+                continue
+            cls = (match["class"] or "").strip()
+            if not cls:
+                skipped += 1
+                continue
+            flow = (match["flow"] or "").strip() if tagged else ""
+            if flow:
+                add_tag(flow)
+            else:
+                if segment < 0 or cls in entry_points:
+                    segment += 1
+                    untagged = f"F{segment}"
+                flow = untagged
+            pair = flow, cls
+            append(shared(pair, pair))
+        start = end
     clash = next((f"F{i}" for i in range(segment + 1) if f"F{i}" in tags), None)
     if clash is not None:
         raise InputError(f"trace tag {clash!r} is also the id of an untagged flow segment")

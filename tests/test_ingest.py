@@ -2,6 +2,7 @@
 
 import json
 import logging
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -274,6 +275,8 @@ class TestInfraYaml:
 
 RULES = FlowRuleConfig(line_regex=r"^(?:\[(?P<flow>\w+)\] )?(?P<class>[\w.]+)$")
 EXAMPLE_RULES = load_flow_rules((ROOT / "config" / "flow-rules.example.yaml").read_bytes())
+# every line boundary of str.splitlines
+LINE_ENDINGS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
 class TestParseTraces:
@@ -375,6 +378,58 @@ class TestParseTraces:
         assert outcome(grouped) == outcome(
             lambda: group_flows_reference(log_text, line_regex, entry_points)
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(
+            st.tuples(
+                st.sampled_from(["", "[t1] ", "[F0] ", "?? "]),
+                st.sampled_from(["A", "E", "", "x!"]),
+                st.sampled_from(LINE_ENDINGS),
+            ),
+            max_size=30,
+        ),
+        last=st.sampled_from(["", "B", "[t2] E"]),
+        block=st.integers(min_value=1, max_value=16),
+        entry_points=st.sampled_from([(), ("E",)]),
+        line_regex=st.sampled_from(
+            [r"^(?:\[(?P<flow>[^\]]*)\] ?)?(?P<class>[\w ]*)$", r"(?P<class>[A-Z])"]
+        ),
+    )
+    def test_blocks_split_lines_as_the_whole_text(self, lines, last, block, entry_points, line_regex):
+        # blocks of 1-16 characters cut the log at many line boundaries, the
+        # "\r" of a "\r\n" never among them; the result is that of splitting
+        # the whole text at once
+        log_text = "".join(tag + cls + end for tag, cls, end in lines) + last
+        rules = FlowRuleConfig(line_regex=line_regex, entry_points=entry_points)
+
+        def parsed(block_size):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ingest, "_TRACE_BLOCK", block_size)
+                return parse_traces(log_text, rules)
+
+        def grouped():
+            result = parsed(block)
+            return [(f.id, f.members) for f in group_flows(result.records)], result.skipped
+
+        assert outcome(grouped) == outcome(
+            lambda: group_flows_reference(log_text, line_regex, entry_points)
+        )
+        assert outcome(lambda: parsed(block)) == outcome(lambda: parsed(len(log_text) + 1))
+
+    def test_memory_grows_with_distinct_pairs_not_with_lines(self):
+        # 50,000 tagged lines in 250 flows of 200 lines over 5 classes each,
+        # as in the bench's traced log: 1,250 distinct (flow, class) pairs
+        data = "".join(f"[f{i // 200:03d}] web.C{i % 5}\n" for i in range(50_000)).encode()
+        tracemalloc.start()
+        try:
+            result = parse_traces(data, RULES)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.records) == 50_000
+        assert peak < 3 * len(data), f"peak {peak} bytes for a {len(data)}-byte log"
+        assert len({id(record) for record in result.records}) == len(set(result.records)) == 1_250
 
 
 class TestGroupFlows:
