@@ -471,6 +471,9 @@ def validate_graph(g: ApplicationGraph) -> list[str]:
         for cid in flow.members:
             if not (0 <= cid < n):
                 problems.append(f"flow {flow.id!r} references missing class id {cid}")
+        if len(set(flow.members)) < len(flow.members):
+            repeated = dict.fromkeys(c for i, c in enumerate(flow.members) if c in flow.members[:i])
+            problems += [f"flow {flow.id!r} repeats class id {cid}" for cid in repeated]
 
     class_names = {c.name for c in g.classes}
     ends = (name for r in g.dependencies for name in (r.from_class, r.to_class))
@@ -612,7 +615,8 @@ def graph_to_doc(g: ApplicationGraph) -> dict:
 
 def _check_schema_version(doc: Mapping, what: str) -> None:
     version = doc.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    # True and 1.0 compare equal to 1; as with as_int, only an int counts
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise InputError(f"{what}: unsupported schema_version {version!r}")
 
 

@@ -3,7 +3,7 @@
 The objective blends weighted edge-cut with predicted infrastructure
 duplication cost: alpha * cut + (1 - alpha) * dup_cost. The scheme is the
 standard multilevel one: heavy-edge-matching coarsening, greedy graph
-growing on the coarsest level, then balance-constrained boundary
+growing on the coarsest level, then balance repair and boundary
 refinement while projecting back. Several seeded restarts run and the
 lowest objective wins (ties go to the lowest seed).
 
@@ -19,7 +19,8 @@ rational one. Multiplying every compared quantity by the same positive
 constant keeps each comparison and tie-break, so the integer kernels
 choose exactly the partitions rational arithmetic would.
 
-Growth, balance repair and refinement share one move state, ``_Moves``:
+Growth builds one move state, ``_Moves``, and each level's :func:`refine`
+builds one for its balance repair and refinement. A state holds
 the partition loads and sizes, per vertex its scaled edge weight and its
 neighbour count into each partition, and per resource its client count
 in each partition. A move updates only the moved vertex's neighbours and
@@ -374,23 +375,15 @@ def initial_partition(coarse: Level, cfg: ObjectiveConfig) -> PartitionSet:
     return PartitionSet(k=k, assignment=tuple(assign))
 
 
-def _rebalance(level: Level, assign: list[int], cfg: ObjectiveConfig) -> PartitionSet:
+def _repair(state: _Moves, cap: int) -> None:
     """Move vertices out of over-cap partitions, cheapest cut damage first.
 
     Always succeeds on unit vertex weights; on lumpy coarse levels it is
-    best-effort (finer levels repair the rest). A level already within the
-    cap is returned as it is, without building the move state.
+    best-effort (finer levels repair the rest).
     """
-    weights = level.weights
-    k = cfg.k
-    cap = _balance_cap(weights, cfg)
-    loads = [0] * k
-    for w, r in zip(weights, assign):
-        loads[r] += w
-    if max(loads) <= cap:
-        return PartitionSet(k, tuple(assign))
-    state = _Moves(level, assign, k)
     assign, load, size, conn = state.assign, state.load, state.size, state.conn
+    weights = state.level.weights
+    k = len(load)
     while True:
         src = min(range(k), key=lambda r: (-load[r], r))
         if load[src] <= cap or size[src] < 2:
@@ -409,7 +402,6 @@ def _rebalance(level: Level, assign: list[int], cfg: ObjectiveConfig) -> Partiti
         if best is None:
             break
         state.move(best[1], best[2])
-    return PartitionSet(k, tuple(assign))
 
 
 # ---------------------------------------------------------------------------
@@ -422,20 +414,22 @@ def refine(
     cfg: ObjectiveConfig,
     gains: Gains,
 ) -> PartitionSet:
-    """Boundary refinement sweeps under the blended objective.
+    """Boundary refinement sweeps under the blended objective, after
+    repairing a partition over the balance cap with :func:`_repair`.
 
     Each pass visits candidate vertices in ascending id order and applies
     the vertex's best positive-gain move among balance-respecting targets;
     candidates are boundary vertices plus clients of partition-spanning
     resources, taken when the pass starts. Duplication gains use exact
     incremental copy counts. Stops when a pass applies nothing, or after 10
-    passes; the objective never increases.
+    passes. The objective never rises above that of the repaired
+    partition, so for a partition within the cap it never increases.
 
     Nothing is rescanned per pass: the tallies are those of the shared
-    move state ``_Moves``, built once per call. v is on the boundary when
-    ``nbrs[v][assign[v]]`` is not its degree (a cross edge of weight 0
-    counts), and its targets are the partitions holding a neighbour or a
-    copy of one of its resources.
+    move state ``_Moves``, built once per call for repair and refinement.
+    v is on the boundary when ``nbrs[v][assign[v]]`` is not its degree (a
+    cross edge of weight 0 counts), and its targets are the partitions
+    holding a neighbour or a copy of one of its resources.
     A candidate is skipped when ``cut * (wdeg[v] - 2 * conn[v][src]) +
     dupsum[v] <= 0``, with ``wdeg[v]`` its total edge weight and
     ``dupsum[v]`` the summed ``dup`` of its resources: with non-negative
@@ -451,6 +445,7 @@ def refine(
     cut_gain = gains.cut
     dup = gains.dup
     state = _Moves(level, p.assignment, k)
+    _repair(state, cap)
     assign, load, size = state.assign, state.load, state.size
     conn, nbrs, res_count = state.conn, state.nbrs, state.res_count
     # ceiling[v] - 2 * cut * conn[v][src] bounds the gain of every move of v
@@ -500,7 +495,7 @@ def refine(
 # ---------------------------------------------------------------------------
 
 def _single_run(level: Level, gains: Gains, cfg: ObjectiveConfig) -> PartitionSet:
-    """Coarsen, grow a partition on the coarsest level, then rebalance and
+    """Coarsen, grow a partition on the coarsest level, then repair and
     refine it on each level from the coarsest back to ``level``."""
     min_size = max(8, 4 * cfg.k)
     levels = coarsen(level, max_levels=_MAX_LEVELS, min_size=min_size, seed=cfg.seed)
@@ -509,7 +504,7 @@ def _single_run(level: Level, gains: Gains, cfg: ObjectiveConfig) -> PartitionSe
     projections = [lv.projection for lv in levels] + [range(len(graphs[-1].weights))]
     p = initial_partition(graphs[-1], cfg)
     for graph, projection in zip(reversed(graphs), reversed(projections)):
-        p = refine(graph, _rebalance(graph, [p.assignment[c] for c in projection], cfg), cfg, gains)
+        p = refine(graph, PartitionSet(p.k, tuple(p.assignment[c] for c in projection)), cfg, gains)
     return p
 
 

@@ -266,8 +266,8 @@ def initial_partition_reference(coarse: Level, cfg: ObjectiveConfig) -> Partitio
 
 def rebalance_reference(level: Level, assign: list[int], cfg: ObjectiveConfig) -> PartitionSet:
     """Balance repair that rescans, for every move, the adjacency of each
-    vertex in the heaviest partition. ``partitioner._rebalance`` must
-    return the same partition."""
+    vertex in the heaviest partition. The repair phase that opens
+    ``partitioner.refine`` must leave the same partition."""
     weights = level.weights
     n = len(weights)
     k = cfg.k

@@ -16,6 +16,7 @@ from oracles import (
     report_from_json,
 )
 
+from monopart.cli import GRAPH_FILE, PARTITION_FILE, main
 from monopart.metrics import evaluate
 from monopart.model import (
     ApplicationGraph,
@@ -385,8 +386,10 @@ class TestInterchange:
             (lambda d: d["dependencies"].append({"from": "A", "to": "Z", "relation": "call"}),
              "dependency names unknown class 'Z'"),
             (lambda d: d["classes"].append({"id": 2, "name": "A"}), "duplicate class name 'A'"),
+            (lambda d: d["flows"].append({"id": "a", "members": [1, 0, 1, 0, 1]}),
+             "flow 'a' repeats class id 1; flow 'a' repeats class id 0"),
         ],
-        ids=["unknown dependency class", "duplicate class name"],
+        ids=["unknown dependency class", "duplicate class name", "repeated flow member"],
     )
     def test_reader_rejects_an_invalid_graph(self, edit, problem):
         doc = graph_to_doc(two_class_graph())
@@ -403,6 +406,25 @@ class TestInterchange:
         doc["schema_version"] = 99
         with pytest.raises(InputError):
             graph_from_doc(doc)
+
+    @pytest.mark.parametrize("version", [True, 1.0], ids=["true", "1.0"])
+    @pytest.mark.parametrize("document", [GRAPH_FILE, PARTITION_FILE])
+    def test_schema_version_equal_to_1_but_not_an_int(self, document, version, tmp_path, capsys):
+        """True == 1.0 == 1 in Python; only the integer 1 is accepted, and
+        the command that reads the document exits 2 naming it."""
+        g = two_class_graph()
+        docs = {
+            GRAPH_FILE: graph_to_doc(g),
+            PARTITION_FILE: partition_to_doc(PartitionSet(2, (1, 0)), g, objective=Fraction(1), seed=0),
+        }
+        docs[document]["schema_version"] = version
+        for name, doc in docs.items():
+            (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["evaluate", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / document}: {document.split('.')[0]} document: "
+            f"unsupported schema_version {version!r}\n"
+        )
 
     def test_partition_doc_round_trip(self):
         g = two_class_graph()

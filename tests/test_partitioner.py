@@ -381,6 +381,35 @@ class TestRefine:
 
 
 class TestPartitionGraph:
+    def test_one_move_state_per_growth_and_per_refine(self, monkeypatch):
+        """Each restart builds one move state to grow its partition, and
+        each refine call one more, which its balance repair and its passes
+        share. pbw at k=3 and epsilon 0 (the pbw-eps0 golden case) has
+        levels over the cap, so repair runs."""
+        g = build_graph(
+            parse_dependency_xml((FIXTURES_DIR / "pbw" / "deps.xml").read_bytes()),
+            parse_infra_yaml((FIXTURES_DIR / "pbw" / "manifest.yaml").read_bytes()),
+        )
+        builds = refines = 0
+
+        class CountingMoves(partitioner._Moves):
+            def __init__(self, *args):
+                nonlocal builds
+                builds += 1
+                super().__init__(*args)
+
+        def counting_refine(*args):
+            nonlocal refines
+            refines += 1
+            return refine(*args)
+
+        monkeypatch.setattr(partitioner, "_Moves", CountingMoves)
+        monkeypatch.setattr(partitioner, "refine", counting_refine)
+        cfg = ObjectiveConfig(k=3, epsilon=Fraction(0))
+        partition_graph(g, PRICES, cfg)
+        assert refines > cfg.restarts
+        assert builds == cfg.restarts + refines
+
     def test_k1_objective_zero(self):
         g = graph_from_edges(5, {(0, 1): 1, (1, 2): 2, (3, 4): 1})
         cfg = ObjectiveConfig(k=1, seed=0)
@@ -591,17 +620,24 @@ class TestProperties:
     @settings(max_examples=150, deadline=None)
     @given(problems(), st.randoms(use_true_random=False))
     def test_refine_never_raises_objective(self, problem, rnd):
+        """refine repairs the balance first, which on unit class weights
+        always ends within the cap; from the repaired partition on the
+        objective never rises."""
         g, prices, cfg = problem
         p = random_partition(rnd, len(g.classes), cfg.k)
         after = refine_graph(g, p, cfg, prices)
         assert len(after.assignment) == len(g.classes)
-        assert objective(g, after, prices, cfg) <= objective(g, p, prices, cfg)
+        level = level_of(g)
+        assert max(after.sizes()) <= partitioner._balance_cap(level.weights, cfg)
+        repaired = rebalance_reference(level, list(p.assignment), cfg)
+        assert objective(g, after, prices, cfg) <= objective(g, repaired, prices, cfg)
 
     @settings(max_examples=300, deadline=None)
     @given(refine_cases())
     def test_refine_equals_rescanning_reference(self, case):
         level, gains, cfg, p = case
-        assert refine(level, p, cfg, gains) == refine_reference(level, p, cfg, gains)
+        repaired = rebalance_reference(level, list(p.assignment), cfg)
+        assert refine(level, p, cfg, gains) == refine_reference(level, repaired, cfg, gains)
 
     @settings(max_examples=300, deadline=None)
     @given(refine_cases(), st.integers(0, 2**32))
@@ -613,12 +649,14 @@ class TestProperties:
     @settings(max_examples=300, deadline=None)
     @given(refine_cases(), st.booleans())
     def test_rebalance_equals_reference(self, case, unit_weights):
-        """Balance repair matches the rescanning reference, and on unit
-        weights it always ends within the cap, as its docstring says."""
-        level, _gains, cfg, p = case
+        """refine's balance repair matches the rescanning reference, and on
+        unit weights it always ends within the cap, as its docstring says.
+        With zero gains the skip bound rejects every move, so only the
+        repair runs."""
+        level, gains, cfg, p = case
         if unit_weights:
             level = replace(level, weights=[1] * len(level.weights))
-        after = partitioner._rebalance(level, list(p.assignment), cfg)
+        after = refine(level, p, cfg, Gains(cut=0, dup=[0] * len(gains.dup)))
         assert after == rebalance_reference(level, list(p.assignment), cfg)
         if all(w == 1 for w in level.weights):
             assert max(after.sizes()) <= partitioner._balance_cap(level.weights, cfg)
