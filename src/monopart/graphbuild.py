@@ -90,10 +90,7 @@ def build_graph(
                 log.warning("class %r appears only in traces; adding as isolated node", member)
             intern(member)
 
-    classes = tuple(
-        ClassNode(id=cid, name=name)
-        for name, cid in sorted(id_by_name.items(), key=lambda kv: kv[1])
-    )
+    classes = tuple(ClassNode(id=cid, name=name) for name, cid in id_by_name.items())
 
     resources = tuple(
         ResourceNode(id=rid, name=name, kind=kind)

@@ -267,15 +267,13 @@ class ApplicationGraph:
 
 
 def adjacency(g: ApplicationGraph) -> list[list[tuple[int, int]]]:
-    """Per-class adjacency lists ``[(neighbor, weight), ...]`` sorted by id,
-    with the class edges' integer weights."""
+    """Per-class adjacency lists ``[(neighbor, weight), ...]`` with the
+    class edges' integer weights, in class-edge order."""
     adj: list[list[tuple[int, int]]] = [[] for _ in g.classes]
     edges = g.class_edges
     for u, v, weight in zip(edges.u, edges.v, edges.weight):
         adj[u].append((v, weight))
         adj[v].append((u, weight))
-    for lst in adj:
-        lst.sort(key=lambda t: t[0])
     return adj
 
 
@@ -472,7 +470,8 @@ def validate_graph(g: ApplicationGraph) -> list[str]:
             if not (0 <= cid < n):
                 problems.append(f"flow {flow.id!r} references missing class id {cid}")
         if len(set(flow.members)) < len(flow.members):
-            repeated = dict.fromkeys(c for i, c in enumerate(flow.members) if c in flow.members[:i])
+            seen: set[int] = set()
+            repeated = dict.fromkeys(c for c in flow.members if c in seen or seen.add(c))
             problems += [f"flow {flow.id!r} repeats class id {cid}" for cid in repeated]
 
     class_names = {c.name for c in g.classes}

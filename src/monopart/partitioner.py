@@ -19,7 +19,9 @@ rational one. Multiplying every compared quantity by the same positive
 constant keeps each comparison and tie-break, so the integer kernels
 choose exactly the partitions rational arithmetic would.
 
-Growth builds one move state, ``_Moves``, and each level's :func:`refine`
+Every tie goes to the lowest id by a comparison at the choice itself, so
+a level's rows and resource tuples carry no order. Growth builds one move
+state, ``_Moves``, without resources, and each level's :func:`refine`
 builds one for its balance repair and refinement. A state holds
 the partition loads and sizes, per vertex its scaled edge weight and its
 neighbour count into each partition, and per resource its client count
@@ -103,9 +105,9 @@ class Level:
 
     ``weights[v]`` is vertex v's balance weight (the summed weights of the
     classes it stands for); ``adj[v]`` lists its ``(neighbour, weight)``
-    pairs sorted by neighbour, with edge weights scaled to integers by
-    :func:`scale`; ``res_of[v]`` holds the sorted ids of the resources bound
-    to any class it stands for.
+    pairs, with edge weights scaled to integers by :func:`scale`;
+    ``res_of[v]`` holds the ids of the resources bound to any class it
+    stands for. Rows and resource tuples are in any order.
     """
 
     weights: list[int]
@@ -162,7 +164,7 @@ def scale(g: ApplicationGraph, prices: PriceTable, cfg: ObjectiveConfig) -> tupl
     level = Level(
         weights=[c.weight for c in g.classes],
         adj=adjacency(g),
-        res_of=[tuple(sorted(b)) for b in bound],
+        res_of=[tuple(b) for b in bound],
     )
     a, d = cfg.alpha.numerator, cfg.alpha.denominator
     gains = Gains(
@@ -210,8 +212,8 @@ def _contract(level: Level, proj: list[int], coarse_count: int) -> Level:
                 row[cu] = row.get(cu, 0) + w
     return Level(
         weights=weights,
-        adj=[sorted(row.items()) for row in merged],
-        res_of=[tuple(sorted(b)) for b in bound],
+        adj=[list(row.items()) for row in merged],
+        res_of=[tuple(b) for b in bound],
     )
 
 
@@ -242,7 +244,7 @@ def coarsen(
                 continue
             best = best_w = -1
             for u, w in adj[v]:
-                if match[u] == -1 and (best == -1 or w > best_w):
+                if match[u] == -1 and (best == -1 or w > best_w or (w == best_w and u < best)):
                     best, best_w = u, w
             if best != -1:
                 match[v] = best
@@ -351,7 +353,7 @@ def initial_partition(coarse: Level, cfg: ObjectiveConfig) -> PartitionSet:
         raise InputError(f"k={k} exceeds vertex count {n}")
     rng = random.Random(cfg.seed)
     cap = _balance_cap(weights, cfg)
-    state = _Moves(coarse, [k] * n, k + 1)
+    state = _Moves(replace(coarse, res_of=[()] * n), [k] * n, k + 1)
     assign, load, conn = state.assign, state.load, state.conn
     for region, v in enumerate(rng.sample(range(n), k)):
         state.move(v, region)
@@ -418,12 +420,13 @@ def refine(
     repairing a partition over the balance cap with :func:`_repair`.
 
     Each pass visits candidate vertices in ascending id order and applies
-    the vertex's best positive-gain move among balance-respecting targets;
-    candidates are boundary vertices plus clients of partition-spanning
-    resources, taken when the pass starts. Duplication gains use exact
-    incremental copy counts. Stops when a pass applies nothing, or after 10
-    passes. The objective never rises above that of the repaired
-    partition, so for a partition within the cap it never increases.
+    the vertex's best positive-gain move among balance-respecting targets
+    (ties to the lowest partition id); candidates are boundary vertices
+    plus clients of partition-spanning resources, taken when the pass
+    starts. Duplication gains use exact incremental copy counts. Stops when
+    a pass applies nothing, or after 10 passes. The objective never rises
+    above that of the repaired partition, so for a partition within the
+    cap it never increases.
 
     Nothing is rescanned per pass: the tallies are those of the shared
     move state ``_Moves``, built once per call for repair and refinement.
@@ -474,13 +477,13 @@ def refine(
             saved = sum(dup[rid] for rid in res if res_count[rid][src] == 1)
             best_gain = 0
             best_dst = -1
-            for dst in sorted(targets):
+            for dst in targets:
                 if load[dst] + weights[v] > cap:
                     continue
                 gain = cut_gain * (conn_v[dst] - conn_v[src])
                 if res:
                     gain += saved - sum(dup[rid] for rid in res if dst not in res_count[rid])
-                if gain > best_gain:
+                if gain > best_gain or (gain == best_gain and dst < best_dst):
                     best_gain, best_dst = gain, dst
             if best_dst != -1:
                 state.move(v, best_dst)

@@ -12,6 +12,7 @@ all four commands are pinned too, under ``tests/golden/<case>/``. The same
 pin that a graph written earlier stays readable, with the same output.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -47,8 +48,10 @@ CASES = {
 }
 
 
-def run_case(case: str, work: Path) -> bytes:
-    """Run ingest and partition for ``case`` in ``work``; return partition.json."""
+def run_case(case: str, work: Path, reverse_edges: bool = False) -> bytes:
+    """Run ingest and partition for ``case`` in ``work``; return
+    partition.json. With ``reverse_edges`` the class edges of the written
+    graph.json are reversed before partitioning."""
     fixture, ingest_flags, partition_flags = CASES[case]
     src = FIXTURES_DIR / fixture
     out = work / "out"
@@ -57,6 +60,10 @@ def run_case(case: str, work: Path) -> bytes:
     assert main(["ingest", "--deps", str(src / "deps.xml"),
                  "--manifest", str(src / "manifest.yaml"),
                  *ingest_flags, "--out", str(out)]) == 0
+    if reverse_edges:
+        doc = json.loads((out / GRAPH_FILE).read_bytes())
+        doc["class_edges"].reverse()
+        (out / GRAPH_FILE).write_text(json.dumps(doc), encoding="utf-8")
     flags = [f.format(prices=prices) for f in partition_flags]
     assert main(["partition", *flags, "--out", str(out)]) == 0
     return (out / PARTITION_FILE).read_bytes()
@@ -65,6 +72,14 @@ def run_case(case: str, work: Path) -> bytes:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_partition_matches_golden(case, tmp_path, capsys):
     assert run_case(case, tmp_path) == (GOLDEN_DIR / f"{case}.json").read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_reversed_class_edges_give_the_golden_partition(case, tmp_path, capsys):
+    """Every partitioner tie goes to the lowest id, so the order of the
+    class edges in graph.json cannot change a partition."""
+    partition = run_case(case, tmp_path, reverse_edges=True)
+    assert partition == (GOLDEN_DIR / f"{case}.json").read_bytes()
 
 
 PIPELINE_CASES = ("jpetstore", "jpetstore-fractional")

@@ -245,7 +245,6 @@ class TestCoarsen:
             for cv, w in row
         }
         assert scaled == crossing
-        assert all(row == sorted(row) for row in coarse.adj)
 
     def test_stops_at_min_size(self):
         rng = random.Random(8)
@@ -660,6 +659,30 @@ class TestProperties:
         assert after == rebalance_reference(level, list(p.assignment), cfg)
         if all(w == 1 for w in level.weights):
             assert max(after.sizes()) <= partitioner._balance_cap(level.weights, cfg)
+
+    @settings(max_examples=300, deadline=None)
+    @given(refine_cases(), st.integers(0, 2**32), st.randoms(use_true_random=False))
+    def test_results_do_not_depend_on_row_or_resource_order(self, case, seed, rnd):
+        """Every tie goes to the lowest id, so shuffling each adjacency row
+        and resource tuple changes no hierarchy and no partition."""
+        level, gains, cfg, p = case
+        shuffled = Level(
+            weights=level.weights,
+            adj=[rnd.sample(row, len(row)) for row in level.adj],
+            res_of=[tuple(rnd.sample(res, len(res))) for res in level.res_of],
+        )
+
+        def hierarchy(lv):
+            return [
+                (c.projection, c.graph.weights, [dict(row) for row in c.graph.adj],
+                 [set(res) for res in c.graph.res_of])
+                for c in coarsen(lv, max_levels=20, min_size=2, seed=seed)
+            ]
+
+        assert hierarchy(shuffled) == hierarchy(level)
+        cfg = replace(cfg, seed=seed)
+        assert initial_partition(shuffled, cfg) == initial_partition(level, cfg)
+        assert refine(shuffled, p, cfg, gains) == refine(level, p, cfg, gains)
 
     @settings(max_examples=300, deadline=None)
     @given(problems(), st.randoms(use_true_random=False))
