@@ -153,9 +153,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     cfg = _config(graphbuild.WeightConfig, args)
     with _naming(args.deps):  # a build fails only on a graph without dependencies
         g = graphbuild.build_graph(deps, manifest, flows, cfg)
-    problems = model.validate_graph(g)
-    if problems:  # every reader rejects the inputs that could cause this
-        raise RuntimeError("built graph is invalid: " + "; ".join(problems))
 
     [path] = _write_artifacts(args.out, {GRAPH_FILE: _json(model.graph_to_doc(g))}, args.force)
     print(f"classes: {len(g.classes)}")

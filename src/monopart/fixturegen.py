@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 
 from .ingest import InfraManifest, manifest_to_yaml
-from .model import InputError, ResourceKind
+from .model import InputError, ResourceKind, as_int
 
 # kind rotation for generated resources; compute stays out so the
 # compute floor is the only compute signal on generated fixtures
@@ -44,6 +44,8 @@ class FixtureSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("classes", "clusters", "resources_per_cluster", "seed"):
+            as_int(getattr(self, name), name)
         if self.classes < 1:
             raise InputError(f"classes must be >= 1, got {self.classes}")
         if self.classes > MAX_CLASSES:

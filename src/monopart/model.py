@@ -250,7 +250,8 @@ class FunctionalFlow:
 @dataclass(frozen=True)
 class ApplicationGraph:
     """The full application model: class nodes, resource nodes, flows, edges,
-    and the directed dependencies the interface number counts, in parse order."""
+    and the directed dependencies the interface number counts, in parse order.
+    Made only if :func:`validate_graph` finds no problem, else :class:`ValueError` lists them."""
 
     classes: tuple[ClassNode, ...]
     resources: tuple[ResourceNode, ...] = ()
@@ -258,6 +259,10 @@ class ApplicationGraph:
     resource_edges: tuple[ResourceEdge, ...] = ()
     class_edges: ClassEdges = ClassEdges()
     dependencies: tuple[DependencyRecord, ...] = ()
+
+    def __post_init__(self) -> None:
+        if problems := validate_graph(self):
+            raise ValueError("; ".join(problems))
 
     def names(self) -> list[str]:
         return [c.name for c in self.classes]
@@ -286,15 +291,17 @@ class PartitionSet:
     """Assignment of every class node to exactly one of ``k`` partitions.
 
     ``assignment[class_id]`` is the partition index; class ids are dense so a
-    tuple doubles as the map. It is checked when made: k >= 1, every index in
-    ``range(k)`` and no empty partition, else :class:`ValueError`. Covering
-    exactly a graph's classes is :func:`check_partition`'s rule.
+    tuple doubles as the map. It is checked when made: an integer k >= 1, every
+    index in ``range(k)`` and no empty partition, else :class:`ValueError`.
+    Covering exactly a graph's classes is :func:`check_partition`'s rule.
     """
 
     k: int
     assignment: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if type(self.k) is not int:
+            raise ValueError(f"invalid partition: partition count k={self.k!r} must be an integer")
         if self.k < 1:
             raise ValueError(f"invalid partition: partition count k={self.k} must be >= 1")
         if self.k > len(self.assignment):
@@ -408,11 +415,8 @@ class EvaluationReport:
 # ---------------------------------------------------------------------------
 
 def validate_graph(g: ApplicationGraph) -> list[str]:
-    """All invariant violations in ``g``; an empty list means well-formed.
-
-    Violations are data, not failures: each entry names the offending node
-    or edge so callers can report precisely.
-    """
+    """All invariant violations in ``g``, each naming its node or edge; an
+    empty list means well-formed. :class:`ApplicationGraph` raises on any."""
     problems: list[str] = []
     n = len(g.classes)
     m = len(g.resources)
@@ -427,7 +431,9 @@ def validate_graph(g: ApplicationGraph) -> list[str]:
             problems.append(f"duplicate class name {c.name!r}")
         else:
             seen_names.add(c.name)
-        if c.weight < 1:
+        if type(c.weight) is not int:
+            problems.append(f"class {c.name!r} has non-integer weight {c.weight!r}")
+        elif c.weight < 1:
             problems.append(f"class {c.name!r} has weight {c.weight} < 1")
 
     seen_res: set[str] = set()
@@ -661,8 +667,8 @@ def _read_class_edges(raw: object) -> ClassEdges:
 
 
 def graph_from_doc(doc: Mapping) -> ApplicationGraph:
-    """Parse the canonical interchange document back into a graph that
-    :func:`validate_graph` accepts; any problem raises :class:`InputError`.
+    """Parse the canonical interchange document back into a graph; a bad
+    field, or a graph :class:`ApplicationGraph` refuses, is an :class:`InputError`.
 
     Keys it does not read are ignored, so an older document whose class
     edges also carry their weight components still loads. An absent
@@ -715,11 +721,10 @@ def graph_from_doc(doc: Mapping) -> ApplicationGraph:
         )
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed dependency list: {exc}") from exc
-    g = ApplicationGraph(classes, resources, flows, resource_edges, class_edges, dependencies)
-    problems = validate_graph(g)
-    if problems:
-        raise InputError("; ".join(problems))
-    return g
+    try:
+        return ApplicationGraph(classes, resources, flows, resource_edges, class_edges, dependencies)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def partition_to_doc(

@@ -31,9 +31,8 @@ than a rescan of every edge. A candidate is skipped when not even the
 best case gains: all of its edge weight outside its partition going to
 one target, and every resource copy it alone keeps alive disappearing.
 That bound holds only because edge weights, alpha and prices are
-non-negative, so each is checked: ``scale`` rejects a negative edge
-weight, and ``ObjectiveConfig`` and ``PriceTable`` reject the others
-when they are made.
+non-negative: ``ApplicationGraph``, ``ObjectiveConfig`` and
+``PriceTable`` each reject a negative one when they are made.
 """
 
 from __future__ import annotations
@@ -55,6 +54,7 @@ from .model import (
     PriceTable,
     adjacency,
     as_fraction,
+    as_int,
     to_integers,
 )
 
@@ -82,6 +82,8 @@ class ObjectiveConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", as_fraction(self.alpha))
         object.__setattr__(self, "epsilon", as_fraction(self.epsilon))
+        for name in ("k", "restarts", "seed"):
+            as_int(getattr(self, name), name)
         if not 0 <= self.alpha <= 1:
             raise InputError(f"alpha must be in [0, 1], got {self.alpha}")
         if self.epsilon < 0:
@@ -148,15 +150,8 @@ def scale(g: ApplicationGraph, prices: PriceTable, cfg: ObjectiveConfig) -> tupl
     multiplied by U, the LCM of their denominators. With alpha = a/d a
     move's gain times d*L*U is ``a*U * scaled cut gain + (d-a)*L * scaled
     dup gain``.
-    A negative edge weight raises :class:`InputError`: refinement's gain
-    bound needs every weight to be non-negative.
     """
     edges = g.class_edges
-    if edges.weight and min(edges.weight) < 0:
-        i = next(i for i, w in enumerate(edges.weight) if w < 0)
-        raise InputError(
-            f"class edge ({edges.u[i]}, {edges.v[i]}) has negative weight {edges.fraction(i)}"
-        )
     lcm_prices, unit = to_integers([prices.unit_cost(r.kind) for r in g.resources])
     bound: list[set[int]] = [set() for _ in g.classes]
     for edge in g.resource_edges:

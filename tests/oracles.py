@@ -155,17 +155,6 @@ def class_edge_row_problems(n: int, rows) -> list[str]:
     return problems
 
 
-def class_edge_problems_reference(g) -> list[str]:
-    """:func:`class_edge_row_problems` of a graph's class-edge columns, each
-    weight rebuilt as a Fraction. On a graph whose classes, resources and
-    flows are well formed this is the whole problem list."""
-    edges = g.class_edges
-    rows = [
-        (u, v, Fraction(w, edges.scale)) for u, v, w in zip(edges.u, edges.v, edges.weight)
-    ]
-    return class_edge_row_problems(len(g.classes), rows)
-
-
 def graph_reader_error_reference(doc) -> str | None:
     """The message of the ``InputError`` that reading ``doc`` raises, or None
     when it reads, for a document whose every part but ``class_edges`` is

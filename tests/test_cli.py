@@ -1099,6 +1099,16 @@ def test_class_bound_admits_exactly_the_pairs_allowed():
         FixtureSpec(classes=MAX_CLASSES + 1, clusters=2, p_in=0.5, p_out=0.1)
 
 
+@pytest.mark.parametrize(
+    "field,value", [("classes", 24.0), ("clusters", True), ("resources_per_cluster", 1.5), ("seed", "3")]
+)
+def test_fixture_counts_and_seed_must_be_integers(field, value):
+    spec = {"classes": 24, "clusters": 3, "p_in": 0.3, "p_out": 0.02, field: value}
+    with pytest.raises(model.InputError) as info:
+        FixtureSpec(**spec)
+    assert str(info.value) == f"{field} must be an integer, got {value!r}"
+
+
 @pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
 @pytest.mark.parametrize("name", ["manifest.yaml", "flow-rules.yaml", "truth.yaml", "prices.yaml"])
 def test_malformed_yaml_exits_2_under_either_loader(workdir, capsys, monkeypatch, name, loader):

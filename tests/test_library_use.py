@@ -1,11 +1,23 @@
 """The README's "Library use" block runs as written on a committed fixture,
-and the package root exports exactly the names it imports."""
+the package root exports exactly the names it imports, and a graph a
+library caller builds is checked when it is made."""
 
 import re
 from pathlib import Path
 
+import pytest
+
 import monopart
 from conftest import FIXTURES_DIR
+from monopart.model import (
+    ApplicationGraph,
+    ClassEdges,
+    ClassNode,
+    DependencyRecord,
+    ResourceEdge,
+    ResourceKind,
+    ResourceNode,
+)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -34,3 +46,39 @@ def test_package_root_exports_the_readme_names():
     imported = re.search(r"from monopart import \((.*?)\)", _library_block(), re.S).group(1)
     assert sorted(monopart.__all__) == sorted(n.strip() for n in imported.split(",") if n.strip())
     assert all(hasattr(monopart, name) for name in monopart.__all__)
+
+
+TWO_CLASSES = (ClassNode(0, "A"), ClassNode(1, "B"))
+
+
+@pytest.mark.parametrize(
+    "parts,problem",
+    [
+        (
+            {"class_edges": ClassEdges((0,), (2,), (1,))},
+            "class edge (0, 2) references a missing class id",
+        ),
+        (
+            {
+                "resources": (ResourceNode(0, "db", ResourceKind.DATABASE),),
+                "resource_edges": (ResourceEdge(1, 0),),
+            },
+            "resource edge references missing resource id 1",
+        ),
+        (
+            {"classes": (ClassNode(0, "A"), ClassNode(1, "B", weight=0))},
+            "class 'B' has weight 0 < 1",
+        ),
+        (
+            {"dependencies": (DependencyRecord("A", "C"),)},
+            "dependency names unknown class 'C'",
+        ),
+    ],
+    ids=["edge_past_last_class", "binding_to_missing_resource", "class_weight_zero", "unknown_dependency"],
+)
+def test_library_graph_is_checked_when_made(parts, problem):
+    # unchecked, the first two failed inside partition_graph with an
+    # IndexError, and the last two partitioned without a word
+    with pytest.raises(ValueError) as info:
+        ApplicationGraph(**{"classes": TWO_CLASSES, **parts})
+    assert str(info.value) == problem

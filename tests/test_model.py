@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    class_edge_problems_reference,
+    class_edge_row_problems,
     class_edge_rows_reference,
     graph_reader_error_reference,
     report_from_json,
@@ -92,75 +92,79 @@ def bound_graph() -> ApplicationGraph:
     )
 
 
+def construction_error(**parts) -> str:
+    """The message of the ValueError that ``ApplicationGraph(**parts)`` raises."""
+    with pytest.raises(ValueError) as info:
+        ApplicationGraph(**parts)
+    return str(info.value)
+
+
 class TestValidateGraph:
+    """An ApplicationGraph checks itself when it is made: every problem
+    validate_graph finds is in the ValueError's message."""
+
     def test_well_formed(self):
         assert validate_graph(bound_graph()) == []
 
     def test_dependency_naming_an_unknown_class(self):
         deps = (DependencyRecord("A", "Z"), DependencyRecord("Z", "B"), DependencyRecord("B", "Y"))
-        assert validate_graph(replace(bound_graph(), dependencies=deps)) == [
-            "dependency names unknown class 'Z'",
-            "dependency names unknown class 'Y'",
-        ]
+        with pytest.raises(ValueError) as info:
+            replace(bound_graph(), dependencies=deps)
+        assert str(info.value) == (
+            "dependency names unknown class 'Z'; dependency names unknown class 'Y'"
+        )
 
     @pytest.mark.parametrize("u,v", [(1, 0), (1, 1)])
     def test_endpoints_must_be_ordered(self, u, v):
-        g = ApplicationGraph(
+        assert construction_error(
             classes=(ClassNode(0, "A"), ClassNode(1, "B")),
             class_edges=ClassEdges.from_rows([(u, v, Fraction(1))]),
-        )
-        assert validate_graph(g) == [f"class edge ({u}, {v}) must satisfy u < v"]
+        ) == f"class edge ({u}, {v}) must satisfy u < v"
 
     def test_non_dense_ids(self):
-        g = ApplicationGraph(classes=(ClassNode(0, "A"), ClassNode(2, "B")))
-        assert any("id" in p for p in validate_graph(g))
+        message = construction_error(classes=(ClassNode(0, "A"), ClassNode(2, "B")))
+        assert message == "class ids not dense: index 1 holds id 2"
 
     def test_duplicate_names(self):
-        g = ApplicationGraph(classes=(ClassNode(0, "A"), ClassNode(1, "A")))
-        assert any("A" in p for p in validate_graph(g))
+        message = construction_error(classes=(ClassNode(0, "A"), ClassNode(1, "A")))
+        assert message == "duplicate class name 'A'"
 
     def test_edge_reference_out_of_range(self):
-        g = ApplicationGraph(
+        assert construction_error(
             classes=(ClassNode(0, "A"),),
             class_edges=ClassEdges.from_rows([(0, 5, Fraction(1))]),
-        )
-        assert validate_graph(g)
+        ) == "class edge (0, 5) references a missing class id"
 
     def test_parallel_edges(self):
-        g = ApplicationGraph(
+        assert construction_error(
             classes=(ClassNode(0, "A"), ClassNode(1, "B")),
             class_edges=ClassEdges.from_rows([(0, 1, Fraction(1)), (0, 1, Fraction(2))]),
-        )
-        assert any("parallel" in p for p in validate_graph(g))
+        ) == "parallel class edge on pair (0, 1)"
 
     def test_duplicate_binding(self):
-        g = ApplicationGraph(
+        assert construction_error(
             classes=(ClassNode(0, "A"),),
             resources=(ResourceNode(0, "db1", ResourceKind.DATABASE),),
             resource_edges=(ResourceEdge(0, 0), ResourceEdge(0, 0)),
-        )
-        assert any("resource edge" in p for p in validate_graph(g))
+        ) == "duplicate resource edge (0, 0)"
 
     def test_empty_flow(self):
-        g = ApplicationGraph(
+        assert construction_error(
             classes=(ClassNode(0, "A"),),
             flows=(FunctionalFlow("F0", ()),),
-        )
-        assert any("flow" in p for p in validate_graph(g))
+        ) == "flow 'F0' has no members"
 
     def test_negative_weight_reported(self):
-        g = ApplicationGraph(
+        assert construction_error(
             classes=(ClassNode(0, "A"), ClassNode(1, "B")),
             class_edges=ClassEdges.from_rows([(0, 1, Fraction(-1, 2))]),
-        )
-        assert validate_graph(g) == ["class edge (0, 1) has negative weight -1/2"]
+        ) == "class edge (0, 1) has negative weight -1/2"
 
     def test_blank_resource_name(self):
-        g = ApplicationGraph(
+        assert construction_error(
             classes=(ClassNode(0, "A"),),
             resources=(ResourceNode(0, "", ResourceKind.DATABASE),),
-        )
-        assert validate_graph(g) == ["resource 0 has an empty name"]
+        ) == "resource 0 has an empty name"
 
     @pytest.mark.parametrize(
         "ids,problem",
@@ -168,25 +172,30 @@ class TestValidateGraph:
         ids=["blank", "repeated"],
     )
     def test_flow_ids_not_blank_and_unique(self, ids, problem):
-        g = ApplicationGraph(
+        assert construction_error(
             classes=(ClassNode(0, "A"),),
             flows=tuple(FunctionalFlow(flow_id, (0,)) for flow_id in ids),
-        )
-        assert validate_graph(g) == [problem]
+        ) == problem
 
     def test_violation_names_offender(self):
-        g = ApplicationGraph(
+        message = construction_error(
             classes=(ClassNode(0, "A"), ClassNode(1, "B")),
             class_edges=ClassEdges.from_rows([(0, 1, Fraction(-1))]),
         )
-        problems = validate_graph(g)
-        assert problems and any("(0, 1)" in p for p in problems)
+        assert "(0, 1)" in message
+
+    @pytest.mark.parametrize("weight", [Fraction(3, 2), 1.5, True, "1"], ids=repr)
+    def test_class_weight_must_be_an_integer(self, weight):
+        assert construction_error(
+            classes=(ClassNode(0, "A", weight), ClassNode(1, "B", 0)),
+        ) == f"class 'A' has non-integer weight {weight!r}; class 'B' has weight 0 < 1"
 
 
 @st.composite
-def class_edge_graphs(draw) -> ApplicationGraph:
-    """Graphs whose class edges may carry fractional or negative weights,
-    repeated pairs, reversed endpoints or ids past the last class."""
+def class_edge_rows(draw) -> tuple[int, list[tuple[int, int, Fraction]]]:
+    """A class count and class-edge rows that may carry fractional or
+    negative weights, repeated pairs, reversed endpoints or ids past the
+    last class."""
     rationals = st.fractions(min_value=-2, max_value=5, max_denominator=12)
     n = draw(st.integers(2, 6))
     edges = []
@@ -198,17 +207,23 @@ def class_edge_graphs(draw) -> ApplicationGraph:
         edges.append((u, v, draw(rationals)))
         if draw(st.integers(0, 4)) == 0:
             edges.append(edges[-1])
-    return ApplicationGraph(
-        classes=tuple(ClassNode(i, f"N{i}") for i in range(n)),
-        class_edges=ClassEdges.from_rows(edges),
-    )
+    return n, edges
 
 
 class TestClassEdgeOracle:
     @settings(max_examples=300)
-    @given(class_edge_graphs())
-    def test_problems_match_reference(self, g):
-        assert validate_graph(g) == class_edge_problems_reference(g)
+    @given(class_edge_rows())
+    def test_problems_match_reference(self, case):
+        n, rows = case
+        parts = dict(
+            classes=tuple(ClassNode(i, f"N{i}") for i in range(n)),
+            class_edges=ClassEdges.from_rows(rows),
+        )
+        expected = "; ".join(class_edge_row_problems(n, rows))
+        if expected:
+            assert construction_error(**parts) == expected
+        else:
+            assert ApplicationGraph(**parts).class_edges == parts["class_edges"]
 
 
 class TestValidatePartition:
@@ -239,6 +254,12 @@ class TestValidatePartition:
         with pytest.raises(ValueError) as info:
             PartitionSet(0, ())
         assert str(info.value) == "invalid partition: partition count k=0 must be >= 1"
+
+    @pytest.mark.parametrize("k", [True, 2.0, "2"], ids=repr)
+    def test_k_must_be_an_integer(self, k):
+        with pytest.raises(ValueError) as info:
+            PartitionSet(k, (0, 0))
+        assert str(info.value) == f"invalid partition: partition count k={k!r} must be an integer"
 
     @pytest.mark.parametrize(
         "k, assignment, problem",

@@ -84,6 +84,14 @@ class TestObjectiveConfig:
         with pytest.raises(InputError):
             ObjectiveConfig(k=1, seed=2**64)
 
+    @pytest.mark.parametrize(
+        "field,value", [("k", 2.0), ("k", True), ("restarts", 1.5), ("seed", 0.5), ("seed", "0")]
+    )
+    def test_integer_fields_reject_other_types(self, field, value):
+        with pytest.raises(InputError) as info:
+            ObjectiveConfig(**{"k": 2, field: value})
+        assert str(info.value) == f"{field} must be an integer, got {value!r}"
+
     def test_string_fractions_accepted(self):
         cfg = ObjectiveConfig(k=2, alpha="0.3", epsilon="0.25")
         assert cfg.alpha == Fraction(3, 10)
@@ -172,9 +180,9 @@ class TestScale:
         assert gains.dup == [2 * 6 * 9, 2 * 6 * 5]
 
     def test_negative_edge_weight_rejected(self):
-        g = graph_from_edges(3, {(0, 1): 1, (1, 2): Fraction(-1, 2)})
-        with pytest.raises(InputError, match=r"class edge \(1, 2\) has negative weight -1/2"):
-            scale(g, PRICES, ObjectiveConfig(k=2))
+        # no graph holds a negative weight, so scale never sees one
+        with pytest.raises(ValueError, match=r"^class edge \(1, 2\) has negative weight -1/2$"):
+            graph_from_edges(3, {(0, 1): 1, (1, 2): Fraction(-1, 2)})
 
     def test_gain_is_objective_drop_times_common_denominator(self):
         # one move of B from partition 1 to 0: cut falls by 1/2 - 2/3, and
