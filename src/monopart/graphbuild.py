@@ -98,10 +98,9 @@ def build_graph(
     )
     resource_id = {r.name: r.id for r in resources}
     resource_edges = tuple(
-        ResourceEdge(resource=resource_id[res], cls=id_by_name[cls])
-        for res, cls in sorted(
-            ((res, cls) for cls, res in manifest.bindings),
-            key=lambda rc: (resource_id[rc[0]], id_by_name[rc[1]]),
+        ResourceEdge(resource=rid, cls=cid)
+        for rid, cid in sorted(
+            (resource_id[res], id_by_name[cls]) for cls, res in manifest.bindings
         )
     )
 

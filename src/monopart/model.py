@@ -85,6 +85,12 @@ def as_int(value: object, what: str) -> int:
     raise InputError(f"{what} must be an integer, got {value!r}")
 
 
+def _all_int(values: Sequence[object]) -> bool:
+    """Whether the type of every value is exactly ``int``, so a bool or a
+    float is not, counted in C for a whole column of ids at once."""
+    return operator.countOf(map(type, values), int) == len(values)
+
+
 def as_str(value: object, what: str) -> str:
     """``value`` if it is a string, else :class:`InputError`: a name is
     never made from another type with ``str()``."""
@@ -292,7 +298,8 @@ class PartitionSet:
 
     ``assignment[class_id]`` is the partition index; class ids are dense so a
     tuple doubles as the map. It is checked when made: an integer k >= 1, every
-    index in ``range(k)`` and no empty partition, else :class:`ValueError`.
+    index an integer in ``range(k)`` and no empty partition, else
+    :class:`ValueError`.
     Covering exactly a graph's classes is :func:`check_partition`'s rule.
     """
 
@@ -308,15 +315,18 @@ class PartitionSet:
             raise ValueError(
                 f"invalid partition: k={self.k} exceeds class count {len(self.assignment)}"
             )
+        parts = self.assignment
+        used = set(parts)
+        if _all_int(parts) and used == set(range(self.k)):
+            return
         problems = [
-            f"class {cid} assigned to out-of-range partition {part}"
-            for cid, part in enumerate(self.assignment)
-            if not 0 <= part < self.k
+            f"class {cid} has non-integer partition {part!r}" if type(part) is not int
+            else f"class {cid} assigned to out-of-range partition {part}"
+            for cid, part in enumerate(parts)
+            if type(part) is not int or not 0 <= part < self.k
         ]
-        used = set(self.assignment)
         problems += [f"partition {part} is empty" for part in range(self.k) if part not in used]
-        if problems:
-            raise ValueError("invalid partition: " + "; ".join(problems))
+        raise ValueError("invalid partition: " + "; ".join(problems))
 
     def sizes(self) -> list[int]:
         counts = [0] * self.k
@@ -423,7 +433,9 @@ def validate_graph(g: ApplicationGraph) -> list[str]:
 
     seen_names: set[str] = set()
     for i, c in enumerate(g.classes):
-        if c.id != i:
+        if type(c.id) is not int:
+            problems.append(f"class at index {i} has non-integer id {c.id!r}")
+        elif c.id != i:
             problems.append(f"class ids not dense: index {i} holds id {c.id}")
         if not c.name:
             problems.append(f"class {c.id} has an empty name")
@@ -438,7 +450,9 @@ def validate_graph(g: ApplicationGraph) -> list[str]:
 
     seen_res: set[str] = set()
     for i, r in enumerate(g.resources):
-        if r.id != i:
+        if type(r.id) is not int:
+            problems.append(f"resource at index {i} has non-integer id {r.id!r}")
+        elif r.id != i:
             problems.append(f"resource ids not dense: index {i} holds id {r.id}")
         if not r.name:
             problems.append(f"resource {r.id} has an empty name")
@@ -451,6 +465,9 @@ def validate_graph(g: ApplicationGraph) -> list[str]:
 
     seen_bindings: set[tuple[int, int]] = set()
     for re_ in g.resource_edges:
+        if type(re_.resource) is not int or type(re_.cls) is not int:
+            problems.append(f"resource edge ({re_.resource!r}, {re_.cls!r}) has a non-integer id")
+            continue
         if not (0 <= re_.resource < m):
             problems.append(f"resource edge references missing resource id {re_.resource}")
             continue
@@ -473,7 +490,9 @@ def validate_graph(g: ApplicationGraph) -> list[str]:
         if not flow.members:
             problems.append(f"flow {flow.id!r} has no members")
         for cid in flow.members:
-            if not (0 <= cid < n):
+            if type(cid) is not int:
+                problems.append(f"flow {flow.id!r} has non-integer class id {cid!r}")
+            elif not (0 <= cid < n):
                 problems.append(f"flow {flow.id!r} references missing class id {cid}")
         if len(set(flow.members)) < len(flow.members):
             seen: set[int] = set()
@@ -481,9 +500,14 @@ def validate_graph(g: ApplicationGraph) -> list[str]:
             problems += [f"flow {flow.id!r} repeats class id {cid}" for cid in repeated]
 
     class_names = {c.name for c in g.classes}
-    ends = (name for r in g.dependencies for name in (r.from_class, r.to_class))
-    unknown = dict.fromkeys(name for name in ends if name not in class_names)
-    problems += [f"dependency names unknown class {name!r}" for name in unknown]
+    deps = g.dependencies
+    if not (
+        class_names.issuperset(map(operator.attrgetter("from_class"), deps))
+        and class_names.issuperset(map(operator.attrgetter("to_class"), deps))
+    ):
+        ends = (name for r in deps for name in (r.from_class, r.to_class))
+        unknown = dict.fromkeys(name for name in ends if name not in class_names)
+        problems += [f"dependency names unknown class {name!r}" for name in unknown]
 
     return problems
 
@@ -496,7 +520,9 @@ def _class_edge_problems(edges: ClassEdges, n: int) -> list[str]:
     without a set of them being built."""
     u, v, weight = edges.u, edges.v, edges.weight
     if (
-        all(map(operator.lt, u, v))
+        _all_int(u)
+        and _all_int(v)
+        and all(map(operator.lt, u, v))
         and (not u or (min(u) >= 0 and max(v) < n))
         and (
             all(map(operator.lt, zip(u, v), zip(u[1:], v[1:])))
@@ -509,6 +535,9 @@ def _class_edge_problems(edges: ClassEdges, n: int) -> list[str]:
     seen_pairs: set[tuple[int, int]] = set()
     for i, pair in enumerate(zip(u, v)):
         a, b = pair
+        if type(a) is not int or type(b) is not int:
+            problems.append(f"class edge ({a!r}, {b!r}) has a non-integer endpoint")
+            continue
         if not (0 <= a < n) or not (0 <= b < n):
             problems.append(f"class edge ({a}, {b}) references a missing class id")
             continue

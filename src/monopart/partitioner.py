@@ -22,16 +22,17 @@ choose exactly the partitions rational arithmetic would.
 Every tie goes to the lowest id by a comparison at the choice itself, so
 a level's rows and resource tuples carry no order. Growth builds one move
 state, ``_Moves``, without resources, and each level's :func:`refine`
-builds one for its balance repair and refinement. A state holds
-the partition loads and sizes, per vertex its scaled edge weight and its
-neighbour count into each partition, and per resource its client count
-in each partition. A move updates only the moved vertex's neighbours and
-resources, so a refinement pass costs the candidates it visits rather
-than a rescan of every edge. A candidate is skipped when not even the
-best case gains: all of its edge weight outside its partition going to
-one target, and every resource copy it alone keeps alive disappearing.
-That bound holds only because edge weights, alpha and prices are
-non-negative: ``ApplicationGraph``, ``ObjectiveConfig`` and
+builds one for its balance repair and refinement. A state holds the
+partition loads and sizes, per vertex its scaled edge weight into each
+partition, and per resource its client count in each partition. A move
+updates only the moved vertex's neighbours and resources, so a
+refinement pass costs the candidates it visits rather than a rescan of
+every edge. A vertex moves only where it has edge weight or a copy of
+one of its resources, as elsewhere it cannot gain, and it is skipped
+when not even the best case gains: all of its edge weight outside its
+partition going to one target, and every resource copy it alone keeps
+alive disappearing. Both rules hold only because edge weights, alpha and
+prices are non-negative: ``ApplicationGraph``, ``ObjectiveConfig`` and
 ``PriceTable`` each reject a negative one when they are made.
 """
 
@@ -273,10 +274,10 @@ class _Moves:
 
     ``assign[v]`` is v's partition; ``load[r]`` and ``size[r]`` are the
     summed weight and the vertex count of partition r; ``conn[v][r]`` is the
-    scaled edge weight from v into r and ``nbrs[v][r]`` the number of v's
-    neighbours in r; ``res_count[rid]`` maps each partition holding a client
-    of resource rid to its number of clients there. :meth:`move` keeps all
-    of them true, touching only the moved vertex's neighbours and resources.
+    scaled edge weight from v into r; ``res_count[rid]`` maps each partition
+    holding a client of resource rid to its number of clients there.
+    :meth:`move` keeps all of them true, touching only the moved vertex's
+    neighbours and resources.
     """
 
     def __init__(self, level: Level, assign: Sequence[int], parts: int) -> None:
@@ -288,15 +289,11 @@ class _Moves:
             load[part] += weight
             size[part] += 1
         self.conn: list[list[int]] = []
-        self.nbrs: list[list[int]] = []
         for row in level.adj:
-            weight_to, count_in = [0] * parts, [0] * parts
+            weight_to = [0] * parts
             for u, w in row:
-                part = assign[u]
-                weight_to[part] += w
-                count_in[part] += 1
+                weight_to[assign[u]] += w
             self.conn.append(weight_to)
-            self.nbrs.append(count_in)
         self.res_count: defaultdict[int, dict[int, int]] = defaultdict(dict)
         for part, res in zip(assign, level.res_of):
             for rid in res:
@@ -319,12 +316,10 @@ class _Moves:
             if counts[src] == 0:
                 del counts[src]
             counts[dst] = counts.get(dst, 0) + 1
-        conn, nbrs = self.conn, self.nbrs
+        conn = self.conn
         for u, w in level.adj[v]:
             conn[u][src] -= w
             conn[u][dst] += w
-            nbrs[u][src] -= 1
-            nbrs[u][dst] += 1
 
 
 # ---------------------------------------------------------------------------
@@ -425,34 +420,36 @@ def refine(
 
     Nothing is rescanned per pass: the tallies are those of the shared
     move state ``_Moves``, built once per call for repair and refinement.
-    v is on the boundary when ``nbrs[v][assign[v]]`` is not its degree (a
-    cross edge of weight 0 counts), and its targets are the partitions
-    holding a neighbour or a copy of one of its resources.
-    A candidate is skipped when ``cut * (wdeg[v] - 2 * conn[v][src]) +
-    dupsum[v] <= 0``, with ``wdeg[v]`` its total edge weight and
-    ``dupsum[v]`` the summed ``dup`` of its resources: with non-negative
-    edge weights and gains, as :func:`scale` guarantees, no move of v gains
-    more, so the skip drops no positive-gain move.
+    With ``wdeg[v]`` v's total edge weight and ``dupsum[v]`` the summed
+    ``dup`` of its resources, a candidate is skipped when ``cut * (wdeg[v]
+    - 2 * conn[v][src]) + dupsum[v] <= 0``: with non-negative edge weights
+    and gains, as :func:`scale` guarantees, no move of v gains more, so the
+    skip drops no positive-gain move. v is on the boundary when
+    ``conn[v][src] != wdeg[v]`` or a neighbour over a weight-0 edge
+    (``zero[v]``) is outside src. Its targets are the partitions it has
+    weight into or holding a copy of one of its resources: any other gains
+    at most ``saved - dupsum[v] <= 0``.
     """
     k = p.k
     weights = level.weights
-    n = len(weights)
     cap = _balance_cap(weights, cfg)
-    adj = level.adj
     res_of = level.res_of
     cut_gain = gains.cut
     dup = gains.dup
     state = _Moves(level, p.assignment, k)
     _repair(state, cap)
     assign, load, size = state.assign, state.load, state.size
-    conn, nbrs, res_count = state.conn, state.nbrs, state.res_count
+    conn, res_count = state.conn, state.res_count
+    wdeg = list(map(sum, conn))
+    zero = [[u for u, w in row if not w] for row in level.adj]
     # ceiling[v] - 2 * cut * conn[v][src] bounds the gain of every move of v
-    ceiling = [cut_gain * sum(row) + sum(dup[rid] for rid in res) for row, res in zip(conn, res_of)]
+    ceiling = [cut_gain * w + sum(dup[rid] for rid in res) for w, res in zip(wdeg, res_of)]
 
     for _ in range(_MAX_REFINE_PASSES):
         candidates = [
-            v for v in range(n)
-            if nbrs[v][assign[v]] != len(adj[v])
+            v for v, src in enumerate(assign)
+            if conn[v][src] != wdeg[v]
+            or any(assign[u] != src for u in zero[v])
             or any(len(res_count[rid]) > 1 for rid in res_of[v])
         ]
         moved = False
@@ -464,7 +461,7 @@ def refine(
             if ceiling[v] <= 2 * cut_gain * conn_v[src]:
                 continue
             res = res_of[v]
-            targets = set(compress(range(k), nbrs[v]))
+            targets = set(compress(range(k), conn_v))
             for rid in res:
                 targets.update(res_count[rid])
             targets.discard(src)

@@ -45,6 +45,13 @@ CASES = {
         ["--base-call", "1/3", "--beta-flow", "2/7", "--shared-resource-increment", "3/5"],
         ["--k", "3", "--alpha", "1/3", "--epsilon", "1/7", "--prices", "{prices}"],
     ),
+    # 30 of the 57 class edges weigh 0, so coarsening, growth and refinement
+    # all meet zero-weight rows
+    "jpetstore-zero": (
+        "jpetstore",
+        ["--shared-resource-increment", "0", "--base-reference", "0"],
+        ["--k", "3"],
+    ),
 }
 
 

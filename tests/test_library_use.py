@@ -14,6 +14,7 @@ from monopart.model import (
     ClassEdges,
     ClassNode,
     DependencyRecord,
+    FunctionalFlow,
     ResourceEdge,
     ResourceKind,
     ResourceNode,
@@ -73,12 +74,48 @@ TWO_CLASSES = (ClassNode(0, "A"), ClassNode(1, "B"))
             {"dependencies": (DependencyRecord("A", "C"),)},
             "dependency names unknown class 'C'",
         ),
+        ({"classes": (ClassNode(0, "A"), ClassNode(1.0, "B"))}, "class at index 1 has non-integer id 1.0"),
+        ({"classes": (ClassNode(False, "A"), ClassNode(1, "B"))}, "class at index 0 has non-integer id False"),
+        (
+            {"resources": (ResourceNode(0.0, "db", ResourceKind.DATABASE),)},
+            "resource at index 0 has non-integer id 0.0",
+        ),
+        ({"class_edges": ClassEdges((0,), (1.0,), (1,))}, "class edge (0, 1.0) has a non-integer endpoint"),
+        ({"class_edges": ClassEdges(("0",), (1,), (1,))}, "class edge ('0', 1) has a non-integer endpoint"),
+        (
+            {"class_edges": ClassEdges((False,), (True,), (1,))},
+            "class edge (False, True) has a non-integer endpoint",
+        ),
+        (
+            {
+                "resources": (ResourceNode(0, "db", ResourceKind.DATABASE),),
+                "resource_edges": (ResourceEdge(0, 1.0),),
+            },
+            "resource edge (0, 1.0) has a non-integer id",
+        ),
+        (
+            {
+                "resources": (ResourceNode(0, "db", ResourceKind.DATABASE),),
+                "resource_edges": (ResourceEdge(True, 1),),
+            },
+            "resource edge (True, 1) has a non-integer id",
+        ),
+        (
+            {"flows": (FunctionalFlow("F0", (0, 1.0, "B")),)},
+            "flow 'F0' has non-integer class id 1.0; flow 'F0' has non-integer class id 'B'",
+        ),
     ],
-    ids=["edge_past_last_class", "binding_to_missing_resource", "class_weight_zero", "unknown_dependency"],
+    ids=[
+        "edge_past_last_class", "binding_to_missing_resource", "class_weight_zero", "unknown_dependency",
+        "class_id_float", "class_id_bool", "resource_id_float", "edge_float", "edge_str", "edge_bools",
+        "binding_class_float", "binding_resource_bool", "flow_members",
+    ],
 )
 def test_library_graph_is_checked_when_made(parts, problem):
     # unchecked, the first two failed inside partition_graph with an
-    # IndexError, and the last two partitioned without a word
+    # IndexError, and the next two partitioned without a word; a float
+    # endpoint or binding id failed there with a TypeError, and a float
+    # class id or flow member went through
     with pytest.raises(ValueError) as info:
         ApplicationGraph(**{"classes": TWO_CLASSES, **parts})
     assert str(info.value) == problem

@@ -255,6 +255,21 @@ class TestValidatePartition:
             PartitionSet(0, ())
         assert str(info.value) == "invalid partition: partition count k=0 must be >= 1"
 
+    @pytest.mark.parametrize(
+        "assignment,problem",
+        [
+            ((0.0, 1.0), "class 0 has non-integer partition 0.0; class 1 has non-integer partition 1.0"),
+            ((0, True), "class 1 has non-integer partition True"),
+            ((0, "1", 3), "class 1 has non-integer partition '1'; "
+                          "class 2 assigned to out-of-range partition 3; partition 1 is empty"),
+        ],
+        ids=["floats", "bool", "str_and_out_of_range"],
+    )
+    def test_indices_must_be_integers(self, assignment, problem):
+        with pytest.raises(ValueError) as info:
+            PartitionSet(2, assignment)
+        assert str(info.value) == f"invalid partition: {problem}"
+
     @pytest.mark.parametrize("k", [True, 2.0, "2"], ids=repr)
     def test_k_must_be_an_integer(self, k):
         with pytest.raises(ValueError) as info:

@@ -669,6 +669,25 @@ class TestProperties:
             assert max(after.sizes()) <= partitioner._balance_cap(level.weights, cfg)
 
     @settings(max_examples=300, deadline=None)
+    @given(refine_cases(), st.data())
+    def test_moves_keep_the_state_of_a_fresh_build(self, case, data):
+        """After any sequence of moves, every tally of the move state equals
+        that of a state built afresh from its assignment. Repair and
+        refinement rely on it: both move vertices on the one state that
+        refine builds."""
+        level, _gains, _cfg, p = case
+        state = partitioner._Moves(level, p.assignment, p.k)
+        assign = list(p.assignment)
+        vertex, part = st.integers(0, len(assign) - 1), st.integers(0, p.k - 1)
+        for v, dst in data.draw(st.lists(st.tuples(vertex, part), max_size=20)):
+            state.move(v, dst)
+            assign[v] = dst
+        fresh = partitioner._Moves(level, assign, p.k)
+        assert state.assign == assign
+        assert (state.load, state.size, state.conn) == (fresh.load, fresh.size, fresh.conn)
+        assert state.res_count == fresh.res_count
+
+    @settings(max_examples=300, deadline=None)
     @given(refine_cases(), st.integers(0, 2**32), st.randoms(use_true_random=False))
     def test_results_do_not_depend_on_row_or_resource_order(self, case, seed, rnd):
         """Every tie goes to the lowest id, so shuffling each adjacency row
