@@ -154,13 +154,17 @@ def check_keys(doc: dict, known: Iterable[str], what: str) -> None:
         raise InputError(f"unknown {what} key {min(unknown, key=str)!r}")
 
 
-def _as_text(data: bytes | str) -> str:
+def _as_text(data: bytes | str, start: int = 0, end: int | None = None) -> str:
+    """``data[start:end]`` as text. Bytes must be UTF-8; a bad sequence is
+    reported at its offset in the whole of ``data``, as decoding all of it
+    would report it."""
     if isinstance(data, bytes):
         try:
-            return data.decode("utf-8")
+            return data[start:end].decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise InputError(f"input is not valid UTF-8: {exc}") from exc
-    return data
+            whole = UnicodeDecodeError(exc.encoding, data, start + exc.start, start + exc.end, exc.reason)
+            raise InputError(f"input is not valid UTF-8: {whole}") from exc
+    return data[start:end]
 
 
 def _name(raw: object, what: str) -> str:
@@ -329,10 +333,16 @@ def manifest_to_yaml(manifest: InfraManifest) -> str:
 # execution traces
 # ---------------------------------------------------------------------------
 
-# Characters per block that `parse_traces` splits into lines at a time. A
-# block ends just after a "\n", so no line boundary of `str.splitlines`,
-# "\r\n" included, falls between two blocks.
+# Characters (bytes, for a log given as bytes) per block that `parse_traces`
+# decodes and splits into lines at a time. A block ends just after a "\n",
+# so no line boundary of `str.splitlines`, "\r\n" included, falls between
+# two blocks, and no UTF-8 sequence is cut: a "\n" byte is never part of one.
 _TRACE_BLOCK = 1 << 16
+
+# Lines at the head of a block that show whether its lines repeat: when at
+# most half of them are distinct, each distinct line of the block is
+# matched once.
+_TRACE_SAMPLE = 256
 
 
 def load_flow_rules(data: bytes | str) -> FlowRuleConfig:
@@ -357,10 +367,16 @@ def parse_traces(data: bytes | str, rules: FlowRuleConfig) -> TraceParseResult:
     every occurrence of an entry-point class; with no entry points the
     stream is one flow. A tag equal to one of those synthetic ids would
     merge two flows, so it is an :class:`InputError`.
+
+    The log is decoded and split a block at a time. In a block whose lines
+    repeat, the regex runs once per distinct line; the results are then
+    read back in log order, so records and counts are those of matching
+    every line.
     """
     pattern = re.compile(rules.line_regex)
     search = pattern.search
-    tagged = "flow" in pattern.groupindex
+    class_group = pattern.groupindex["class"]
+    flow_group = pattern.groupindex.get("flow")  # group numbers count from 1
     entry_points = frozenset(rules.entry_points)
     records: list[tuple[str, str]] = []
     append = records.append
@@ -370,30 +386,46 @@ def parse_traces(data: bytes | str, rules: FlowRuleConfig) -> TraceParseResult:
     skipped = 0
     segment = -1
     untagged = ""
-    text = _as_text(data)
-    start, size = 0, len(text)
+    newline = b"\n" if isinstance(data, bytes) else "\n"
+    start, size = 0, len(data)
     while start < size:
-        end = text.find("\n", start + _TRACE_BLOCK - 1) + 1 or size
-        for line in text[start:end].splitlines():
+        end = data.find(newline, start + _TRACE_BLOCK - 1) + 1 or size
+        lines = _as_text(data, start, end).splitlines()
+        start = end
+        sample = lines[:_TRACE_SAMPLE]
+        distinct = set(lines) if 2 * len(set(sample)) <= len(sample) else None
+        # per line matched: its shared tagged pair, its untagged class name,
+        # or None for a skipped line
+        parsed: list[tuple[str, str] | str | None] = []
+        put = parsed.append
+        for line in lines if distinct is None else distinct:
             match = search(line)
             if match is None:
-                skipped += 1
+                put(None)
                 continue
-            cls = (match["class"] or "").strip()
+            cls = (match[class_group] or "").strip()
             if not cls:
-                skipped += 1
+                put(None)
                 continue
-            flow = (match["flow"] or "").strip() if tagged else ""
+            flow = (match[flow_group] or "").strip() if flow_group else ""
             if flow:
                 add_tag(flow)
+                pair = flow, cls
+                put(shared(pair, pair))
             else:
-                if segment < 0 or cls in entry_points:
+                put(cls)
+        results = parsed if distinct is None else map(dict(zip(distinct, parsed)).__getitem__, lines)
+        for result in results:
+            if type(result) is tuple:
+                append(result)
+            elif result is None:
+                skipped += 1
+            else:
+                if segment < 0 or result in entry_points:
                     segment += 1
                     untagged = f"F{segment}"
-                flow = untagged
-            pair = flow, cls
-            append(shared(pair, pair))
-        start = end
+                pair = untagged, result
+                append(shared(pair, pair))
     clash = next((f"F{i}" for i in range(segment + 1) if f"F{i}" in tags), None)
     if clash is not None:
         raise InputError(f"trace tag {clash!r} is also the id of an untagged flow segment")

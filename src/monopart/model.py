@@ -200,7 +200,8 @@ class ClassEdges:
     :func:`monopart.graphbuild.build_graph` composed them. Endpoints are
     stored canonically with ``u < v``, which :func:`validate_graph` checks.
     The integer weights are what every loop over the edges reads; a
-    Fraction is made only for a weight that is written or reported.
+    Fraction is made only for a weight that is written or reported. A
+    ``scale`` that is not an ``int`` of at least 1 is :class:`ValueError`.
     """
 
     u: tuple[int, ...] = ()
@@ -209,8 +210,12 @@ class ClassEdges:
     scale: int = 1
 
     def __post_init__(self) -> None:
-        if not len(self.u) == len(self.v) == len(self.weight) or self.scale < 1:
-            raise ValueError("class edge columns must have one length and a scale >= 1")
+        if (
+            not len(self.u) == len(self.v) == len(self.weight)
+            or type(self.scale) is not int
+            or self.scale < 1
+        ):
+            raise ValueError("class edge columns must have one length and an integer scale >= 1")
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple[int, int, Fraction]]) -> "ClassEdges":
@@ -431,18 +436,20 @@ def validate_graph(g: ApplicationGraph) -> list[str]:
     n = len(g.classes)
     m = len(g.resources)
 
-    seen_names: set[str] = set()
+    class_names: set[str] = set()
     for i, c in enumerate(g.classes):
         if type(c.id) is not int:
             problems.append(f"class at index {i} has non-integer id {c.id!r}")
         elif c.id != i:
             problems.append(f"class ids not dense: index {i} holds id {c.id}")
-        if not c.name:
-            problems.append(f"class {c.id} has an empty name")
-        elif c.name in seen_names:
-            problems.append(f"duplicate class name {c.name!r}")
+        if not isinstance(c.name, str):
+            problems.append(f"class {c.id} has non-string name {c.name!r}")
         else:
-            seen_names.add(c.name)
+            if not c.name:
+                problems.append(f"class {c.id} has an empty name")
+            elif c.name in class_names:
+                problems.append(f"duplicate class name {c.name!r}")
+            class_names.add(c.name)
         if type(c.weight) is not int:
             problems.append(f"class {c.name!r} has non-integer weight {c.weight!r}")
         elif c.weight < 1:
@@ -454,7 +461,9 @@ def validate_graph(g: ApplicationGraph) -> list[str]:
             problems.append(f"resource at index {i} has non-integer id {r.id!r}")
         elif r.id != i:
             problems.append(f"resource ids not dense: index {i} holds id {r.id}")
-        if not r.name:
+        if not isinstance(r.name, str):
+            problems.append(f"resource {r.id} has non-string name {r.name!r}")
+        elif not r.name:
             problems.append(f"resource {r.id} has an empty name")
         elif r.name in seen_res:
             problems.append(f"duplicate resource name {r.name!r}")
@@ -499,7 +508,6 @@ def validate_graph(g: ApplicationGraph) -> list[str]:
             repeated = dict.fromkeys(c for c in flow.members if c in seen or seen.add(c))
             problems += [f"flow {flow.id!r} repeats class id {cid}" for cid in repeated]
 
-    class_names = {c.name for c in g.classes}
     deps = g.dependencies
     if not (
         class_names.issuperset(map(operator.attrgetter("from_class"), deps))
@@ -528,6 +536,7 @@ def _class_edge_problems(edges: ClassEdges, n: int) -> list[str]:
             all(map(operator.lt, zip(u, v), zip(u[1:], v[1:])))
             or len(set(zip(u, v))) == len(u)
         )
+        and _all_int(weight)
         and (not weight or min(weight) >= 0)
     ):
         return []
@@ -547,7 +556,9 @@ def _class_edge_problems(edges: ClassEdges, n: int) -> list[str]:
         if pair in seen_pairs:
             problems.append(f"parallel class edge on pair {pair}")
         seen_pairs.add(pair)
-        if weight[i] < 0:
+        if type(weight[i]) is not int:
+            problems.append(f"class edge {pair} has non-integer weight {weight[i]!r}")
+        elif weight[i] < 0:
             problems.append(f"class edge {pair} has negative weight {edges.fraction(i)}")
     return problems
 

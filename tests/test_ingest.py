@@ -4,6 +4,7 @@ import json
 import logging
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 import yaml
@@ -430,6 +431,112 @@ class TestParseTraces:
         assert len(result.records) == 50_000
         assert peak < 3 * len(data), f"peak {peak} bytes for a {len(data)}-byte log"
         assert len({id(record) for record in result.records}) == len(set(result.records)) == 1_250
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        runs=st.lists(
+            st.tuples(
+                st.sampled_from(["repeat", "padded", "numbered"]),
+                st.sampled_from(["", "[t1] ", "[F0] ", "?? "]),
+                st.sampled_from(["A", "E", "", "x!"]),
+                st.integers(min_value=1, max_value=40),
+            ),
+            max_size=10,
+        ),
+        block=st.integers(min_value=1, max_value=200),
+        entry_points=st.sampled_from([(), ("E",)]),
+        line_regex=st.sampled_from(
+            [r"^(?:\[(?P<flow>[^\]]*)\] ?)?(?P<class>[\w ]*)$", r"(?P<class>[A-Z])"]
+        ),
+        as_bytes=st.booleans(),
+    )
+    def test_blocks_of_repeated_and_distinct_lines(self, runs, block, entry_points, line_regex, as_bytes):
+        # runs of one repeated line and runs of distinct lines (padded ones
+        # parse alike, numbered ones name new classes), cut into blocks of
+        # 1-200 characters: blocks on both sides of the repeat test occur in
+        # one log, and the result is that of the reference and of one block
+        lines = []
+        for kind, tag, cls, count in runs:
+            if kind == "repeat":
+                lines += [tag + cls] * count
+            elif kind == "padded":
+                lines += [tag + cls + " " * i for i in range(count)]
+            else:
+                lines += [f"{tag}{cls}{i}" for i in range(count)]
+        log_text = "".join(line + "\n" for line in lines)
+        data = log_text.encode() if as_bytes else log_text
+        rules = FlowRuleConfig(line_regex=line_regex, entry_points=entry_points)
+
+        def parsed(block_size):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ingest, "_TRACE_BLOCK", block_size)
+                return parse_traces(data, rules)
+
+        def grouped():
+            result = parsed(block)
+            return [(f.id, f.members) for f in group_flows(result.records)], result.skipped
+
+        assert outcome(grouped) == outcome(
+            lambda: group_flows_reference(log_text, line_regex, entry_points)
+        )
+        assert outcome(lambda: parsed(block)) == outcome(lambda: parsed(len(data) + 1))
+
+    def test_each_distinct_line_of_a_block_is_matched_once(self, monkeypatch):
+        # the log of test_memory_grows_with_distinct_pairs_not_with_lines:
+        # 250 flows of 200 lines over 5 classes, so a block of about 3,900
+        # lines holds about 100 distinct ones
+        data = "".join(f"[f{i // 200:03d}] web.C{i % 5}\n" for i in range(50_000)).encode()
+        distinct, start = 0, 0
+        while start < len(data):
+            end = data.find(b"\n", start + ingest._TRACE_BLOCK - 1) + 1 or len(data)
+            distinct += len(set(data[start:end].splitlines()))
+            start = end
+        searches = 0
+        compile_ = ingest.re.compile
+
+        class CountingPattern:
+            def __init__(self, regex):
+                self.pattern = compile_(regex)
+                self.groupindex = self.pattern.groupindex
+
+            def search(self, line):
+                nonlocal searches
+                searches += 1
+                return self.pattern.search(line)
+
+        monkeypatch.setattr(ingest, "re", SimpleNamespace(compile=CountingPattern))
+        result = parse_traces(data, RULES)
+        assert len(result.records) == 50_000
+        assert searches <= distinct < 1_500, f"{searches} searches for {distinct} distinct lines per block"
+
+    @pytest.mark.parametrize(
+        "bad, after",
+        [(b"\xff", b" A\n"), (b"\xe2\x82", b"\n"), (b"\xe2\x82", b"")],
+        ids=["bad-start-byte", "truncated-before-newline", "truncated-at-end"],
+    )
+    def test_bad_utf8_reported_at_its_offset_in_the_whole_file(self, bad, after):
+        data = b"[t1] A\n" * 20_000 + b"[t1] B" + bad + after  # past the first two blocks
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode("utf-8")
+        with pytest.raises(InputError) as info:
+            parse_traces(data, RULES)
+        assert str(info.value) == f"input is not valid UTF-8: {whole.value}"
+
+    def test_memory_of_a_bytes_log_of_distinct_lines_stays_below_its_size(self):
+        # one timestamp per line, so no two lines repeat: the log is decoded
+        # a block at a time, never held as text beside its bytes
+        data = "".join(
+            f"2026-10-20T12:00:{i:09d} [f{i // 200:03d}] web.C{i % 5}\n" for i in range(50_000)
+        ).encode()
+        rules = FlowRuleConfig(line_regex=r"^\S+ (?:\[(?P<flow>\w+)\] )?(?P<class>[\w.]+)$")
+        tracemalloc.start()
+        try:
+            result = parse_traces(data, rules)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.records) == 50_000
+        assert peak < len(data), f"peak {peak} bytes for a {len(data)}-byte log"
 
 
 class TestGroupFlows:

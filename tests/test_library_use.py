@@ -104,11 +104,24 @@ TWO_CLASSES = (ClassNode(0, "A"), ClassNode(1, "B"))
             {"flows": (FunctionalFlow("F0", (0, 1.0, "B")),)},
             "flow 'F0' has non-integer class id 1.0; flow 'F0' has non-integer class id 'B'",
         ),
+        ({"class_edges": ClassEdges((0,), (1,), (1.5,))}, "class edge (0, 1) has non-integer weight 1.5"),
+        ({"class_edges": ClassEdges((0,), (1,), ("1",))}, "class edge (0, 1) has non-integer weight '1'"),
+        ({"class_edges": ClassEdges((0,), (1,), (True,))}, "class edge (0, 1) has non-integer weight True"),
+        ({"classes": (ClassNode(0, "A"), ClassNode(1, 5))}, "class 1 has non-string name 5"),
+        (
+            {"classes": (ClassNode(0, ["A"]), ClassNode(1, "B")), "dependencies": (DependencyRecord("A", "B"),)},
+            "class 0 has non-string name ['A']; dependency names unknown class 'A'",
+        ),
+        (
+            {"resources": (ResourceNode(0, 7, ResourceKind.DATABASE),)},
+            "resource 0 has non-string name 7",
+        ),
     ],
     ids=[
         "edge_past_last_class", "binding_to_missing_resource", "class_weight_zero", "unknown_dependency",
         "class_id_float", "class_id_bool", "resource_id_float", "edge_float", "edge_str", "edge_bools",
-        "binding_class_float", "binding_resource_bool", "flow_members",
+        "binding_class_float", "binding_resource_bool", "flow_members", "edge_weight_float",
+        "edge_weight_str", "edge_weight_bool", "class_name_int", "class_name_list", "resource_name_int",
     ],
 )
 def test_library_graph_is_checked_when_made(parts, problem):
@@ -119,3 +132,11 @@ def test_library_graph_is_checked_when_made(parts, problem):
     with pytest.raises(ValueError) as info:
         ApplicationGraph(**{"classes": TWO_CLASSES, **parts})
     assert str(info.value) == problem
+
+
+@pytest.mark.parametrize("scale", [1.5, True, "2"])
+def test_class_edge_scale_is_an_int(scale):
+    # every rational weight is Fraction(weight, scale), which refuses a
+    # float scale deep inside partition_graph, and True would pass as 1
+    with pytest.raises(ValueError, match="scale"):
+        ClassEdges((0,), (1,), (1,), scale=scale)
