@@ -24,10 +24,28 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class InfraManifest:
-    """Declared infrastructure resources and class-to-resource bindings."""
+    """Declared infrastructure resources and class-to-resource bindings; a
+    name declared twice, a kind that is not a :class:`ResourceKind`, or a
+    binding to an undeclared resource or made twice is an :class:`InputError`."""
 
     resources: tuple[tuple[str, ResourceKind], ...] = ()
     bindings: tuple[tuple[str, str], ...] = ()  # (class name, resource name)
+
+    def __post_init__(self) -> None:
+        declared: set[str] = set()
+        for name, kind in self.resources:
+            if type(kind) is not ResourceKind:
+                raise InputError(f"unknown resource kind {kind!r}")
+            if name in declared:
+                raise InputError(f"duplicate resource name {name!r}")
+            declared.add(name)
+        bound: set[tuple[str, str]] = set()
+        for cls, res in self.bindings:
+            if res not in declared:
+                raise InputError(f"binding for class {cls!r} references undeclared resource {res!r}")
+            if (cls, res) in bound:
+                raise InputError(f"duplicate binding of class {cls!r} to resource {res!r}")
+            bound.add((cls, res))
 
 
 @dataclass(frozen=True)
@@ -264,31 +282,16 @@ def parse_infra_yaml(data: bytes | str) -> InfraManifest:
         raise InputError("manifest must be a YAML mapping")
     check_keys(doc, ("resources", "bindings"), "manifest")
 
-    resources: list[tuple[str, ResourceKind]] = []
-    declared: set[str] = set()
+    resources = []
     for entry in _manifest_entries(doc, "resources", "name", "kind"):
         name = _manifest_name(entry, "name")
-        raw_kind = _name(entry["kind"], "manifest kind").lower()
-        kind = KIND_ALIASES.get(raw_kind)
-        if kind is None:
-            raise InputError(f"unknown resource kind {raw_kind!r}")
-        if name in declared:
-            raise InputError(f"duplicate resource name {name!r}")
-        declared.add(name)
-        resources.append((name, kind))
-
-    bindings: dict[tuple[str, str], None] = {}
-    for entry in _manifest_entries(doc, "bindings", "class", "resource"):
-        cls, res = _manifest_name(entry, "class"), _manifest_name(entry, "resource")
-        if res not in declared:
-            raise InputError(
-                f"binding for class {cls!r} references undeclared resource {res!r}"
-            )
-        if (cls, res) in bindings:
-            raise InputError(f"duplicate binding of class {cls!r} to resource {res!r}")
-        bindings[cls, res] = None
-
-    return InfraManifest(resources=tuple(resources), bindings=tuple(bindings))
+        kind = _name(entry["kind"], "manifest kind").lower()
+        resources.append((name, KIND_ALIASES.get(kind, kind)))
+    bindings = tuple(
+        (_manifest_name(entry, "class"), _manifest_name(entry, "resource"))
+        for entry in _manifest_entries(doc, "bindings", "class", "resource")
+    )
+    return InfraManifest(tuple(resources), bindings)
 
 
 def _manifest_name(entry: dict, key: str) -> str:

@@ -23,24 +23,23 @@ from .model import (
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Reference decomposition: class name to cluster label."""
+    """Reference decomposition: class name to cluster label. Anything but a
+    non-empty dict of strings to strings is an :class:`InputError`."""
 
     assignment: dict[str, str]
 
     def __post_init__(self) -> None:
-        if not self.assignment:
-            raise InputError("ground truth must not be empty")
+        if not isinstance(self.assignment, dict) or not self.assignment:
+            raise InputError("ground truth must be a non-empty mapping")
+        for name, label in self.assignment.items():
+            as_str(name, "ground truth class")
+            as_str(label, "ground truth label")
 
 
 def load_ground_truth(data: bytes | str) -> GroundTruth:
     """Read ground truth from YAML or JSON: a flat ``{class: label}`` map."""
     text = _as_text(data)
-    doc = load_json(text) if text.lstrip()[:1] == "{" else load_yaml(text)
-    if not isinstance(doc, dict) or not doc:
-        raise InputError("ground truth must be a non-empty mapping")
-    return GroundTruth(
-        {as_str(k, "ground truth class"): as_str(v, "ground truth label") for k, v in doc.items()}
-    )
+    return GroundTruth(load_json(text) if text.lstrip()[:1] == "{" else load_yaml(text))
 
 
 def compute_f1(

@@ -24,6 +24,7 @@ import operator
 from dataclasses import asdict, astuple, dataclass, fields
 from enum import Enum
 from fractions import Fraction
+from numbers import Number
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 SCHEMA_VERSION = 1
@@ -321,8 +322,7 @@ class PartitionSet:
                 f"invalid partition: k={self.k} exceeds class count {len(self.assignment)}"
             )
         parts = self.assignment
-        used = set(parts)
-        if _all_int(parts) and used == set(range(self.k)):
+        if _all_int(parts) and set(parts) == set(range(self.k)):
             return
         problems = [
             f"class {cid} has non-integer partition {part!r}" if type(part) is not int
@@ -330,6 +330,8 @@ class PartitionSet:
             for cid, part in enumerate(parts)
             if type(part) is not int or not 0 <= part < self.k
         ]
+        # only a number can equal an index (0.0 and True do): nothing else is hashed
+        used = {part for part in parts if isinstance(part, Number)}
         problems += [f"partition {part} is empty" for part in range(self.k) if part not in used]
         raise ValueError("invalid partition: " + "; ".join(problems))
 
@@ -461,6 +463,8 @@ def validate_graph(g: ApplicationGraph) -> list[str]:
             problems.append(f"resource at index {i} has non-integer id {r.id!r}")
         elif r.id != i:
             problems.append(f"resource ids not dense: index {i} holds id {r.id}")
+        if type(r.kind) is not ResourceKind:
+            problems.append(f"resource {r.id} has kind {r.kind!r}, not a ResourceKind")
         if not isinstance(r.name, str):
             problems.append(f"resource {r.id} has non-string name {r.name!r}")
         elif not r.name:
@@ -490,7 +494,9 @@ def validate_graph(g: ApplicationGraph) -> list[str]:
 
     seen_flows: set[str] = set()
     for i, flow in enumerate(g.flows):
-        if not flow.id:
+        if not isinstance(flow.id, str):
+            problems.append(f"flow at index {i} has non-string id {flow.id!r}")
+        elif not flow.id:
             problems.append(f"flow at index {i} has an empty id")
         elif flow.id in seen_flows:
             problems.append(f"duplicate flow id {flow.id!r}")
@@ -503,18 +509,33 @@ def validate_graph(g: ApplicationGraph) -> list[str]:
                 problems.append(f"flow {flow.id!r} has non-integer class id {cid!r}")
             elif not (0 <= cid < n):
                 problems.append(f"flow {flow.id!r} references missing class id {cid}")
-        if len(set(flow.members)) < len(flow.members):
+        try:
+            repeats = len(set(flow.members)) < len(flow.members)
+        except TypeError:  # an unhashable member, reported above
+            continue
+        if repeats:
             seen: set[int] = set()
             repeated = dict.fromkeys(c for c in flow.members if c in seen or seen.add(c))
             problems += [f"flow {flow.id!r} repeats class id {cid}" for cid in repeated]
 
     deps = g.dependencies
-    if not (
-        class_names.issuperset(map(operator.attrgetter("from_class"), deps))
-        and class_names.issuperset(map(operator.attrgetter("to_class"), deps))
-    ):
-        ends = (name for r in deps for name in (r.from_class, r.to_class))
-        unknown = dict.fromkeys(name for name in ends if name not in class_names)
+    try:
+        fine = class_names.issuperset(map(operator.attrgetter("from_class"), deps)) and (
+            class_names.issuperset(map(operator.attrgetter("to_class"), deps))
+        )
+    except TypeError:  # an unhashable name
+        fine = False
+    relation_types = map(type, map(operator.attrgetter("relation"), deps))
+    if not (fine and operator.countOf(relation_types, Relation) == len(deps)):
+        unknown: dict[str, None] = {}
+        for i, r in enumerate(deps):
+            for name in (r.from_class, r.to_class):
+                if not isinstance(name, str):
+                    problems.append(f"dependency {i} has non-string class name {name!r}")
+                elif name not in class_names:
+                    unknown[name] = None
+            if type(r.relation) is not Relation:
+                problems.append(f"dependency {i} has relation {r.relation!r}, not a Relation")
         problems += [f"dependency names unknown class {name!r}" for name in unknown]
 
     return problems
@@ -531,10 +552,11 @@ def _class_edge_problems(edges: ClassEdges, n: int) -> list[str]:
         _all_int(u)
         and _all_int(v)
         and all(map(operator.lt, u, v))
-        and (not u or (min(u) >= 0 and max(v) < n))
+        and (not v or max(v) < n)
         and (
-            all(map(operator.lt, zip(u, v), zip(u[1:], v[1:])))
-            or len(set(zip(u, v))) == len(u)
+            # pairs in increasing order are distinct, and u[0] is the least u
+            all(map(operator.lt, zip(u, v), zip(u[1:], v[1:]))) and (not u or u[0] >= 0)
+            or min(u) >= 0 and len(set(zip(u, v))) == len(u)
         )
         and _all_int(weight)
         and (not weight or min(weight) >= 0)
@@ -721,42 +743,18 @@ def graph_from_doc(doc: Mapping) -> ApplicationGraph:
     relation = _parsed_once(as_relation)
 
     try:
-        classes = tuple(
-            ClassNode(
-                as_int(c["id"], "class id"),
-                as_str(c["name"], "class name"),
-                as_int(c.get("weight", 1), "class weight"),
-            )
-            for c in doc.get("classes", [])
-        )
+        classes = tuple(ClassNode(c["id"], c["name"], c.get("weight", 1)) for c in doc.get("classes", []))
         resources = tuple(
-            ResourceNode(
-                as_int(r["id"], "resource id"),
-                as_str(r["name"], "resource name"),
-                ResourceKind(r["kind"]),
-            )
-            for r in doc.get("resources", [])
+            ResourceNode(r["id"], r["name"], ResourceKind(r["kind"])) for r in doc.get("resources", [])
         )
-        flows = tuple(
-            FunctionalFlow(
-                as_str(f["id"], "flow id"), tuple(as_int(x, "flow member") for x in f["members"])
-            )
-            for f in doc.get("flows", [])
-        )
-        resource_edges = tuple(
-            ResourceEdge(as_int(e["resource"], "resource id"), as_int(e["class"], "class id"))
-            for e in doc.get("resource_edges", [])
-        )
+        flows = tuple(FunctionalFlow(f["id"], tuple(f["members"])) for f in doc.get("flows", []))
+        resource_edges = tuple(ResourceEdge(e["resource"], e["class"]) for e in doc.get("resource_edges", []))
         class_edges = _read_class_edges(doc.get("class_edges", []))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed graph document: {exc}") from exc
     try:
         dependencies = tuple(
-            DependencyRecord(
-                as_str(e["from"], "dependency class"),
-                as_str(e["to"], "dependency class"),
-                relation(e["relation"]),
-            )
+            DependencyRecord(e["from"], e["to"], relation(e["relation"]))
             for e in doc.get("dependencies", [])
         )
     except (KeyError, TypeError) as exc:
@@ -787,25 +785,21 @@ def partition_from_doc(doc: Mapping, g: ApplicationGraph) -> PartitionSet:
         raise InputError("partition document must be a JSON object")
     _check_schema_version(doc, "partition document")
     try:
-        k = as_int(doc["k"], "partition count k")
+        k = doc["k"]
         raw = doc["assignment"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise InputError(f"malformed partition document: {exc}") from exc
     if not isinstance(raw, Mapping):
         raise InputError("partition assignment must map class names to partition indices")
     ids = g.id_by_name()
-    assignment: list[int | None] = [None] * len(g.classes)
-    for name, part in raw.items():
+    for name in raw:
         if name not in ids:
             raise InputError(f"partition references unknown class {name!r}")
-        assignment[ids[name]] = as_int(part, f"partition of class {name!r}")
-    for cid, part in enumerate(assignment):
-        if part is None:
-            raise InputError(
-                f"partition is missing class {g.classes[cid].name!r}"
-            )
+    if len(raw) < len(ids):
+        missing = next(name for name in ids if name not in raw)
+        raise InputError(f"partition is missing class {missing!r}")
     try:
-        return PartitionSet(k=k, assignment=tuple(assignment))
+        return PartitionSet(k, tuple(map(raw.__getitem__, ids)))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 

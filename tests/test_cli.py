@@ -688,10 +688,16 @@ def _artifact_with(
 
 ARTIFACT_CASES = [
     _artifact_with(GRAPH_FILE, "class_name_int", lambda d: d["classes"][0].update(name=5),
-                   "class name must be a string, got 5"),
+                   "class 0 has non-string name 5"),
     _artifact_with(GRAPH_FILE, "dependency_from_list",
                    lambda d: d["dependencies"][0].update({"from": ["x"]}),
-                   "dependency class must be a string, got ['x']"),
+                   "dependency 0 has non-string class name ['x']"),
+    _artifact_with(GRAPH_FILE, "flow_id_int",
+                   lambda d: d["flows"].append({"id": 5, "members": [0]}),
+                   "flow at index 0 has non-string id 5"),
+    _artifact_with(GRAPH_FILE, "flow_member_list",
+                   lambda d: d["flows"].append({"id": "f", "members": [[0]]}),
+                   "flow 'f' has non-integer class id [0]"),
     _artifact_with(GRAPH_FILE, "class_name_empty", lambda d: d["classes"][0].update(name=""),
                    "class 0 has an empty name"),
     _artifact_with(GRAPH_FILE, "class_weight_zero", lambda d: d["classes"][0].update(weight=0),

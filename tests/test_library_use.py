@@ -9,12 +9,16 @@ import pytest
 
 import monopart
 from conftest import FIXTURES_DIR
+from monopart.graphbuild import build_graph
+from monopart.ingest import InfraManifest
+from monopart.metrics import GroundTruth
 from monopart.model import (
     ApplicationGraph,
     ClassEdges,
     ClassNode,
     DependencyRecord,
     FunctionalFlow,
+    InputError,
     ResourceEdge,
     ResourceKind,
     ResourceNode,
@@ -116,19 +120,39 @@ TWO_CLASSES = (ClassNode(0, "A"), ClassNode(1, "B"))
             {"resources": (ResourceNode(0, 7, ResourceKind.DATABASE),)},
             "resource 0 has non-string name 7",
         ),
+        ({"flows": (FunctionalFlow(["x"], (0, 1)),)}, "flow at index 0 has non-string id ['x']"),
+        ({"flows": (FunctionalFlow(5, (0, 1)),)}, "flow at index 0 has non-string id 5"),
+        ({"flows": (FunctionalFlow("f", ([0],)),)}, "flow 'f' has non-integer class id [0]"),
+        (
+            {"dependencies": (DependencyRecord(["A"], "B"),)},
+            "dependency 0 has non-string class name ['A']",
+        ),
+        (
+            {"dependencies": (DependencyRecord("A", "B", "call"),)},
+            "dependency 0 has relation 'call', not a Relation",
+        ),
+        (
+            {"resources": (ResourceNode(0, "db", "database"),)},
+            "resource 0 has kind 'database', not a ResourceKind",
+        ),
     ],
     ids=[
         "edge_past_last_class", "binding_to_missing_resource", "class_weight_zero", "unknown_dependency",
         "class_id_float", "class_id_bool", "resource_id_float", "edge_float", "edge_str", "edge_bools",
         "binding_class_float", "binding_resource_bool", "flow_members", "edge_weight_float",
         "edge_weight_str", "edge_weight_bool", "class_name_int", "class_name_list", "resource_name_int",
+        "flow_id_list", "flow_id_int", "flow_member_list", "dependency_name_list", "relation_str",
+        "resource_kind_str",
     ],
 )
 def test_library_graph_is_checked_when_made(parts, problem):
     # unchecked, the first two failed inside partition_graph with an
     # IndexError, and the next two partitioned without a word; a float
     # endpoint or binding id failed there with a TypeError, and a float
-    # class id or flow member went through
+    # class id or flow member went through; a list flow id, flow member or
+    # dependency name failed with a TypeError while the graph was checked,
+    # and an int flow id, a str relation or a str kind made a graph that
+    # graph_to_doc or the partitioner could not use
     with pytest.raises(ValueError) as info:
         ApplicationGraph(**{"classes": TWO_CLASSES, **parts})
     assert str(info.value) == problem
@@ -140,3 +164,36 @@ def test_class_edge_scale_is_an_int(scale):
     # float scale deep inside partition_graph, and True would pass as 1
     with pytest.raises(ValueError, match="scale"):
         ClassEdges((0,), (1,), (1,), scale=scale)
+
+
+@pytest.mark.parametrize(
+    "make,problem",
+    [
+        (
+            lambda: build_graph(
+                [DependencyRecord("A", "B")],
+                InfraManifest(resources=(("db", ResourceKind.DATABASE),), bindings=(("A", "nope"),)),
+            ),
+            "binding for class 'A' references undeclared resource 'nope'",
+        ),
+        (
+            lambda: InfraManifest(resources=(("db", ResourceKind.DATABASE),), bindings=(("A", "db"),) * 2),
+            "duplicate binding of class 'A' to resource 'db'",
+        ),
+        (
+            lambda: InfraManifest(resources=(("db", "database"),)),
+            "unknown resource kind 'database'",
+        ),
+        (lambda: GroundTruth({1: "a"}), "ground truth class must be a string, got 1"),
+        (lambda: GroundTruth({"A": ["a"]}), "ground truth label must be a string, got ['a']"),
+        (lambda: GroundTruth([("A", "a")]), "ground truth must be a non-empty mapping"),
+    ],
+    ids=["undeclared_binding", "binding_twice", "kind_str", "truth_class_int", "truth_label_list", "truth_list"],
+)
+def test_library_inputs_are_checked_when_made(make, problem):
+    # unchecked, build_graph failed on the undeclared resource with a
+    # KeyError, a list of pairs as ground truth failed with an
+    # AttributeError, and the rest were accepted
+    with pytest.raises(InputError) as info:
+        make()
+    assert str(info.value) == problem

@@ -262,8 +262,10 @@ class TestValidatePartition:
             ((0, True), "class 1 has non-integer partition True"),
             ((0, "1", 3), "class 1 has non-integer partition '1'; "
                           "class 2 assigned to out-of-range partition 3; partition 1 is empty"),
+            (({}, 0), "class 0 has non-integer partition {}; partition 1 is empty"),
+            (([0], 1), "class 0 has non-integer partition [0]; partition 0 is empty"),
         ],
-        ids=["floats", "bool", "str_and_out_of_range"],
+        ids=["floats", "bool", "str_and_out_of_range", "dict", "list"],
     )
     def test_indices_must_be_integers(self, assignment, problem):
         with pytest.raises(ValueError) as info:
