@@ -25,8 +25,8 @@ log = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class InfraManifest:
     """Declared infrastructure resources and class-to-resource bindings; a
-    name declared twice, a kind that is not a :class:`ResourceKind`, or a
-    binding to an undeclared resource or made twice is an :class:`InputError`."""
+    non-string or repeated name, a kind that is not a :class:`ResourceKind`,
+    or a binding to an undeclared resource or made twice is an :class:`InputError`."""
 
     resources: tuple[tuple[str, ResourceKind], ...] = ()
     bindings: tuple[tuple[str, str], ...] = ()  # (class name, resource name)
@@ -34,6 +34,7 @@ class InfraManifest:
     def __post_init__(self) -> None:
         declared: set[str] = set()
         for name, kind in self.resources:
+            as_str(name, "manifest name")
             if type(kind) is not ResourceKind:
                 raise InputError(f"unknown resource kind {kind!r}")
             if name in declared:
@@ -41,7 +42,8 @@ class InfraManifest:
             declared.add(name)
         bound: set[tuple[str, str]] = set()
         for cls, res in self.bindings:
-            if res not in declared:
+            as_str(cls, "manifest class")
+            if as_str(res, "manifest resource") not in declared:
                 raise InputError(f"binding for class {cls!r} references undeclared resource {res!r}")
             if (cls, res) in bound:
                 raise InputError(f"duplicate binding of class {cls!r} to resource {res!r}")

@@ -25,10 +25,9 @@ from dataclasses import asdict, astuple, dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from numbers import Number
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, Sequence
 
 SCHEMA_VERSION = 1
-T = TypeVar("T")
 
 
 class InputError(Exception):
@@ -92,20 +91,21 @@ def _all_int(values: Sequence[object]) -> bool:
     return operator.countOf(map(type, values), int) == len(values)
 
 
+def _non_tuples(owner: object, *names: str, what: str = "") -> list[str]:
+    """A problem for each field ``names`` of ``owner`` that is not a tuple."""
+    return [
+        f"{what}{name} must be a tuple, got {type(getattr(owner, name)).__name__}"
+        for name in names
+        if not isinstance(getattr(owner, name), tuple)
+    ]
+
+
 def as_str(value: object, what: str) -> str:
     """``value`` if it is a string, else :class:`InputError`: a name is
     never made from another type with ``str()``."""
     if isinstance(value, str):
         return value
     raise InputError(f"{what} must be a string, got {value!r}")
-
-
-def as_relation(value: object) -> Relation:
-    """The :class:`Relation` a string names, trimmed and case-folded."""
-    try:
-        return Relation(as_str(value, "relation").strip().lower())
-    except ValueError:
-        raise InputError(f"unknown relation {value!r}") from None
 
 
 def to_integers(values: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -166,6 +166,20 @@ class Relation(str, Enum):
     INHERITANCE = "inheritance"
 
 
+_RELATIONS = {r.value: r for r in Relation}
+
+
+def as_relation(value: object) -> Relation:
+    """The :class:`Relation` a string names, trimmed and case-folded. A
+    relation's own value, as every writer spells it, is looked up at once."""
+    if type(value) is str and value in _RELATIONS:
+        return _RELATIONS[value]
+    try:
+        return Relation(as_str(value, "relation").strip().lower())
+    except ValueError:
+        raise InputError(f"unknown relation {value!r}") from None
+
+
 @dataclass(frozen=True)
 class DependencyRecord:
     """One directed class-to-class dependency, between class names."""
@@ -201,8 +215,8 @@ class ClassEdges:
     :func:`monopart.graphbuild.build_graph` composed them. Endpoints are
     stored canonically with ``u < v``, which :func:`validate_graph` checks.
     The integer weights are what every loop over the edges reads; a
-    Fraction is made only for a weight that is written or reported. A
-    ``scale`` that is not an ``int`` of at least 1 is :class:`ValueError`.
+    Fraction is made only for a weight that is written or reported. A column
+    that is not a tuple, or a ``scale`` not an ``int`` >= 1, is :class:`ValueError`.
     """
 
     u: tuple[int, ...] = ()
@@ -211,6 +225,8 @@ class ClassEdges:
     scale: int = 1
 
     def __post_init__(self) -> None:
+        if problems := _non_tuples(self, "u", "v", "weight", what="class edge column "):
+            raise ValueError("; ".join(problems))
         if (
             not len(self.u) == len(self.v) == len(self.weight)
             or type(self.scale) is not int
@@ -303,9 +319,9 @@ class PartitionSet:
     """Assignment of every class node to exactly one of ``k`` partitions.
 
     ``assignment[class_id]`` is the partition index; class ids are dense so a
-    tuple doubles as the map. It is checked when made: an integer k >= 1, every
-    index an integer in ``range(k)`` and no empty partition, else
-    :class:`ValueError`.
+    tuple doubles as the map. It is checked when made: a tuple, an integer
+    k >= 1, every index an integer in ``range(k)`` and no empty partition,
+    else :class:`ValueError`.
     Covering exactly a graph's classes is :func:`check_partition`'s rule.
     """
 
@@ -313,6 +329,8 @@ class PartitionSet:
     assignment: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if problems := _non_tuples(self, "assignment"):
+            raise ValueError("invalid partition: " + problems[0])
         if type(self.k) is not int:
             raise ValueError(f"invalid partition: partition count k={self.k!r} must be an integer")
         if self.k < 1:
@@ -433,25 +451,19 @@ class EvaluationReport:
 
 def validate_graph(g: ApplicationGraph) -> list[str]:
     """All invariant violations in ``g``, each naming its node or edge; an
-    empty list means well-formed. :class:`ApplicationGraph` raises on any."""
-    problems: list[str] = []
+    empty list means well-formed, and a container of the wrong type is
+    reported alone. :class:`ApplicationGraph` raises on any."""
+    if problems := _non_tuples(g, "classes", "resources", "flows", "resource_edges", "dependencies"):
+        return problems
+    if type(g.class_edges) is not ClassEdges:
+        return [f"class_edges must be a ClassEdges, got {type(g.class_edges).__name__}"]
     n = len(g.classes)
     m = len(g.resources)
 
     class_names: set[str] = set()
     for i, c in enumerate(g.classes):
-        if type(c.id) is not int:
-            problems.append(f"class at index {i} has non-integer id {c.id!r}")
-        elif c.id != i:
-            problems.append(f"class ids not dense: index {i} holds id {c.id}")
-        if not isinstance(c.name, str):
-            problems.append(f"class {c.id} has non-string name {c.name!r}")
-        else:
-            if not c.name:
-                problems.append(f"class {c.id} has an empty name")
-            elif c.name in class_names:
-                problems.append(f"duplicate class name {c.name!r}")
-            class_names.add(c.name)
+        _id_rule(problems, "class", i, c.id)
+        _name_rule(problems, class_names, c.name, "class", c.id, "name")
         if type(c.weight) is not int:
             problems.append(f"class {c.name!r} has non-integer weight {c.weight!r}")
         elif c.weight < 1:
@@ -459,20 +471,10 @@ def validate_graph(g: ApplicationGraph) -> list[str]:
 
     seen_res: set[str] = set()
     for i, r in enumerate(g.resources):
-        if type(r.id) is not int:
-            problems.append(f"resource at index {i} has non-integer id {r.id!r}")
-        elif r.id != i:
-            problems.append(f"resource ids not dense: index {i} holds id {r.id}")
+        _id_rule(problems, "resource", i, r.id)
         if type(r.kind) is not ResourceKind:
             problems.append(f"resource {r.id} has kind {r.kind!r}, not a ResourceKind")
-        if not isinstance(r.name, str):
-            problems.append(f"resource {r.id} has non-string name {r.name!r}")
-        elif not r.name:
-            problems.append(f"resource {r.id} has an empty name")
-        elif r.name in seen_res:
-            problems.append(f"duplicate resource name {r.name!r}")
-        else:
-            seen_res.add(r.name)
+        _name_rule(problems, seen_res, r.name, "resource", r.id, "name")
 
     problems += _class_edge_problems(g.class_edges, n)
 
@@ -494,14 +496,10 @@ def validate_graph(g: ApplicationGraph) -> list[str]:
 
     seen_flows: set[str] = set()
     for i, flow in enumerate(g.flows):
-        if not isinstance(flow.id, str):
-            problems.append(f"flow at index {i} has non-string id {flow.id!r}")
-        elif not flow.id:
-            problems.append(f"flow at index {i} has an empty id")
-        elif flow.id in seen_flows:
-            problems.append(f"duplicate flow id {flow.id!r}")
-        else:
-            seen_flows.add(flow.id)
+        _name_rule(problems, seen_flows, flow.id, "flow at index", i, "id")
+        if not isinstance(flow.members, tuple):
+            problems += _non_tuples(flow, "members", what=f"flow {flow.id!r} ")
+            continue
         if not flow.members:
             problems.append(f"flow {flow.id!r} has no members")
         for cid in flow.members:
@@ -541,23 +539,41 @@ def validate_graph(g: ApplicationGraph) -> list[str]:
     return problems
 
 
+def _id_rule(problems: list[str], what: str, i: int, id_: object) -> None:
+    """The dense-id rule: the ``what`` node at index ``i`` has the ``int`` id ``i``."""
+    if type(id_) is not int:
+        problems.append(f"{what} at index {i} has non-integer id {id_!r}")
+    elif id_ != i:
+        problems.append(f"{what} ids not dense: index {i} holds id {id_}")
+
+
+def _name_rule(problems: list[str], seen: set[str], name: object, owner: str, key: object, field: str) -> None:
+    """The name rule of class and resource names and flow ids: a string, not empty and not in
+    ``seen``, which it joins. ``owner`` and ``key`` label the node; a repeat is named by kind."""
+    if not isinstance(name, str):
+        problems.append(f"{owner} {key} has non-string {field} {name!r}")
+        return
+    if not name:
+        problems.append(f"{owner} {key} has an empty {field}")
+    elif name in seen:
+        problems.append(f"duplicate {owner.split()[0]} {field} {name!r}")
+    seen.add(name)
+
+
 def _class_edge_problems(edges: ClassEdges, n: int) -> list[str]:
-    """The class-edge problems, in edge order, for ``n`` classes. The
-    columns are checked whole first; only a graph that fails there is
-    walked edge by edge for the messages. Pairs in increasing order, as
-    :func:`monopart.graphbuild.build_graph` emits them, are distinct
-    without a set of them being built."""
+    """The class-edge problems, in edge order, for ``n`` classes. Columns
+    whose pairs are in increasing order, as
+    :func:`monopart.graphbuild.build_graph` emits them, are checked whole;
+    any others are walked edge by edge for the messages, if any."""
     u, v, weight = edges.u, edges.v, edges.weight
     if (
         _all_int(u)
         and _all_int(v)
         and all(map(operator.lt, u, v))
         and (not v or max(v) < n)
-        and (
-            # pairs in increasing order are distinct, and u[0] is the least u
-            all(map(operator.lt, zip(u, v), zip(u[1:], v[1:]))) and (not u or u[0] >= 0)
-            or min(u) >= 0 and len(set(zip(u, v))) == len(u)
-        )
+        # pairs in increasing order are distinct, and u[0] is the least u
+        and all(map(operator.lt, zip(u, v), zip(u[1:], v[1:])))
+        and (not u or u[0] >= 0)
         and _all_int(weight)
         and (not weight or min(weight) >= 0)
     ):
@@ -687,45 +703,19 @@ def _check_schema_version(doc: Mapping, what: str) -> None:
         raise InputError(f"{what}: unsupported schema_version {version!r}")
 
 
-def _parsed_once(parse: Callable[[object], T]) -> Callable[[object], T]:
-    """``parse`` that parses each distinct string once and keeps the result.
-    Only strings are kept: 1, 1.0 and True hash alike."""
-    parsed: dict[str, T] = {}
-
-    def once(value: object) -> T:
-        if type(value) is not str:
-            return parse(value)
-        x = parsed.get(value)
-        if x is None:
-            x = parsed[value] = parse(value)
-        return x
-
-    return once
-
-
 def _read_class_edges(raw: object) -> ClassEdges:
-    """The document's class edges as columns.
-
-    A document as :func:`graph_to_doc` writes it, with integer endpoints and
-    weight strings, is read a column at a time: each distinct weight string
-    is parsed once and mapped to its integer over L. Any other document is
-    read edge by edge, so the error raised is the first bad edge's, its
-    fields checked in the order u, v, weight.
-    """
-    try:
-        u, v, weight = (tuple(map(operator.itemgetter(key), raw)) for key in ("u", "v", "weight"))
-        if set(map(type, u + v)) <= {int} and set(map(type, weight)) <= {str}:
-            parsed = {text: as_fraction(text) for text in set(weight)}
-            scale, scaled = to_integers(list(parsed.values()))
-            integer = dict(zip(parsed, scaled))
-            return ClassEdges(u, v, tuple(map(integer.__getitem__, weight)), scale)
-    except (KeyError, TypeError, InputError):
-        pass
-    rational = _parsed_once(as_fraction)
-    return ClassEdges.from_rows(
-        (as_int(e["u"], "class id"), as_int(e["v"], "class id"), rational(e["weight"]))
-        for e in raw
-    )
+    """The document's class edges, read a column at a time (``u``, ``v``,
+    weight), the endpoints as they are for :func:`validate_graph` to check.
+    Each distinct weight string is parsed once, in order of first
+    appearance, so the first bad weight in the document is named."""
+    u, v, weight = (tuple(map(operator.itemgetter(key), raw)) for key in ("u", "v", "weight"))
+    if set(map(type, weight)) <= {str}:
+        parsed = {text: as_fraction(text) for text in dict.fromkeys(weight)}
+        scale, scaled = to_integers(list(parsed.values()))
+        return ClassEdges(u, v, tuple(map(dict(zip(parsed, scaled)).__getitem__, weight)), scale)
+    # JSON numbers are parsed edge by edge: 1 and True hash alike
+    scale, scaled = to_integers(list(map(as_fraction, weight)))
+    return ClassEdges(u, v, tuple(scaled), scale)
 
 
 def graph_from_doc(doc: Mapping) -> ApplicationGraph:
@@ -739,9 +729,6 @@ def graph_from_doc(doc: Mapping) -> ApplicationGraph:
     if not isinstance(doc, Mapping):
         raise InputError("graph document must be a JSON object")
     _check_schema_version(doc, "graph document")
-    # Relations repeat three distinct strings; each is parsed once per document.
-    relation = _parsed_once(as_relation)
-
     try:
         classes = tuple(ClassNode(c["id"], c["name"], c.get("weight", 1)) for c in doc.get("classes", []))
         resources = tuple(
@@ -754,7 +741,7 @@ def graph_from_doc(doc: Mapping) -> ApplicationGraph:
         raise InputError(f"malformed graph document: {exc}") from exc
     try:
         dependencies = tuple(
-            DependencyRecord(e["from"], e["to"], relation(e["relation"]))
+            DependencyRecord(e["from"], e["to"], as_relation(e["relation"]))
             for e in doc.get("dependencies", [])
         )
     except (KeyError, TypeError) as exc:

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from monopart.model import InputError, PartitionSet, as_fraction, as_int
+from monopart.model import InputError, PartitionSet, as_fraction
 from monopart.partitioner import _MAX_REFINE_PASSES, Gains, Level, ObjectiveConfig, _balance_cap
 
 
@@ -119,18 +119,18 @@ def pairwise_f1_enumerated(
     return 2 * precision * recall / (precision + recall)
 
 
-def class_edge_rows_reference(doc) -> list[tuple[int, int, Fraction]]:
-    """The class edges of a graph document read one edge at a time, as
-    ``(u, v, weight)`` rows with each weight a Fraction: each field is
-    checked in the order u, v, weight, so an error names the first bad
-    edge. The reference for ``graph_from_doc``, which reads the edges a
-    column at a time."""
-    rows = []
-    for e in doc.get("class_edges", []):
-        u = as_int(e["u"], "class id")
-        v = as_int(e["v"], "class id")
-        rows.append((u, v, as_fraction(e["weight"])))
-    return rows
+def class_edge_rows_reference(doc) -> list[tuple[object, object, Fraction]]:
+    """The class edges of a graph document as ``(u, v, weight)`` rows, read
+    one edge at a time in each of three passes: every ``u``, then every
+    ``v``, then every weight, each weight parsed to a Fraction in document
+    order. The endpoints are kept as read. The reference for
+    ``graph_from_doc``, which reads whole columns and parses each distinct
+    weight string once."""
+    edges = doc.get("class_edges", [])
+    us = [e["u"] for e in edges]
+    vs = [e["v"] for e in edges]
+    weights = [e["weight"] for e in edges]
+    return list(zip(us, vs, [as_fraction(w) for w in weights]))
 
 
 def class_edge_row_problems(n: int, rows) -> list[str]:
@@ -140,6 +140,9 @@ def class_edge_row_problems(n: int, rows) -> list[str]:
     problems: list[str] = []
     seen_pairs: set[tuple[int, int]] = set()
     for u, v, weight in rows:
+        if type(u) is not int or type(v) is not int:
+            problems.append(f"class edge ({u!r}, {v!r}) has a non-integer endpoint")
+            continue
         if not (0 <= u < n) or not (0 <= v < n):
             problems.append(f"class edge ({u}, {v}) references a missing class id")
             continue
@@ -158,7 +161,7 @@ def class_edge_row_problems(n: int, rows) -> list[str]:
 def graph_reader_error_reference(doc) -> str | None:
     """The message of the ``InputError`` that reading ``doc`` raises, or None
     when it reads, for a document whose every part but ``class_edges`` is
-    valid: the per-edge reader's error, else the rule problems."""
+    valid: the error of reading the rows, else the rule problems."""
     try:
         rows = class_edge_rows_reference(doc)
     except (KeyError, TypeError, ValueError) as exc:

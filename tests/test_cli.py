@@ -727,6 +727,13 @@ ARTIFACT_CASES = [
     _artifact_with(GRAPH_FILE, "class_edge_u_above_v",
                    lambda d: d["class_edges"][0].update(u=1, v=0),
                    "class edge (1, 0) must satisfy u < v"),
+    _artifact_with(GRAPH_FILE, "class_edge_endpoint_float",
+                   lambda d: d["class_edges"][0].update(u=1.0),
+                   "class edge (1.0, 1) has a non-integer endpoint"),
+    _artifact_with(GRAPH_FILE, "class_edge_endpoints_float",
+                   lambda d: (d["class_edges"][0].update(u=1.0), d["class_edges"][1].update(v=2.0)),
+                   "class edge (1.0, 1) has a non-integer endpoint; "
+                   "class edge (0, 2.0) has a non-integer endpoint"),
     _artifact_with(GRAPH_FILE, "class_edge_weight_negative",
                    lambda d: d["class_edges"][0].update(weight="-1/2"),
                    "class edge (0, 1) has negative weight -1/2"),

@@ -135,6 +135,15 @@ TWO_CLASSES = (ClassNode(0, "A"), ClassNode(1, "B"))
             {"resources": (ResourceNode(0, "db", "database"),)},
             "resource 0 has kind 'database', not a ResourceKind",
         ),
+        ({"flows": (FunctionalFlow("f", 5),)}, "flow 'f' members must be a tuple, got int"),
+        ({"flows": (FunctionalFlow("f", [0, 1]),)}, "flow 'f' members must be a tuple, got list"),
+        ({"classes": None}, "classes must be a tuple, got NoneType"),
+        ({"classes": list(TWO_CLASSES)}, "classes must be a tuple, got list"),
+        (
+            {"resources": [ResourceNode(0, "db", ResourceKind.DATABASE)], "dependencies": []},
+            "resources must be a tuple, got list; dependencies must be a tuple, got list",
+        ),
+        ({"class_edges": None}, "class_edges must be a ClassEdges, got NoneType"),
     ],
     ids=[
         "edge_past_last_class", "binding_to_missing_resource", "class_weight_zero", "unknown_dependency",
@@ -142,7 +151,8 @@ TWO_CLASSES = (ClassNode(0, "A"), ClassNode(1, "B"))
         "binding_class_float", "binding_resource_bool", "flow_members", "edge_weight_float",
         "edge_weight_str", "edge_weight_bool", "class_name_int", "class_name_list", "resource_name_int",
         "flow_id_list", "flow_id_int", "flow_member_list", "dependency_name_list", "relation_str",
-        "resource_kind_str",
+        "resource_kind_str", "flow_members_int", "flow_members_list", "classes_none", "classes_list",
+        "resources_and_dependencies_lists", "class_edges_none",
     ],
 )
 def test_library_graph_is_checked_when_made(parts, problem):
@@ -152,9 +162,26 @@ def test_library_graph_is_checked_when_made(parts, problem):
     # class id or flow member went through; a list flow id, flow member or
     # dependency name failed with a TypeError while the graph was checked,
     # and an int flow id, a str relation or a str kind made a graph that
-    # graph_to_doc or the partitioner could not use
+    # graph_to_doc or the partitioner could not use; an int for flow members
+    # or None for the classes failed with a TypeError, and a list was taken
     with pytest.raises(ValueError) as info:
         ApplicationGraph(**{"classes": TWO_CLASSES, **parts})
+    assert str(info.value) == problem
+
+
+@pytest.mark.parametrize(
+    "columns,problem",
+    [
+        (([0], (1,), (1,)), "class edge column u must be a tuple, got list"),
+        (((0,), None, [1]), "class edge column v must be a tuple, got NoneType; "
+                            "class edge column weight must be a tuple, got list"),
+    ],
+    ids=["u_list", "v_none_weight_list"],
+)
+def test_class_edge_columns_are_tuples(columns, problem):
+    # unchecked, a list was taken and None failed on len() with a TypeError
+    with pytest.raises(ValueError) as info:
+        ClassEdges(*columns)
     assert str(info.value) == problem
 
 
@@ -184,16 +211,32 @@ def test_class_edge_scale_is_an_int(scale):
             lambda: InfraManifest(resources=(("db", "database"),)),
             "unknown resource kind 'database'",
         ),
+        (
+            lambda: InfraManifest(resources=(("db", ResourceKind.DATABASE),), bindings=(("A", ["db"]),)),
+            "manifest resource must be a string, got ['db']",
+        ),
+        (
+            lambda: InfraManifest(resources=(("db", ResourceKind.DATABASE),), bindings=((5, "db"),)),
+            "manifest class must be a string, got 5",
+        ),
+        (
+            lambda: InfraManifest(resources=((5, ResourceKind.DATABASE),)),
+            "manifest name must be a string, got 5",
+        ),
         (lambda: GroundTruth({1: "a"}), "ground truth class must be a string, got 1"),
         (lambda: GroundTruth({"A": ["a"]}), "ground truth label must be a string, got ['a']"),
         (lambda: GroundTruth([("A", "a")]), "ground truth must be a non-empty mapping"),
     ],
-    ids=["undeclared_binding", "binding_twice", "kind_str", "truth_class_int", "truth_label_list", "truth_list"],
+    ids=[
+        "undeclared_binding", "binding_twice", "kind_str", "binding_resource_list", "binding_class_int",
+        "resource_name_int", "truth_class_int", "truth_label_list", "truth_list",
+    ],
 )
 def test_library_inputs_are_checked_when_made(make, problem):
     # unchecked, build_graph failed on the undeclared resource with a
     # KeyError, a list of pairs as ground truth failed with an
-    # AttributeError, and the rest were accepted
+    # AttributeError, a list resource name with a TypeError, and the rest
+    # were accepted
     with pytest.raises(InputError) as info:
         make()
     assert str(info.value) == problem

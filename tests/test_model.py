@@ -264,8 +264,10 @@ class TestValidatePartition:
                           "class 2 assigned to out-of-range partition 3; partition 1 is empty"),
             (({}, 0), "class 0 has non-integer partition {}; partition 1 is empty"),
             (([0], 1), "class 0 has non-integer partition [0]; partition 0 is empty"),
+            ([0, 1], "assignment must be a tuple, got list"),
+            (None, "assignment must be a tuple, got NoneType"),
         ],
-        ids=["floats", "bool", "str_and_out_of_range", "dict", "list"],
+        ids=["floats", "bool", "str_and_out_of_range", "dict", "list", "assignment_list", "assignment_none"],
     )
     def test_indices_must_be_integers(self, assignment, problem):
         with pytest.raises(ValueError) as info:
@@ -588,8 +590,9 @@ def mutated_graph_docs(draw) -> dict:
 
 class TestReaderMatchesPerEdgeReference:
     """``graph_from_doc`` reads class edges column by column; on any edit of
-    a valid document's edges it raises exactly what the per-edge reader
-    raises, and reads the same edges when that reader accepts them."""
+    a valid document's edges it raises exactly what reading them edge by
+    edge, a column at a time, and then checking each edge raises, and
+    reads the same edges when that accepts them."""
 
     @settings(max_examples=400)
     @given(mutated_graph_docs())
@@ -601,6 +604,22 @@ class TestReaderMatchesPerEdgeReference:
             {"u": 1, "v": 2, "weight": "1/0"},
             {"u": 1, "v": 3, "weight": "nan"},
             {"u": 2, "v": 3, "weight": "1e5000"},
+        ],
+    })
+    @example({  # a missing weight is named before a bad one and before any endpoint
+        "classes": [{"id": i, "name": f"N{i}"} for i in range(3)],
+        "class_edges": [
+            {"u": 1.0, "v": 1, "weight": "1"},
+            {"u": 0, "v": 2.0, "weight": "x"},
+            {"u": 0.0, "v": 1},
+        ],
+    })
+    @example({  # the graph names every float endpoint, on one line
+        "classes": [{"id": i, "name": f"N{i}"} for i in range(3)],
+        "class_edges": [
+            {"u": 1.0, "v": 1, "weight": "1"},
+            {"u": 0, "v": 2.0, "weight": "1/2"},
+            {"u": 1, "v": 2, "weight": 2},
         ],
     })
     def test_same_error_or_same_edges(self, doc):
