@@ -25,6 +25,7 @@ log = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class InfraManifest:
     """Declared infrastructure resources and class-to-resource bindings; a
+    container that is not a tuple, an entry that is not a pair, a
     non-string or repeated name, a kind that is not a :class:`ResourceKind`,
     or a binding to an undeclared resource or made twice is an :class:`InputError`."""
 
@@ -33,7 +34,7 @@ class InfraManifest:
 
     def __post_init__(self) -> None:
         declared: set[str] = set()
-        for name, kind in self.resources:
+        for name, kind in _pairs(self, "resources"):
             as_str(name, "manifest name")
             if type(kind) is not ResourceKind:
                 raise InputError(f"unknown resource kind {kind!r}")
@@ -41,13 +42,25 @@ class InfraManifest:
                 raise InputError(f"duplicate resource name {name!r}")
             declared.add(name)
         bound: set[tuple[str, str]] = set()
-        for cls, res in self.bindings:
+        for cls, res in _pairs(self, "bindings"):
             as_str(cls, "manifest class")
             if as_str(res, "manifest resource") not in declared:
                 raise InputError(f"binding for class {cls!r} references undeclared resource {res!r}")
             if (cls, res) in bound:
                 raise InputError(f"duplicate binding of class {cls!r} to resource {res!r}")
             bound.add((cls, res))
+
+
+def _pairs(manifest: InfraManifest, name: str) -> tuple:
+    """The field ``name`` of ``manifest`` if it is a tuple of pairs, else
+    :class:`InputError`."""
+    entries = getattr(manifest, name)
+    if not isinstance(entries, tuple):
+        raise InputError(f"manifest {name} must be a tuple, got {type(entries).__name__}")
+    for entry in entries:
+        if not (isinstance(entry, tuple) and len(entry) == 2):
+            raise InputError(f"manifest {name} entry {entry!r} is not a pair")
+    return entries
 
 
 @dataclass(frozen=True)

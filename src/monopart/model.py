@@ -100,6 +100,20 @@ def _non_tuples(owner: object, *names: str, what: str = "") -> list[str]:
     ]
 
 
+def _foreign_elements(owner: object, **kinds: type) -> list[str]:
+    """A problem for each tuple field ``name`` of ``owner`` that holds a
+    value whose type is not exactly ``kinds[name]``, scanned in C."""
+    problems = []
+    for name, kind in kinds.items():
+        values = getattr(owner, name)
+        if operator.countOf(map(type, values), kind) != len(values):
+            i, value = next((i, v) for i, v in enumerate(values) if type(v) is not kind)
+            problems.append(
+                f"{name} must hold {kind.__name__} values, got {type(value).__name__} at index {i}"
+            )
+    return problems
+
+
 def as_str(value: object, what: str) -> str:
     """``value`` if it is a string, else :class:`InputError`: a name is
     never made from another type with ``str()``."""
@@ -299,14 +313,13 @@ class ApplicationGraph:
         return {c.name: c.id for c in self.classes}
 
 
-def adjacency(g: ApplicationGraph) -> list[list[tuple[int, int]]]:
-    """Per-class adjacency lists ``[(neighbor, weight), ...]`` with the
-    class edges' integer weights, in class-edge order."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in g.classes]
+def adjacency(g: ApplicationGraph) -> list[dict[int, int]]:
+    """Per-class adjacency rows ``{neighbor: weight}`` with the class edges'
+    integer weights; the graph holds no parallel edge, so none is overwritten."""
+    adj: list[dict[int, int]] = [{} for _ in g.classes]
     edges = g.class_edges
     for u, v, weight in zip(edges.u, edges.v, edges.weight):
-        adj[u].append((v, weight))
-        adj[v].append((u, weight))
+        adj[u][v] = adj[v][u] = weight
     return adj
 
 
@@ -451,9 +464,19 @@ class EvaluationReport:
 
 def validate_graph(g: ApplicationGraph) -> list[str]:
     """All invariant violations in ``g``, each naming its node or edge; an
-    empty list means well-formed, and a container of the wrong type is
-    reported alone. :class:`ApplicationGraph` raises on any."""
+    empty list means well-formed, and a container of the wrong type, or one
+    holding a value of the wrong type, is reported alone.
+    :class:`ApplicationGraph` raises on any."""
     if problems := _non_tuples(g, "classes", "resources", "flows", "resource_edges", "dependencies"):
+        return problems
+    if problems := _foreign_elements(
+        g,
+        classes=ClassNode,
+        resources=ResourceNode,
+        flows=FunctionalFlow,
+        resource_edges=ResourceEdge,
+        dependencies=DependencyRecord,
+    ):
         return problems
     if type(g.class_edges) is not ClassEdges:
         return [f"class_edges must be a ClassEdges, got {type(g.class_edges).__name__}"]

@@ -19,8 +19,9 @@ rational one. Multiplying every compared quantity by the same positive
 constant keeps each comparison and tie-break, so the integer kernels
 choose exactly the partitions rational arithmetic would.
 
+A level's adjacency row maps each neighbour to its scaled edge weight.
 Every tie goes to the lowest id by a comparison at the choice itself, so
-a level's rows and resource tuples carry no order. Growth builds one move
+rows and resource tuples carry no order. Growth builds one move
 state, ``_Moves``, without resources, and each level's :func:`refine`
 builds one for its balance repair and refinement. A state holds the
 partition loads and sizes, per vertex its scaled edge weight into each
@@ -107,14 +108,15 @@ class Level:
     """One level of the multilevel hierarchy in integer form.
 
     ``weights[v]`` is vertex v's balance weight (the summed weights of the
-    classes it stands for); ``adj[v]`` lists its ``(neighbour, weight)``
-    pairs, with edge weights scaled to integers by :func:`scale`;
+    classes it stands for); ``adj[v]`` maps each neighbour to the edge
+    weight between them, scaled to an integer by :func:`scale` (a coarse
+    level keeps the dicts :func:`_contract` merged its rows in);
     ``res_of[v]`` holds the ids of the resources bound to any class it
     stands for. Rows and resource tuples are in any order.
     """
 
     weights: list[int]
-    adj: list[list[tuple[int, int]]]
+    adj: list[dict[int, int]]
     res_of: list[tuple[int, ...]]
 
     @property
@@ -202,13 +204,13 @@ def _contract(level: Level, proj: list[int], coarse_count: int) -> Level:
         weights[cv] += level.weights[v]
         bound[cv].update(level.res_of[v])
         row = merged[cv]
-        for u, w in level.adj[v]:
+        for u, w in level.adj[v].items():
             cu = proj[u]
             if cu != cv:
                 row[cu] = row.get(cu, 0) + w
     return Level(
         weights=weights,
-        adj=[list(row.items()) for row in merged],
+        adj=merged,
         res_of=[tuple(b) for b in bound],
     )
 
@@ -239,7 +241,7 @@ def coarsen(
             if match[v] != -1:
                 continue
             best = best_w = -1
-            for u, w in adj[v]:
+            for u, w in adj[v].items():
                 if match[u] == -1 and (best == -1 or w > best_w or (w == best_w and u < best)):
                     best, best_w = u, w
             if best != -1:
@@ -274,7 +276,8 @@ class _Moves:
 
     ``assign[v]`` is v's partition; ``load[r]`` and ``size[r]`` are the
     summed weight and the vertex count of partition r; ``conn[v][r]`` is the
-    scaled edge weight from v into r; ``res_count[rid]`` maps each partition
+    scaled edge weight from v into r, summed over the neighbour → weight
+    items of v's row; ``res_count[rid]`` maps each partition
     holding a client of resource rid to its number of clients there.
     :meth:`move` keeps all of them true, touching only the moved vertex's
     neighbours and resources.
@@ -291,7 +294,7 @@ class _Moves:
         self.conn: list[list[int]] = []
         for row in level.adj:
             weight_to = [0] * parts
-            for u, w in row:
+            for u, w in row.items():
                 weight_to[assign[u]] += w
             self.conn.append(weight_to)
         self.res_count: defaultdict[int, dict[int, int]] = defaultdict(dict)
@@ -317,7 +320,7 @@ class _Moves:
                 del counts[src]
             counts[dst] = counts.get(dst, 0) + 1
         conn = self.conn
-        for u, w in level.adj[v]:
+        for u, w in level.adj[v].items():
             conn[u][src] -= w
             conn[u][dst] += w
 
@@ -441,7 +444,7 @@ def refine(
     assign, load, size = state.assign, state.load, state.size
     conn, res_count = state.conn, state.res_count
     wdeg = list(map(sum, conn))
-    zero = [[u for u, w in row if not w] for row in level.adj]
+    zero = [[u for u, w in row.items() if not w] for row in level.adj]
     # ceiling[v] - 2 * cut * conn[v][src] bounds the gain of every move of v
     ceiling = [cut_gain * w + sum(dup[rid] for rid in res) for w, res in zip(wdeg, res_of)]
 

@@ -229,7 +229,7 @@ def initial_partition_reference(coarse: Level, cfg: ObjectiveConfig) -> Partitio
     for region, v in enumerate(rng.sample(range(n), k)):
         assign[v] = region
         load[region] = weights[v]
-        for u, w in adj[v]:
+        for u, w in adj[v].items():
             if assign[u] == -1:
                 conn[u][region] += w
 
@@ -250,7 +250,7 @@ def initial_partition_reference(coarse: Level, cfg: ObjectiveConfig) -> Partitio
             best_r = min(candidates, key=lambda r: (load[r], r))
         assign[best_v] = best_r
         load[best_r] += weights[best_v]
-        for u, w in adj[best_v]:
+        for u, w in adj[best_v].items():
             if assign[u] == -1:
                 conn[u][best_r] += w
     return PartitionSet(k=k, assignment=tuple(assign))
@@ -281,7 +281,7 @@ def rebalance_reference(level: Level, assign: list[int], cfg: ObjectiveConfig) -
             if assign[v] != src:
                 continue
             conn = [0] * k
-            for u, w in adj[v]:
+            for u, w in adj[v].items():
                 conn[assign[u]] += w
             for dst in range(k):
                 if dst == src or load[dst] + weights[v] > cap:
@@ -337,7 +337,7 @@ def refine_reference(
     for _ in range(_MAX_REFINE_PASSES):
         candidates = []
         for v in range(n):
-            if any(assign[u] != assign[v] for u, _w in adj[v]):
+            if any(assign[u] != assign[v] for u in adj[v]):
                 candidates.append(v)
             elif any(len(res_count[rid]) > 1 for rid in res_of[v]):
                 candidates.append(v)
@@ -348,7 +348,7 @@ def refine_reference(
                 continue
             conn = [0] * k
             targets = set()
-            for u, w in adj[v]:
+            for u, w in adj[v].items():
                 part = assign[u]
                 conn[part] += w
                 targets.add(part)

@@ -144,6 +144,17 @@ TWO_CLASSES = (ClassNode(0, "A"), ClassNode(1, "B"))
             "resources must be a tuple, got list; dependencies must be a tuple, got list",
         ),
         ({"class_edges": None}, "class_edges must be a ClassEdges, got NoneType"),
+        ({"flows": (5,)}, "flows must hold FunctionalFlow values, got int at index 0"),
+        ({"classes": (ClassNode(0, "A"), 5)}, "classes must hold ClassNode values, got int at index 1"),
+        (
+            {"dependencies": (("A", "A"),), "resource_edges": (ResourceEdge(0, 0), (0, 1))},
+            "resource_edges must hold ResourceEdge values, got tuple at index 1; "
+            "dependencies must hold DependencyRecord values, got tuple at index 0",
+        ),
+        (
+            {"resources": (ClassNode(0, "A"),)},
+            "resources must hold ResourceNode values, got ClassNode at index 0",
+        ),
     ],
     ids=[
         "edge_past_last_class", "binding_to_missing_resource", "class_weight_zero", "unknown_dependency",
@@ -152,7 +163,8 @@ TWO_CLASSES = (ClassNode(0, "A"), ClassNode(1, "B"))
         "edge_weight_str", "edge_weight_bool", "class_name_int", "class_name_list", "resource_name_int",
         "flow_id_list", "flow_id_int", "flow_member_list", "dependency_name_list", "relation_str",
         "resource_kind_str", "flow_members_int", "flow_members_list", "classes_none", "classes_list",
-        "resources_and_dependencies_lists", "class_edges_none",
+        "resources_and_dependencies_lists", "class_edges_none", "flow_int", "class_int",
+        "binding_and_dependency_tuples", "resource_class_node",
     ],
 )
 def test_library_graph_is_checked_when_made(parts, problem):
@@ -163,7 +175,8 @@ def test_library_graph_is_checked_when_made(parts, problem):
     # dependency name failed with a TypeError while the graph was checked,
     # and an int flow id, a str relation or a str kind made a graph that
     # graph_to_doc or the partitioner could not use; an int for flow members
-    # or None for the classes failed with a TypeError, and a list was taken
+    # or None for the classes failed with a TypeError, and a list was taken;
+    # an int flow or class, or a tuple dependency, failed with an AttributeError
     with pytest.raises(ValueError) as info:
         ApplicationGraph(**{"classes": TWO_CLASSES, **parts})
     assert str(info.value) == problem
@@ -223,19 +236,32 @@ def test_class_edge_scale_is_an_int(scale):
             lambda: InfraManifest(resources=((5, ResourceKind.DATABASE),)),
             "manifest name must be a string, got 5",
         ),
+        (lambda: InfraManifest(resources=None), "manifest resources must be a tuple, got NoneType"),
+        (
+            lambda: InfraManifest(resources=(("db", ResourceKind.DATABASE),), bindings=[("A", "db")]),
+            "manifest bindings must be a tuple, got list",
+        ),
+        (lambda: InfraManifest(bindings=(("A",),)), "manifest bindings entry ('A',) is not a pair"),
+        (
+            lambda: InfraManifest(resources=(("db", ResourceKind.DATABASE, "x"),)),
+            "manifest resources entry ('db', <ResourceKind.DATABASE: 'database'>, 'x') is not a pair",
+        ),
+        (lambda: InfraManifest(resources=("db",)), "manifest resources entry 'db' is not a pair"),
         (lambda: GroundTruth({1: "a"}), "ground truth class must be a string, got 1"),
         (lambda: GroundTruth({"A": ["a"]}), "ground truth label must be a string, got ['a']"),
         (lambda: GroundTruth([("A", "a")]), "ground truth must be a non-empty mapping"),
     ],
     ids=[
         "undeclared_binding", "binding_twice", "kind_str", "binding_resource_list", "binding_class_int",
-        "resource_name_int", "truth_class_int", "truth_label_list", "truth_list",
+        "resource_name_int", "resources_none", "bindings_list", "binding_single", "resource_triple",
+        "resource_str", "truth_class_int", "truth_label_list", "truth_list",
     ],
 )
 def test_library_inputs_are_checked_when_made(make, problem):
     # unchecked, build_graph failed on the undeclared resource with a
     # KeyError, a list of pairs as ground truth failed with an
-    # AttributeError, a list resource name with a TypeError, and the rest
+    # AttributeError, a list resource name or None resources with a
+    # TypeError, an entry that is not a pair with a ValueError, and the rest
     # were accepted
     with pytest.raises(InputError) as info:
         make()

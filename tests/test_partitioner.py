@@ -174,7 +174,7 @@ class TestScale:
         level, gains = scale(g, prices, ObjectiveConfig(k=2, alpha=Fraction(1, 3)))
         # L = 6, U = 30, alpha = 1/3
         assert level.weights == [1, 1, 2]
-        assert level.adj == [[(1, 3)], [(0, 3), (2, 4)], [(1, 4)]]
+        assert level.adj == [{1: 3}, {0: 3, 2: 4}, {1: 4}]
         assert level.res_of == [(0, 1), (), (0,)]
         assert gains.cut == 1 * 30
         assert gains.dup == [2 * 6 * 9, 2 * 6 * 5]
@@ -250,7 +250,7 @@ class TestCoarsen:
         scaled = {
             frozenset((cu, cv)): Fraction(w, lcm)
             for cu, row in enumerate(coarse.adj)
-            for cv, w in row
+            for cv, w in row.items()
         }
         assert scaled == crossing
 
@@ -345,7 +345,7 @@ class TestRefine:
         # z would have moved in this pass and v been stranded alone.
         level = Level(
             weights=[1] * 5,
-            adj=[[(3, 5), (4, 5)], [(3, 0)], [(3, 1)], [(0, 5), (1, 0), (2, 1)], [(0, 5)]],
+            adj=[{3: 5, 4: 5}, {3: 0}, {3: 1}, {0: 5, 1: 0, 2: 1}, {0: 5}],
             res_of=[(0,), (0,), (), (), ()],
         )
         gains = Gains(cut=1, dup=[3])
@@ -358,10 +358,10 @@ class TestRefine:
         "adj,res_of,dup",
         [
             # one edge of weight 1 into partition 1: gain 1 = 1 * (1 - 0)
-            ([[(2, 1)], [], [(0, 1)]], [(), (), ()], []),
+            ([{2: 1}, {}, {0: 1}], [(), (), ()], []),
             # weight 1 inside, 4 into partition 1, and the last copy of
             # resource 0 in partition 0: gain 4 - 1 + 2 = 1 * (5 - 2) + 2
-            ([[(1, 1), (2, 4)], [(0, 1)], [(0, 4)]], [(0,), (), (0,)], [2]),
+            ([{1: 1, 2: 4}, {0: 1}, {0: 4}], [(0,), (), (0,)], [2]),
         ],
         ids=["cut_only", "cut_and_dup"],
     )
@@ -574,12 +574,9 @@ def refine_cases(draw):
     edges = draw(
         st.dictionaries(st.sampled_from(pairs), st.integers(0, 6), min_size=1, max_size=3 * n)
     )
-    adj = [[] for _ in range(n)]
+    adj = [{} for _ in range(n)]
     for (u, v), w in sorted(edges.items()):
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    for row in adj:
-        row.sort()
+        adj[u][v] = adj[v][u] = w
     resources = draw(st.integers(min_value=0, max_value=4))
     bound = st.sets(st.integers(0, resources - 1), max_size=resources) if resources else st.just(set())
     res_of = [tuple(sorted(draw(bound))) for _ in range(n)]
@@ -695,13 +692,13 @@ class TestProperties:
         level, gains, cfg, p = case
         shuffled = Level(
             weights=level.weights,
-            adj=[rnd.sample(row, len(row)) for row in level.adj],
+            adj=[dict(rnd.sample(list(row.items()), len(row))) for row in level.adj],
             res_of=[tuple(rnd.sample(res, len(res))) for res in level.res_of],
         )
 
         def hierarchy(lv):
             return [
-                (c.projection, c.graph.weights, [dict(row) for row in c.graph.adj],
+                (c.projection, c.graph.weights, c.graph.adj,
                  [set(res) for res in c.graph.res_of])
                 for c in coarsen(lv, max_levels=20, min_size=2, seed=seed)
             ]
@@ -710,6 +707,27 @@ class TestProperties:
         cfg = replace(cfg, seed=seed)
         assert initial_partition(shuffled, cfg) == initial_partition(level, cfg)
         assert refine(shuffled, p, cfg, gains) == refine(level, p, cfg, gains)
+
+    @settings(max_examples=300, deadline=None)
+    @given(problems(), st.integers(0, 2**32))
+    def test_coarse_levels_are_contractions_of_the_class_edges(self, problem, seed):
+        """Every level coarsen returns is symmetric, holds no self-entry, and
+        equals the class edges summed through the composed projections,
+        each edge of weight 0 kept as an entry of weight 0."""
+        g, _prices, _cfg = problem
+        edges = g.class_edges
+        to_coarse = list(range(len(g.classes)))
+        for c in coarsen(level_of(g), max_levels=20, min_size=2, seed=seed):
+            to_coarse = [c.projection[cv] for cv in to_coarse]
+            adj = c.graph.adj
+            assert all(u not in row for u, row in enumerate(adj))
+            assert all(adj[v][u] == w for u, row in enumerate(adj) for v, w in row.items())
+            expected = [{} for _ in adj]
+            for u, v, w in zip(edges.u, edges.v, edges.weight):
+                cu, cv = to_coarse[u], to_coarse[v]
+                if cu != cv:
+                    expected[cu][cv] = expected[cv][cu] = expected[cu].get(cv, 0) + w
+            assert adj == expected
 
     @settings(max_examples=300, deadline=None)
     @given(problems(), st.randoms(use_true_random=False))
