@@ -104,24 +104,16 @@ def _json(doc: dict) -> str:
     return model.json_text(doc) + "\n"
 
 
-def _load_artifact(
-    path: Path, what: str, step: str, parse: Callable[..., T], *args: object, unique_keys: bool = True
-) -> T:
+def _load_artifact(path: Path, what: str, step: str, parse: Callable[..., T], *args: object) -> T:
     """``parse(doc, *args)`` of the JSON artifact at ``path``, which ``step`` writes."""
     if not path.is_file():
         raise model.InputError(f"{what} artifact not found: {path} (run {step} first)")
     with _naming(path):
-        doc = ingest.load_json(ingest._as_text(path.read_bytes()), unique_keys=unique_keys)
-        return parse(doc, *args)
+        return parse(ingest.load_json(ingest._as_text(path.read_bytes())), *args)
 
 
 def _load_graph(out_dir: Path) -> model.ApplicationGraph:
-    # graph.json is the one large JSON input, ingest writes it and every read
-    # validates it; a repeated-key check would more than double its decode
-    # time (one hook call per object, about 40,000 on a 2.4 MB file).
-    return _load_artifact(
-        out_dir / GRAPH_FILE, "graph", "ingest", model.graph_from_doc, unique_keys=False
-    )
+    return _load_artifact(out_dir / GRAPH_FILE, "graph", "ingest", model.graph_from_doc)
 
 
 def _load_partition(path: Path, g: model.ApplicationGraph) -> model.PartitionSet:

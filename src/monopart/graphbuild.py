@@ -18,6 +18,7 @@ from .model import (
     ApplicationGraph,
     ClassEdges,
     ClassNode,
+    Dependencies,
     FunctionalFlow,
     InputError,
     ResourceEdge,
@@ -114,10 +115,14 @@ def build_graph(
     # base-weight denominators.
     base_scale, scaled = to_integers([cfg.base_weight(rel) for rel in Relation])
     scaled_base = dict(zip(Relation, scaled))
+    dependencies = Dependencies(
+        tuple(id_by_name[rec.from_class] for rec in deps),
+        tuple(id_by_name[rec.to_class] for rec in deps),
+        tuple(rec.relation for rec in deps),
+    )
     counts: defaultdict[tuple[int, int], list[int]] = defaultdict(lambda: [0, 0, 0])
-    for rec in deps:
-        u, v = id_by_name[rec.from_class], id_by_name[rec.to_class]
-        counts[(u, v) if u < v else (v, u)][0] += scaled_base[rec.relation]
+    for u, v, relation in zip(dependencies.source, dependencies.target, dependencies.relation):
+        counts[(u, v) if u < v else (v, u)][0] += scaled_base[relation]
 
     # Co-membership: a resource's clients share it (slot 1), a flow's
     # members co-occur in it (slot 2).
@@ -154,7 +159,7 @@ def build_graph(
         flows=model_flows,
         resource_edges=resource_edges,
         class_edges=class_edges,
-        dependencies=tuple(deps),
+        dependencies=dependencies,
     )
 
 

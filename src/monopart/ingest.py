@@ -168,13 +168,12 @@ def _reject_repeated_keys(pairs: list[tuple[str, object]]) -> dict:
     return doc
 
 
-def load_json(text: str, *, unique_keys: bool = True) -> object:
+def load_json(text: str) -> object:
     """Parse one JSON document; a malformed one, one nested past the
-    interpreter's recursion limit, an integer of more than 4300 digits, or,
-    with ``unique_keys``, an object that repeats a key raises
-    :class:`InputError`. Without it the last value of a repeated key wins."""
+    interpreter's recursion limit, an integer of more than 4300 digits, or
+    an object that repeats a key raises :class:`InputError`."""
     try:
-        return json.loads(text, object_pairs_hook=_reject_repeated_keys if unique_keys else None)
+        return json.loads(text, object_pairs_hook=_reject_repeated_keys)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise InputError(f"malformed JSON: {exc}") from exc
 

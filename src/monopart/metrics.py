@@ -9,9 +9,10 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .infra import build_infra_report
-from .ingest import DependencyRecord, _as_text, load_json, load_yaml
+from .ingest import _as_text, load_json, load_yaml
 from .model import (
     ApplicationGraph,
+    Dependencies,
     EvaluationReport,
     InputError,
     PartitionSet,
@@ -130,27 +131,16 @@ def compute_ngm(g: ApplicationGraph, p: PartitionSet) -> Fraction:
     return _tally(g, p).modularity()
 
 
-def compute_ifn(
-    directed_deps: Sequence[DependencyRecord],
-    p: PartitionSet,
-    names: Sequence[str],
-) -> tuple[int, Fraction, list[int]]:
+def compute_ifn(deps: Dependencies, p: PartitionSet) -> tuple[int, Fraction, list[int]]:
     """Interface number: per partition, the count of classes receiving at
     least one dependency from another partition; returns (total, mean
-    per partition, per-partition counts)."""
-    id_by_name = {name: cid for cid, name in enumerate(names)}
-    interfaces: list[set[int]] = [set() for _ in range(p.k)]
-    for rec in directed_deps:
-        try:
-            u = id_by_name[rec.from_class]
-            v = id_by_name[rec.to_class]
-        except KeyError as exc:
-            raise InputError(f"dependency names unknown class {exc.args[0]!r}") from exc
-        pu, pv = p.assignment[u], p.assignment[v]
-        if pu != pv:
-            interfaces[pv].add(v)
-    per_partition = [len(s) for s in interfaces]
-    total = sum(per_partition)
+    per partition, per-partition counts). ``deps`` are a graph's, whose
+    class ids it has checked, and ``p`` a partition of that graph."""
+    part = p.assignment
+    interfaces = {v for u, v in zip(deps.source, deps.target) if part[u] != part[v]}
+    counts = Counter(map(part.__getitem__, interfaces))
+    per_partition = [counts[c] for c in range(p.k)]
+    total = len(interfaces)
     return total, Fraction(total, p.k), per_partition
 
 
@@ -176,10 +166,9 @@ def evaluate(
     """
     prices = prices if prices is not None else PriceTable.default()
     report = build_infra_report(g, p, prices, compute_floor=compute_floor)
-    names = g.names()
     tally = _tally(g, p)
-    ifn_total, ifn_mean, _per = compute_ifn(g.dependencies, p, names)
-    f1 = compute_f1(p, truth, names) if truth is not None else None
+    ifn_total, ifn_mean, _per = compute_ifn(g.dependencies, p)
+    f1 = compute_f1(p, truth, g.names()) if truth is not None else None
     return EvaluationReport(
         ngm=tally.modularity(),
         ifn_total=ifn_total,

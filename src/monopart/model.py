@@ -28,6 +28,8 @@ from numbers import Number
 from typing import Callable, Iterable, Mapping, Sequence
 
 SCHEMA_VERSION = 1
+# graph.json has its own version: 2 writes the class edges and dependencies as columns
+GRAPH_SCHEMA_VERSION = 2
 
 
 class InputError(Exception):
@@ -196,7 +198,8 @@ def as_relation(value: object) -> Relation:
 
 @dataclass(frozen=True)
 class DependencyRecord:
-    """One directed class-to-class dependency, between class names."""
+    """One directed class-to-class dependency, between class names, as the
+    dependency export is parsed; a graph holds them as :class:`Dependencies`."""
 
     from_class: str
     to_class: str
@@ -271,6 +274,29 @@ class ClassEdges:
 
 
 @dataclass(frozen=True)
+class Dependencies:
+    """The directed class-to-class dependencies, column by column, in parse
+    order: dependency ``i`` runs from class ``source[i]`` to class
+    ``target[i]`` as ``relation[i]``. The ids and relations are
+    :func:`validate_graph`'s to check; a column that is not a tuple, or
+    columns of unequal length, is :class:`ValueError`.
+    """
+
+    source: tuple[int, ...] = ()
+    target: tuple[int, ...] = ()
+    relation: tuple[Relation, ...] = ()
+
+    def __post_init__(self) -> None:
+        if problems := _non_tuples(self, "source", "target", "relation", what="dependency column "):
+            raise ValueError("; ".join(problems))
+        if not len(self.source) == len(self.target) == len(self.relation):
+            raise ValueError("dependency columns must have one length")
+
+    def __len__(self) -> int:
+        return len(self.source)
+
+
+@dataclass(frozen=True)
 class ResourceEdge:
     """Binding between a resource node and a class node that depends on it."""
 
@@ -292,7 +318,7 @@ class FunctionalFlow:
 @dataclass(frozen=True)
 class ApplicationGraph:
     """The full application model: class nodes, resource nodes, flows, edges,
-    and the directed dependencies the interface number counts, in parse order.
+    and the directed dependencies the interface number counts.
     Made only if :func:`validate_graph` finds no problem, else :class:`ValueError` lists them."""
 
     classes: tuple[ClassNode, ...]
@@ -300,7 +326,7 @@ class ApplicationGraph:
     flows: tuple[FunctionalFlow, ...] = ()
     resource_edges: tuple[ResourceEdge, ...] = ()
     class_edges: ClassEdges = ClassEdges()
-    dependencies: tuple[DependencyRecord, ...] = ()
+    dependencies: Dependencies = Dependencies()
 
     def __post_init__(self) -> None:
         if problems := validate_graph(self):
@@ -467,7 +493,13 @@ def validate_graph(g: ApplicationGraph) -> list[str]:
     empty list means well-formed, and a container of the wrong type, or one
     holding a value of the wrong type, is reported alone.
     :class:`ApplicationGraph` raises on any."""
-    if problems := _non_tuples(g, "classes", "resources", "flows", "resource_edges", "dependencies"):
+    problems = _non_tuples(g, "classes", "resources", "flows", "resource_edges")
+    problems += [
+        f"{name} must be a {kind.__name__}, got {type(getattr(g, name)).__name__}"
+        for name, kind in (("class_edges", ClassEdges), ("dependencies", Dependencies))
+        if type(getattr(g, name)) is not kind
+    ]
+    if problems:
         return problems
     if problems := _foreign_elements(
         g,
@@ -475,11 +507,8 @@ def validate_graph(g: ApplicationGraph) -> list[str]:
         resources=ResourceNode,
         flows=FunctionalFlow,
         resource_edges=ResourceEdge,
-        dependencies=DependencyRecord,
     ):
         return problems
-    if type(g.class_edges) is not ClassEdges:
-        return [f"class_edges must be a ClassEdges, got {type(g.class_edges).__name__}"]
     n = len(g.classes)
     m = len(g.resources)
 
@@ -539,26 +568,7 @@ def validate_graph(g: ApplicationGraph) -> list[str]:
             repeated = dict.fromkeys(c for c in flow.members if c in seen or seen.add(c))
             problems += [f"flow {flow.id!r} repeats class id {cid}" for cid in repeated]
 
-    deps = g.dependencies
-    try:
-        fine = class_names.issuperset(map(operator.attrgetter("from_class"), deps)) and (
-            class_names.issuperset(map(operator.attrgetter("to_class"), deps))
-        )
-    except TypeError:  # an unhashable name
-        fine = False
-    relation_types = map(type, map(operator.attrgetter("relation"), deps))
-    if not (fine and operator.countOf(relation_types, Relation) == len(deps)):
-        unknown: dict[str, None] = {}
-        for i, r in enumerate(deps):
-            for name in (r.from_class, r.to_class):
-                if not isinstance(name, str):
-                    problems.append(f"dependency {i} has non-string class name {name!r}")
-                elif name not in class_names:
-                    unknown[name] = None
-            if type(r.relation) is not Relation:
-                problems.append(f"dependency {i} has relation {r.relation!r}, not a Relation")
-        problems += [f"dependency names unknown class {name!r}" for name in unknown]
-
+    problems += _dependency_problems(g.dependencies, n)
     return problems
 
 
@@ -621,6 +631,29 @@ def _class_edge_problems(edges: ClassEdges, n: int) -> list[str]:
             problems.append(f"class edge {pair} has non-integer weight {weight[i]!r}")
         elif weight[i] < 0:
             problems.append(f"class edge {pair} has negative weight {edges.fraction(i)}")
+    return problems
+
+
+def _dependency_problems(deps: Dependencies, n: int) -> list[str]:
+    """The dependency problems, in dependency order, for ``n`` classes.
+    The columns are checked whole; they are walked dependency by
+    dependency only for the messages, if any."""
+    ids = deps.source + deps.target
+    if (
+        _all_int(ids)
+        and (not ids or (min(ids) >= 0 and max(ids) < n))
+        and operator.countOf(map(type, deps.relation), Relation) == len(deps)
+    ):
+        return []
+    problems: list[str] = []
+    for i, (a, b, relation) in enumerate(zip(deps.source, deps.target, deps.relation)):
+        for cid in (a, b):
+            if type(cid) is not int:
+                problems.append(f"dependency {i} has non-integer class id {cid!r}")
+            elif not 0 <= cid < n:
+                problems.append(f"dependency {i} references missing class id {cid}")
+        if type(relation) is not Relation:
+            problems.append(f"dependency {i} has relation {relation!r}, not a Relation")
     return problems
 
 
@@ -695,9 +728,12 @@ def _records_text(records: Sequence[dict], brace: str) -> str | None:
 
 
 def graph_to_doc(g: ApplicationGraph) -> dict:
-    """The canonical interchange document for a graph (JSON-serializable)."""
+    """The canonical interchange document for a graph (JSON-serializable):
+    the nodes, flows and bindings as lists of records, the class edges and
+    the dependencies as objects of equally long columns."""
+    edges, deps = g.class_edges, g.dependencies
     return {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": GRAPH_SCHEMA_VERSION,
         "classes": [
             {"id": c.id, "name": c.name, "weight": c.weight} for c in g.classes
         ],
@@ -708,30 +744,54 @@ def graph_to_doc(g: ApplicationGraph) -> dict:
         "resource_edges": [
             {"resource": e.resource, "class": e.cls} for e in g.resource_edges
         ],
-        "class_edges": [
-            {"u": u, "v": v, "weight": w}
-            for u, v, w in zip(g.class_edges.u, g.class_edges.v, g.class_edges.weight_texts())
-        ],
-        "dependencies": [
-            {"from": r.from_class, "to": r.to_class, "relation": r.relation.value}
-            for r in g.dependencies
-        ],
+        "class_edges": {"u": list(edges.u), "v": list(edges.v), "weight": edges.weight_texts()},
+        "dependencies": {
+            "from": list(deps.source),
+            "to": list(deps.target),
+            "relation": [relation.value for relation in deps.relation],
+        },
     }
 
 
-def _check_schema_version(doc: Mapping, what: str) -> None:
-    version = doc.get("schema_version", SCHEMA_VERSION)
+def _check_schema_version(
+    doc: Mapping, what: str, current: int = SCHEMA_VERSION, writer: str = ""
+) -> None:
+    """Raise :class:`InputError` unless ``doc`` has ``current`` as its
+    version or none; an older one says to re-run its ``writer``, if given."""
+    version = doc.get("schema_version", current)
     # True and 1.0 compare equal to 1; as with as_int, only an int counts
-    if type(version) is not int or version != SCHEMA_VERSION:
-        raise InputError(f"{what}: unsupported schema_version {version!r}")
+    if type(version) is not int or version != current:
+        older = writer and type(version) is int and version < current
+        hint = f"; re-run {writer} to write schema_version {current}" if older else ""
+        raise InputError(f"{what}: unsupported schema_version {version!r}{hint}")
 
 
-def _read_class_edges(raw: object) -> ClassEdges:
-    """The document's class edges, read a column at a time (``u``, ``v``,
-    weight), the endpoints as they are for :func:`validate_graph` to check.
-    Each distinct weight string is parsed once, in order of first
-    appearance, so the first bad weight in the document is named."""
-    u, v, weight = (tuple(map(operator.itemgetter(key), raw)) for key in ("u", "v", "weight"))
+def _read_columns(doc: Mapping, section: str, keys: tuple[str, ...]) -> list[tuple]:
+    """The columns ``keys`` of the document's ``section``, an object of
+    equally long lists, each as a tuple of its values as read; an absent
+    section reads as empty columns."""
+    raw = doc.get(section, dict.fromkeys(keys, []))
+    if not isinstance(raw, Mapping):
+        raise InputError(f"{section} must be an object of columns, got {type(raw).__name__}")
+    columns = []
+    for key in keys:
+        if key not in raw:
+            raise InputError(f"{section} has no column {key!r}")
+        if type(raw[key]) is not list:
+            raise InputError(f"{section} column {key!r} must be a list, got {type(raw[key]).__name__}")
+        columns.append(tuple(raw[key]))
+    if len(set(map(len, columns))) > 1:
+        lengths = ", ".join(f"{key} {len(column)}" for key, column in zip(keys, columns))
+        raise InputError(f"{section} columns must have one length, got {lengths}")
+    return columns
+
+
+def _read_class_edges(doc: Mapping) -> ClassEdges:
+    """The document's class edges, the endpoints as they are for
+    :func:`validate_graph` to check. Each distinct weight string is parsed
+    once, in order of first appearance, so the first bad weight in the
+    document is named."""
+    u, v, weight = _read_columns(doc, "class_edges", ("u", "v", "weight"))
     if set(map(type, weight)) <= {str}:
         parsed = {text: as_fraction(text) for text in dict.fromkeys(weight)}
         scale, scaled = to_integers(list(parsed.values()))
@@ -741,17 +801,29 @@ def _read_class_edges(raw: object) -> ClassEdges:
     return ClassEdges(u, v, tuple(scaled), scale)
 
 
+def _read_dependencies(doc: Mapping) -> Dependencies:
+    """The document's dependencies, the class ids as they are for
+    :func:`validate_graph` to check. Each distinct relation string is
+    parsed once, as the weights are."""
+    source, target, relation = _read_columns(doc, "dependencies", ("from", "to", "relation"))
+    if set(map(type, relation)) <= {str}:
+        parsed = {text: as_relation(text) for text in dict.fromkeys(relation)}
+        return Dependencies(source, target, tuple(map(parsed.__getitem__, relation)))
+    # a value that is not a string is not hashed (a JSON list is not hashable)
+    return Dependencies(source, target, tuple(map(as_relation, relation)))
+
+
 def graph_from_doc(doc: Mapping) -> ApplicationGraph:
     """Parse the canonical interchange document back into a graph; a bad
     field, or a graph :class:`ApplicationGraph` refuses, is an :class:`InputError`.
 
-    Keys it does not read are ignored, so an older document whose class
-    edges also carry their weight components still loads. An absent
-    ``dependencies`` list reads as empty.
+    Only the current :data:`GRAPH_SCHEMA_VERSION` is read: an older
+    document is refused with a hint to re-run ``ingest``. Keys it does not
+    read are ignored. An absent section reads as empty.
     """
     if not isinstance(doc, Mapping):
         raise InputError("graph document must be a JSON object")
-    _check_schema_version(doc, "graph document")
+    _check_schema_version(doc, "graph document", GRAPH_SCHEMA_VERSION, writer="ingest")
     try:
         classes = tuple(ClassNode(c["id"], c["name"], c.get("weight", 1)) for c in doc.get("classes", []))
         resources = tuple(
@@ -759,16 +831,10 @@ def graph_from_doc(doc: Mapping) -> ApplicationGraph:
         )
         flows = tuple(FunctionalFlow(f["id"], tuple(f["members"])) for f in doc.get("flows", []))
         resource_edges = tuple(ResourceEdge(e["resource"], e["class"]) for e in doc.get("resource_edges", []))
-        class_edges = _read_class_edges(doc.get("class_edges", []))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed graph document: {exc}") from exc
-    try:
-        dependencies = tuple(
-            DependencyRecord(e["from"], e["to"], as_relation(e["relation"]))
-            for e in doc.get("dependencies", [])
-        )
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed dependency list: {exc}") from exc
+    class_edges = _read_class_edges(doc)
+    dependencies = _read_dependencies(doc)
     try:
         return ApplicationGraph(classes, resources, flows, resource_edges, class_edges, dependencies)
     except ValueError as exc:

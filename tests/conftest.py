@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from monopart.model import ApplicationGraph, ClassEdges, ClassNode, DependencyRecord
+from monopart.model import ApplicationGraph, ClassEdges, ClassNode, Dependencies, Relation
 
 FIXTURES_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -19,10 +19,17 @@ def fixtures_dir() -> Path:
     return FIXTURES_DIR
 
 
+def calls(*pairs: tuple[int, int]) -> Dependencies:
+    """One directed ``call`` dependency per ``(from, to)`` pair of class ids."""
+    return Dependencies(
+        tuple(u for u, _v in pairs), tuple(v for _u, v in pairs), (Relation.CALL,) * len(pairs)
+    )
+
+
 def graph_from_edges(
     n: int,
     edges: dict[tuple[int, int], Fraction | int],
-    dependencies: tuple[DependencyRecord, ...] = (),
+    dependencies: Dependencies = Dependencies(),
 ) -> ApplicationGraph:
     """Bare class graph N0..N(n-1) with the given edge weights and
     directed dependencies."""

@@ -119,18 +119,46 @@ def pairwise_f1_enumerated(
     return 2 * precision * recall / (precision + recall)
 
 
+def interface_number_reference(records, part_of: dict[str, int], k: int) -> tuple[int, Fraction, list[int]]:
+    """The interface number counted from dependency records by class name:
+    for each partition in turn, the distinct classes in it that a record
+    from a class of another partition targets."""
+    per = [
+        len({r.to_class for r in records if part_of[r.to_class] == c != part_of[r.from_class]})
+        for c in range(k)
+    ]
+    return sum(per), Fraction(sum(per), k), per
+
+
 def class_edge_rows_reference(doc) -> list[tuple[object, object, Fraction]]:
-    """The class edges of a graph document as ``(u, v, weight)`` rows, read
-    one edge at a time in each of three passes: every ``u``, then every
-    ``v``, then every weight, each weight parsed to a Fraction in document
-    order. The endpoints are kept as read. The reference for
-    ``graph_from_doc``, which reads whole columns and parses each distinct
-    weight string once."""
-    edges = doc.get("class_edges", [])
-    us = [e["u"] for e in edges]
-    vs = [e["v"] for e in edges]
-    weights = [e["weight"] for e in edges]
-    return list(zip(us, vs, [as_fraction(w) for w in weights]))
+    """The class edges of a graph document whose columns are well shaped,
+    as ``(u, v, weight)`` rows read one edge at a time, each weight parsed
+    to a Fraction in document order. The endpoints are kept as read. The
+    reference for ``graph_from_doc``, which reads whole columns and parses
+    each distinct weight string once."""
+    edges = doc.get("class_edges", {"u": [], "v": [], "weight": []})
+    rows = []
+    for i in range(len(edges["u"])):
+        rows.append((edges["u"][i], edges["v"][i], as_fraction(edges["weight"][i])))
+    return rows
+
+
+def class_edge_shape_problem(doc) -> str | None:
+    """What is wrong with the shape of a graph document's class edges, in
+    the order a reader meets it, or None: the section must be an object
+    holding the lists ``u``, ``v`` and ``weight``, all of one length."""
+    edges = doc.get("class_edges", {"u": [], "v": [], "weight": []})
+    if type(edges) is not dict:
+        return f"class_edges must be an object of columns, got {type(edges).__name__}"
+    for key in ("u", "v", "weight"):
+        if key not in edges:
+            return f"class_edges has no column {key!r}"
+        if type(edges[key]) is not list:
+            return f"class_edges column {key!r} must be a list, got {type(edges[key]).__name__}"
+    u, v, w = (len(edges[key]) for key in ("u", "v", "weight"))
+    if u != v or v != w:
+        return f"class_edges columns must have one length, got u {u}, v {v}, weight {w}"
+    return None
 
 
 def class_edge_row_problems(n: int, rows) -> list[str]:
@@ -161,11 +189,12 @@ def class_edge_row_problems(n: int, rows) -> list[str]:
 def graph_reader_error_reference(doc) -> str | None:
     """The message of the ``InputError`` that reading ``doc`` raises, or None
     when it reads, for a document whose every part but ``class_edges`` is
-    valid: the error of reading the rows, else the rule problems."""
+    valid: the shape problem, else the error of reading the rows, else the
+    rule problems."""
+    if (problem := class_edge_shape_problem(doc)) is not None:
+        return problem
     try:
         rows = class_edge_rows_reference(doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        return f"malformed graph document: {exc}"
     except InputError as exc:
         return str(exc)
     return "; ".join(class_edge_row_problems(len(doc["classes"]), rows)) or None

@@ -17,13 +17,13 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
-from conftest import FIXTURES_DIR, clique_pair_xml, graph_from_edges, random_edge_set
+from conftest import FIXTURES_DIR, calls, clique_pair_xml, graph_from_edges, random_edge_set
 
 from oracles import brute_force_min_cut_k2, modularity_matrix_form
 
 from monopart.graphbuild import build_graph
 from monopart.infra import build_infra_report, monolith_baseline
-from monopart.ingest import DependencyRecord, parse_dependency_xml, parse_infra_yaml
+from monopart.ingest import parse_dependency_xml, parse_infra_yaml
 from monopart.metrics import GroundTruth, compute_f1, compute_ifn, compute_ngm, edge_cut, load_ground_truth
 from monopart.model import (
     ApplicationGraph,
@@ -215,14 +215,13 @@ def test_criterion_7_single_partition_identities(capsys):
             n = rng.randint(2, 15)
             edges = random_edge_set(rng, n)
             g = graph_from_edges(n, edges)
-            deps = [DependencyRecord(f"N{u}", f"N{v}") for (u, v) in edges]
             cfg = ObjectiveConfig(k=1, seed=trial)
             p = partition_graph(g, PRICES, cfg)
             assert p.sizes() == [n]
             assert objective(g, p, PRICES, cfg) == 0
             assert edge_cut(g, p) == 0
             assert compute_ngm(g, p) == 0
-            total, mean, _per = compute_ifn(deps, p, g.names())
+            total, mean, _per = compute_ifn(calls(*edges), p)
             assert total == 0 and mean == 0
             report = build_infra_report(g, p, PRICES)
             assert report.total == report.monolith_baseline

@@ -12,11 +12,15 @@ jpetstore's dependencies as XML and as JSON, its manifest and a flow-rule
 file as YAML, and a trace log mixing tagged and untagged lines. Their
 values are names, so in place of the numeric mutations a string is
 replaced by a value of another type.
+
+The class edges and dependencies of graph.json are objects of columns;
+``COLUMN_EDITS`` breaks their shape one way each, and every one must exit 2.
 """
 
 from __future__ import annotations
 
 import contextlib
+import copy
 import io
 import json
 import tempfile
@@ -159,6 +163,14 @@ def _mutate(
     return dump(doc)
 
 
+def _run(root: Path, argv: list[str]) -> tuple[int, str]:
+    """The exit code and stderr of ``argv`` run with ``--out root --force``."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        code = main([*argv, "--out", str(root), "--force"])
+    return code, stderr.getvalue()
+
+
 @pytest.mark.parametrize("target", list(COMMANDS))
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(kind=st.sampled_from(KINDS), data=st.data())
@@ -169,15 +181,86 @@ def test_mutated_input_exits_0_or_2_naming_it(pristine, target, kind, data):
         for name, doc in pristine.items():
             raw = _mutate(data, kind, doc) if name == target else json.dumps(doc).encode()
             (root / name).write_bytes(raw)
-        argv = [str(root / a) if a in COMMANDS else a for a in argv]
-        stderr = io.StringIO()
-        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
-            code = main([*argv, "--out", str(root), "--force"])
-    err = stderr.getvalue()
+        code, err = _run(root, [str(root / a) if a in COMMANDS else a for a in argv])
     assert code in (0, 2), err
     assert "Traceback" not in err
     if code == 2:
         assert any(str(root / name) in err for name in named), err
+
+
+# graph.json section -> its columns
+GRAPH_COLUMNS = {"class_edges": ("u", "v", "weight"), "dependencies": ("from", "to", "relation")}
+
+
+def _set_column(section: str, key: str, value: object) -> Callable[[dict], None]:
+    def edit(doc: dict) -> None:
+        doc[section][key] = value
+
+    return edit
+
+
+def _shorten_column(section: str, key: str) -> Callable[[dict], None]:
+    return lambda doc: doc[section][key].pop()
+
+
+def _set_first(section: str, key: str, value: Callable[[dict], object]) -> Callable[[dict], None]:
+    """An edit that sets the first entry of a column to ``value(doc)``."""
+
+    def edit(doc: dict) -> None:
+        doc[section][key][0] = value(doc)
+
+    return edit
+
+
+def _as_rows(section: str) -> Callable[[dict], None]:
+    """An edit that writes ``section`` as schema 1 did: one object per entry."""
+
+    def edit(doc: dict) -> None:
+        columns = doc[section]
+        doc[section] = [dict(zip(columns, entry)) for entry in zip(*columns.values())]
+
+    return edit
+
+
+# Column-shape mutations of graph.json, each of which makes it invalid.
+COLUMN_EDITS = {
+    **{
+        f"{section}.{key}={type(value).__name__}": _set_column(section, key, value)
+        for section, keys in GRAPH_COLUMNS.items()
+        for key in keys
+        for value in ("x", {"x": 1}, 3)
+    },
+    **{
+        f"{section}.{key}_shorter": _shorten_column(section, key)
+        for section, keys in GRAPH_COLUMNS.items()
+        for key in keys
+    },
+    "from=-1": _set_first("dependencies", "from", lambda doc: -1),
+    "from=n": _set_first("dependencies", "from", lambda doc: len(doc["classes"])),
+    "to=n": _set_first("dependencies", "to", lambda doc: len(doc["classes"])),
+    "from=0.0": _set_first("dependencies", "from", lambda doc: 0.0),
+    "to=1.5": _set_first("dependencies", "to", lambda doc: 1.5),
+    "from=true": _set_first("dependencies", "from", lambda doc: True),
+    **{
+        f"relation={type(value).__name__}": _set_first("dependencies", "relation", lambda doc, v=value: v)
+        for value in (5, None, True, ["call"], {"call": 1})
+    },
+    "class_edges_schema_1": _as_rows("class_edges"),
+    "dependencies_schema_1": _as_rows("dependencies"),
+}
+
+
+@pytest.mark.parametrize("edit", list(COLUMN_EDITS.values()), ids=list(COLUMN_EDITS))
+def test_graph_column_shape_exits_2_naming_it(pristine, tmp_path, edit):
+    for name, doc in pristine.items():
+        if name == GRAPH_FILE:
+            doc = copy.deepcopy(doc)
+            edit(doc)
+        (tmp_path / name).write_text(json.dumps(doc))
+    code, err = _run(tmp_path, ["evaluate"])
+    assert code == 2, err
+    assert err.startswith(f"error: {tmp_path / GRAPH_FILE}: "), err
+    assert err.count("\n") == 1, err
 
 
 INGEST_KINDS = ("truncate", "container", "unknown name", "non-string", "non-utf8")

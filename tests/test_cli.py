@@ -606,7 +606,7 @@ def _assignment_not_integer(out: Path) -> tuple[list[str], str]:
 
 def _relation_not_string(out: Path) -> tuple[list[str], str]:
     doc = json.loads((out / GRAPH_FILE).read_text())
-    doc["dependencies"][0]["relation"] = 5
+    doc["dependencies"]["relation"][0] = 5
     (out / GRAPH_FILE).write_text(json.dumps(doc))
     return ["partition", "--k", "2"], str(out / GRAPH_FILE)
 
@@ -686,12 +686,38 @@ def _artifact_with(
     return case
 
 
+def _set_entry(section: str, i: int = 0, **values: object) -> Callable[[dict], None]:
+    """An edit that sets entry ``i`` of each named column of ``section``."""
+
+    def edit(doc: dict) -> None:
+        for key, value in values.items():
+            doc[section][key][i] = value
+
+    return edit
+
+
 ARTIFACT_CASES = [
     _artifact_with(GRAPH_FILE, "class_name_int", lambda d: d["classes"][0].update(name=5),
                    "class 0 has non-string name 5"),
-    _artifact_with(GRAPH_FILE, "dependency_from_list",
-                   lambda d: d["dependencies"][0].update({"from": ["x"]}),
-                   "dependency 0 has non-string class name ['x']"),
+    _artifact_with(GRAPH_FILE, "dependency_from_list", _set_entry("dependencies", **{"from": ["x"]}),
+                   "dependency 0 has non-integer class id ['x']"),
+    _artifact_with(GRAPH_FILE, "dependency_to_float", _set_entry("dependencies", 1, to=1.0),
+                   "dependency 1 has non-integer class id 1.0"),
+    _artifact_with(GRAPH_FILE, "dependency_relation_unknown",
+                   _set_entry("dependencies", relation="uses"), "unknown relation 'uses'"),
+    _artifact_with(GRAPH_FILE, "dependency_columns_unequal",
+                   lambda d: d["dependencies"]["to"].pop(),
+                   "dependencies columns must have one length, got from 3, to 2, relation 3"),
+    _artifact_with(GRAPH_FILE, "class_edges_schema_1_list",
+                   lambda d: d.update(class_edges=[{"u": 0, "v": 1, "weight": "1"}]),
+                   "class_edges must be an object of columns, got list"),
+    _artifact_with(GRAPH_FILE, "class_edge_column_missing", lambda d: d["class_edges"].pop("v"),
+                   "class_edges has no column 'v'"),
+    _artifact_with(GRAPH_FILE, "class_edge_column_string",
+                   lambda d: d["class_edges"].update(weight="11"),
+                   "class_edges column 'weight' must be a list, got str"),
+    _artifact_with(GRAPH_FILE, "schema_version_1", lambda d: d.update(schema_version=1),
+                   "graph document: unsupported schema_version 1; re-run ingest to write schema_version 2"),
     _artifact_with(GRAPH_FILE, "flow_id_int",
                    lambda d: d["flows"].append({"id": 5, "members": [0]}),
                    "flow at index 0 has non-string id 5"),
@@ -724,18 +750,15 @@ ARTIFACT_CASES = [
     _artifact_with(GRAPH_FILE, "flow_member_missing",
                    lambda d: d["flows"].append({"id": "f", "members": [9]}),
                    "flow 'f' references missing class id 9"),
-    _artifact_with(GRAPH_FILE, "class_edge_u_above_v",
-                   lambda d: d["class_edges"][0].update(u=1, v=0),
+    _artifact_with(GRAPH_FILE, "class_edge_u_above_v", _set_entry("class_edges", u=1, v=0),
                    "class edge (1, 0) must satisfy u < v"),
-    _artifact_with(GRAPH_FILE, "class_edge_endpoint_float",
-                   lambda d: d["class_edges"][0].update(u=1.0),
+    _artifact_with(GRAPH_FILE, "class_edge_endpoint_float", _set_entry("class_edges", u=1.0),
                    "class edge (1.0, 1) has a non-integer endpoint"),
     _artifact_with(GRAPH_FILE, "class_edge_endpoints_float",
-                   lambda d: (d["class_edges"][0].update(u=1.0), d["class_edges"][1].update(v=2.0)),
+                   lambda d: (_set_entry("class_edges", u=1.0)(d), _set_entry("class_edges", 1, v=2.0)(d)),
                    "class edge (1.0, 1) has a non-integer endpoint; "
                    "class edge (0, 2.0) has a non-integer endpoint"),
-    _artifact_with(GRAPH_FILE, "class_edge_weight_negative",
-                   lambda d: d["class_edges"][0].update(weight="-1/2"),
+    _artifact_with(GRAPH_FILE, "class_edge_weight_negative", _set_entry("class_edges", weight="-1/2"),
                    "class edge (0, 1) has negative weight -1/2"),
     _artifact_with(PARTITION_FILE, "partition_k_zero", lambda d: d.update(k=0),
                    "invalid partition: partition count k=0 must be >= 1"),
@@ -852,7 +875,7 @@ def _dependency_unknown_class(command: str) -> Callable[[Path], tuple[list[str],
     def case(out: Path) -> tuple[list[str], str]:
         assert main(["partition", "--k", "2", "--out", str(out)]) == 0
         doc = json.loads((out / GRAPH_FILE).read_text())
-        doc["dependencies"][0]["to"] = "zz"
+        doc["dependencies"]["to"][0] = len(doc["classes"])
         (out / GRAPH_FILE).write_text(json.dumps(doc))
         return [command, "--force", *(["--k", "2"] if command == "partition" else [])], str(
             out / GRAPH_FILE
@@ -904,6 +927,10 @@ JSON_CASES = [
     _json_input("partition", "k_of_5000_digits", '{"k": ' + LONG_INTEGER + ', "assignment": {}}'),
     _json_input("truth", "label_of_5000_digits", '{"web.Shop": ' + LONG_INTEGER + "}"),
     # Each of these loads with the last value of the repeated key if that is kept.
+    _json_input("graph", "repeated_key",
+                '{"schema_version": 1, "classes": [{"id": 0, "name": "a"}, {"id": 1, "name": "b"}], '
+                '"schema_version": 2}',
+                ": repeated key 'schema_version'"),
     _json_input("truth", "repeated_key",
                 '{"web.Shop": "a", "web.Cart": "a", "data.Orders": "b", "web.Shop": "b"}',
                 ": repeated key 'web.Shop'"),
@@ -1204,7 +1231,7 @@ def test_number_too_large_to_write_exits_2_writing_nothing(workdir, capsys, case
         argv = ["partition", "--k", "2", "--prices", str(prices)]
     elif case == "dot_edge_weight":
         doc = json.loads((out / GRAPH_FILE).read_text())
-        doc["class_edges"][0]["weight"] = TOO_MANY_DIGITS
+        doc["class_edges"]["weight"][0] = TOO_MANY_DIGITS
         (out / GRAPH_FILE).write_text(json.dumps(doc))
         argv = ["dot"]
     else:

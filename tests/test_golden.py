@@ -69,7 +69,8 @@ def run_case(case: str, work: Path, reverse_edges: bool = False) -> bytes:
                  *ingest_flags, "--out", str(out)]) == 0
     if reverse_edges:
         doc = json.loads((out / GRAPH_FILE).read_bytes())
-        doc["class_edges"].reverse()
+        for column in doc["class_edges"].values():
+            column.reverse()
         (out / GRAPH_FILE).write_text(json.dumps(doc), encoding="utf-8")
     flags = [f.format(prices=prices) for f in partition_flags]
     assert main(["partition", *flags, "--out", str(out)]) == 0

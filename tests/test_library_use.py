@@ -17,8 +17,10 @@ from monopart.model import (
     ClassEdges,
     ClassNode,
     DependencyRecord,
+    Dependencies,
     FunctionalFlow,
     InputError,
+    Relation,
     ResourceEdge,
     ResourceKind,
     ResourceNode,
@@ -54,6 +56,7 @@ def test_package_root_exports_the_readme_names():
 
 
 TWO_CLASSES = (ClassNode(0, "A"), ClassNode(1, "B"))
+CALL_A_B = Dependencies((0,), (1,), (Relation.CALL,))
 
 
 @pytest.mark.parametrize(
@@ -75,8 +78,8 @@ TWO_CLASSES = (ClassNode(0, "A"), ClassNode(1, "B"))
             "class 'B' has weight 0 < 1",
         ),
         (
-            {"dependencies": (DependencyRecord("A", "C"),)},
-            "dependency names unknown class 'C'",
+            {"dependencies": Dependencies((0,), (2,), (Relation.CALL,))},
+            "dependency 0 references missing class id 2",
         ),
         ({"classes": (ClassNode(0, "A"), ClassNode(1.0, "B"))}, "class at index 1 has non-integer id 1.0"),
         ({"classes": (ClassNode(False, "A"), ClassNode(1, "B"))}, "class at index 0 has non-integer id False"),
@@ -113,8 +116,8 @@ TWO_CLASSES = (ClassNode(0, "A"), ClassNode(1, "B"))
         ({"class_edges": ClassEdges((0,), (1,), (True,))}, "class edge (0, 1) has non-integer weight True"),
         ({"classes": (ClassNode(0, "A"), ClassNode(1, 5))}, "class 1 has non-string name 5"),
         (
-            {"classes": (ClassNode(0, ["A"]), ClassNode(1, "B")), "dependencies": (DependencyRecord("A", "B"),)},
-            "class 0 has non-string name ['A']; dependency names unknown class 'A'",
+            {"classes": (ClassNode(0, ["A"]), ClassNode(1, "B")), "dependencies": CALL_A_B},
+            "class 0 has non-string name ['A']",
         ),
         (
             {"resources": (ResourceNode(0, 7, ResourceKind.DATABASE),)},
@@ -124,11 +127,12 @@ TWO_CLASSES = (ClassNode(0, "A"), ClassNode(1, "B"))
         ({"flows": (FunctionalFlow(5, (0, 1)),)}, "flow at index 0 has non-string id 5"),
         ({"flows": (FunctionalFlow("f", ([0],)),)}, "flow 'f' has non-integer class id [0]"),
         (
-            {"dependencies": (DependencyRecord(["A"], "B"),)},
-            "dependency 0 has non-string class name ['A']",
+            {"dependencies": Dependencies((["A"], 1.0), (True, "0"), (Relation.CALL,) * 2)},
+            "dependency 0 has non-integer class id ['A']; dependency 0 has non-integer class id True; "
+            "dependency 1 has non-integer class id 1.0; dependency 1 has non-integer class id '0'",
         ),
         (
-            {"dependencies": (DependencyRecord("A", "B", "call"),)},
+            {"dependencies": Dependencies((0,), (1,), ("call",))},
             "dependency 0 has relation 'call', not a Relation",
         ),
         (
@@ -141,16 +145,16 @@ TWO_CLASSES = (ClassNode(0, "A"), ClassNode(1, "B"))
         ({"classes": list(TWO_CLASSES)}, "classes must be a tuple, got list"),
         (
             {"resources": [ResourceNode(0, "db", ResourceKind.DATABASE)], "dependencies": []},
-            "resources must be a tuple, got list; dependencies must be a tuple, got list",
+            "resources must be a tuple, got list; dependencies must be a Dependencies, got list",
         ),
         ({"class_edges": None}, "class_edges must be a ClassEdges, got NoneType"),
         ({"flows": (5,)}, "flows must hold FunctionalFlow values, got int at index 0"),
         ({"classes": (ClassNode(0, "A"), 5)}, "classes must hold ClassNode values, got int at index 1"),
         (
-            {"dependencies": (("A", "A"),), "resource_edges": (ResourceEdge(0, 0), (0, 1))},
-            "resource_edges must hold ResourceEdge values, got tuple at index 1; "
-            "dependencies must hold DependencyRecord values, got tuple at index 0",
+            {"dependencies": (DependencyRecord("A", "B"),), "resource_edges": (ResourceEdge(0, 0), (0, 1))},
+            "dependencies must be a Dependencies, got tuple",
         ),
+        ({"resource_edges": (ResourceEdge(0, 0), (0, 1))}, "resource_edges must hold ResourceEdge values, got tuple at index 1"),
         (
             {"resources": (ClassNode(0, "A"),)},
             "resources must hold ResourceNode values, got ClassNode at index 0",
@@ -164,7 +168,7 @@ TWO_CLASSES = (ClassNode(0, "A"), ClassNode(1, "B"))
         "flow_id_list", "flow_id_int", "flow_member_list", "dependency_name_list", "relation_str",
         "resource_kind_str", "flow_members_int", "flow_members_list", "classes_none", "classes_list",
         "resources_and_dependencies_lists", "class_edges_none", "flow_int", "class_int",
-        "binding_and_dependency_tuples", "resource_class_node",
+        "binding_and_dependency_tuples", "binding_tuple", "resource_class_node",
     ],
 )
 def test_library_graph_is_checked_when_made(parts, problem):
@@ -176,7 +180,8 @@ def test_library_graph_is_checked_when_made(parts, problem):
     # and an int flow id, a str relation or a str kind made a graph that
     # graph_to_doc or the partitioner could not use; an int for flow members
     # or None for the classes failed with a TypeError, and a list was taken;
-    # an int flow or class, or a tuple dependency, failed with an AttributeError
+    # an int flow or class, or a tuple dependency, failed with an AttributeError;
+    # dependency records by name, in place of the id columns, are refused whole
     with pytest.raises(ValueError) as info:
         ApplicationGraph(**{"classes": TWO_CLASSES, **parts})
     assert str(info.value) == problem
@@ -195,6 +200,22 @@ def test_class_edge_columns_are_tuples(columns, problem):
     # unchecked, a list was taken and None failed on len() with a TypeError
     with pytest.raises(ValueError) as info:
         ClassEdges(*columns)
+    assert str(info.value) == problem
+
+
+@pytest.mark.parametrize(
+    "columns,problem",
+    [
+        (([0], (1,), (Relation.CALL,)), "dependency column source must be a tuple, got list"),
+        (((0,), "B", None), "dependency column target must be a tuple, got str; "
+                            "dependency column relation must be a tuple, got NoneType"),
+        (((0, 1), (1,), (Relation.CALL,)), "dependency columns must have one length"),
+    ],
+    ids=["source_list", "target_str_relation_none", "unequal_lengths"],
+)
+def test_dependency_columns_are_equally_long_tuples(columns, problem):
+    with pytest.raises(ValueError) as info:
+        Dependencies(*columns)
     assert str(info.value) == problem
 
 

@@ -10,15 +10,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import graph_from_edges, random_edge_set
+from conftest import calls, graph_from_edges, random_edge_set
 
 from oracles import (
+    interface_number_reference,
     modularity_matrix_form,
     pairwise_f1_enumerated,
     pairwise_f1_reference,
     report_from_json,
 )
 
+from monopart.graphbuild import build_graph
 from monopart.metrics import (
     GroundTruth,
     compute_f1,
@@ -29,7 +31,7 @@ from monopart.metrics import (
     format_table,
     load_ground_truth,
 )
-from monopart.model import DependencyRecord, InputError, PartitionSet, PriceTable, report_to_doc
+from monopart.model import DependencyRecord, InputError, PartitionSet, PriceTable, Relation, report_to_doc
 
 
 class TestLoadGroundTruth:
@@ -212,42 +214,50 @@ class TestModularity:
 
 class TestInterfaceNumber:
     def test_single_partition_no_interfaces(self):
-        deps = [DependencyRecord("A", "B"), DependencyRecord("B", "C")]
         p = PartitionSet(1, (0, 0, 0))
-        total, mean, per = compute_ifn(deps, p, ["A", "B", "C"])
+        total, mean, per = compute_ifn(calls((0, 1), (1, 2)), p)
         assert total == 0 and mean == 0 and per == [0]
 
     def test_cross_partition_target_is_interface(self):
-        deps = [DependencyRecord("A", "B")]
         p = PartitionSet(2, (0, 1))
-        total, mean, per = compute_ifn(deps, p, ["A", "B"])
+        total, mean, per = compute_ifn(calls((0, 1)), p)
         assert total == 1
         assert per == [0, 1]
         assert mean == Fraction(1, 2)
 
     def test_interface_counted_once_per_class(self):
-        deps = [DependencyRecord("A", "B"), DependencyRecord("C", "B")]
         p = PartitionSet(2, (0, 1, 0))
-        total, _mean, per = compute_ifn(deps, p, ["A", "B", "C"])
+        total, _mean, per = compute_ifn(calls((0, 1), (2, 1)), p)
         assert total == 1
         assert per == [0, 1]
 
     def test_distinct_targets_counted_separately(self):
-        deps = [
-            DependencyRecord("A", "B"),
-            DependencyRecord("A", "C"),
-        ]
         p = PartitionSet(2, (0, 1, 1))
-        total, mean, per = compute_ifn(deps, p, ["A", "B", "C"])
+        total, mean, per = compute_ifn(calls((0, 1), (0, 2)), p)
         assert total == 2
         assert per == [0, 2]
         assert mean == 1
 
-    def test_unknown_name_rejected(self):
-        deps = [DependencyRecord("A", "Z")]
-        p = PartitionSet(1, (0, 0))
-        with pytest.raises(InputError, match="unknown class"):
-            compute_ifn(deps, p, ["A", "B"])
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_ids_of_the_built_graph_count_as_the_names_do(self, data):
+        """The dependencies of a built graph are class ids; counted over
+        them, the interface number is the one the parsed names give."""
+        names = [f"C{i}" for i in range(data.draw(st.integers(2, 8), label="classes"))]
+        name = st.sampled_from(names)
+        records = data.draw(st.lists(
+            st.builds(DependencyRecord, name, name, st.sampled_from(Relation)).filter(
+                lambda r: r.from_class != r.to_class
+            ),
+            min_size=1,
+            max_size=20,
+        ), label="records")
+        g = build_graph(records)
+        raw = data.draw(st.lists(st.integers(0, 3), min_size=len(g.classes), max_size=len(g.classes)))
+        remap = {label: i for i, label in enumerate(sorted(set(raw)))}
+        p = PartitionSet(len(remap), tuple(remap[label] for label in raw))
+        part_of = dict(zip(g.names(), p.assignment))
+        assert compute_ifn(g.dependencies, p) == interface_number_reference(records, part_of, p.k)
 
 
 class TestClusterStats:
@@ -282,7 +292,7 @@ class TestEdgeCut:
 
 class TestEvaluate:
     def test_single_partition_identities(self):
-        deps = (DependencyRecord("N0", "N1"), DependencyRecord("N1", "N2"))
+        deps = calls((0, 1), (1, 2))
         g = graph_from_edges(3, {(0, 1): 1, (1, 2): 1}, deps)
         p = PartitionSet(1, (0, 0, 0))
         report = evaluate(g, p)
@@ -293,7 +303,7 @@ class TestEvaluate:
         assert report.cluster_sizes == (3,)
 
     def test_f1_present_with_truth(self):
-        deps = (DependencyRecord("N0", "N1"),)
+        deps = calls((0, 1))
         g = graph_from_edges(2, {(0, 1): 1}, deps)
         p = PartitionSet(1, (0, 0))
         truth = GroundTruth({"N0": "x", "N1": "x"})
@@ -301,7 +311,7 @@ class TestEvaluate:
         assert report.f1 == 1
 
     def test_round_trip(self):
-        deps = (DependencyRecord("N0", "N1"),)
+        deps = calls((0, 1))
         g = graph_from_edges(2, {(0, 1): 1}, deps)
         p = PartitionSet(2, (0, 1))
         report = evaluate(g, p, prices=PriceTable.default())
@@ -315,7 +325,7 @@ class TestEvaluate:
 
 class TestFormatTable:
     def test_dash_for_missing_f1(self):
-        deps = (DependencyRecord("N0", "N1"),)
+        deps = calls((0, 1))
         g = graph_from_edges(2, {(0, 1): 1}, deps)
         p = PartitionSet(2, (0, 1))
         report = evaluate(g, p)
@@ -325,7 +335,7 @@ class TestFormatTable:
         assert " - " in lines[1] or lines[1].endswith("-") or "- " in lines[1]
 
     def test_columns_align(self):
-        deps = (DependencyRecord("N0", "N1"),)
+        deps = calls((0, 1))
         g = graph_from_edges(2, {(0, 1): 1}, deps)
         p = PartitionSet(2, (0, 1))
         truth = GroundTruth({"N0": "x", "N1": "y"})

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import calls
+
 from oracles import (
     class_edge_row_problems,
     class_edge_rows_reference,
@@ -23,7 +25,7 @@ from monopart.model import (
     ApplicationGraph,
     ClassEdges,
     ClassNode,
-    DependencyRecord,
+    Dependencies,
     EvaluationReport,
     FunctionalFlow,
     InfrastructureFactor,
@@ -107,11 +109,11 @@ class TestValidateGraph:
         assert validate_graph(bound_graph()) == []
 
     def test_dependency_naming_an_unknown_class(self):
-        deps = (DependencyRecord("A", "Z"), DependencyRecord("Z", "B"), DependencyRecord("B", "Y"))
         with pytest.raises(ValueError) as info:
-            replace(bound_graph(), dependencies=deps)
+            replace(bound_graph(), dependencies=calls((0, 2), (2, 1), (1, 0), (-1, 1)))
         assert str(info.value) == (
-            "dependency names unknown class 'Z'; dependency names unknown class 'Y'"
+            "dependency 0 references missing class id 2; dependency 1 references missing class id 2; "
+            "dependency 3 references missing class id -1"
         )
 
     @pytest.mark.parametrize("u,v", [(1, 0), (1, 1)])
@@ -377,55 +379,52 @@ def small_graphs(draw) -> ApplicationGraph:
         ))))
         for i in range(draw(st.integers(min_value=0, max_value=2)))
     )
-    class_name = st.sampled_from(class_names)
-    dependencies = draw(st.lists(
-        st.builds(DependencyRecord, class_name, class_name, st.sampled_from(Relation)), max_size=6
-    ))
+    class_id = st.integers(min_value=0, max_value=n - 1)
+    dependencies = draw(st.lists(st.tuples(class_id, class_id, st.sampled_from(Relation)), max_size=6))
     return ApplicationGraph(
         classes=classes,
         resources=resources,
         flows=flows,
         resource_edges=resource_edges,
         class_edges=class_edges,
-        dependencies=tuple(dependencies),
+        dependencies=Dependencies(*map(tuple, zip(*dependencies))) if dependencies else Dependencies(),
     )
 
 
 class TestInterchange:
     @given(small_graphs())
+    @example(replace(
+        two_class_graph(),
+        dependencies=Dependencies((0, 1, 0), (1, 0, 1), (Relation.CALL, Relation.INHERITANCE, Relation.CALL)),
+    ))
     def test_graph_doc_round_trip(self, g):
-        assert graph_from_doc(graph_to_doc(g)) == g
-
-    @given(small_graphs(), st.fractions(min_value=0, max_value=3, max_denominator=6))
-    def test_older_document_with_weight_components_loads_the_same(self, g, beta):
-        doc = graph_to_doc(g)
-        old = {**doc, "beta": fraction_str(beta), "resource_increment": "1"}
-        old["class_edges"] = [
-            {**e, "relation_base": e["weight"], "shared_resource_count": 0, "flow_cooccurrence": 0}
-            for e in doc["class_edges"]
-        ]
-        assert graph_from_doc(old) == graph_from_doc(doc) == g
+        assert graph_from_doc(json.loads(json_text(graph_to_doc(g)))) == g
 
     def test_class_edge_doc_holds_endpoints_and_weight_only(self):
         doc = graph_to_doc(two_class_graph())
-        assert doc["class_edges"] == [{"u": 0, "v": 1, "weight": "1"}]
+        assert doc["class_edges"] == {"u": [0], "v": [1], "weight": ["1"]}
         assert "beta" not in doc and "resource_increment" not in doc
 
+    def test_dependencies_are_written_as_id_columns(self):
+        deps = Dependencies((1, 0), (0, 1), (Relation.REFERENCE, Relation.CALL))
+        doc = graph_to_doc(replace(two_class_graph(), dependencies=deps))
+        assert doc["dependencies"] == {"from": [1, 0], "to": [0, 1], "relation": ["reference", "call"]}
+
     def test_document_without_dependencies_loads_none(self):
-        g = replace(two_class_graph(), dependencies=(DependencyRecord("A", "B"),))
+        g = replace(two_class_graph(), dependencies=calls((0, 1)))
         doc = graph_to_doc(g)
         split = PartitionSet(2, (0, 1))
         assert evaluate(graph_from_doc(doc), split).ifn_total == 1
         del doc["dependencies"]
         loaded = graph_from_doc(doc)
-        assert loaded.dependencies == ()
+        assert loaded.dependencies == Dependencies()
         assert evaluate(loaded, split).ifn_total == 0
 
     @pytest.mark.parametrize(
         "edit,problem",
         [
-            (lambda d: d["dependencies"].append({"from": "A", "to": "Z", "relation": "call"}),
-             "dependency names unknown class 'Z'"),
+            (lambda d: d.update(dependencies={"from": [0], "to": [2], "relation": ["call"]}),
+             "dependency 0 references missing class id 2"),
             (lambda d: d["classes"].append({"id": 2, "name": "A"}), "duplicate class name 'A'"),
             (lambda d: d["flows"].append({"id": "a", "members": [1, 0, 1, 0, 1]}),
              "flow 'a' repeats class id 1; flow 'a' repeats class id 0"),
@@ -447,7 +446,10 @@ class TestInterchange:
         assert str(exc.value) == problem
 
     def test_graph_doc_has_schema_version(self):
-        assert graph_to_doc(two_class_graph())["schema_version"] == 1
+        assert graph_to_doc(two_class_graph())["schema_version"] == 2
+        assert partition_to_doc(
+            PartitionSet(1, (0, 0)), two_class_graph(), objective=Fraction(0), seed=0
+        )["schema_version"] == 1
 
     def test_unsupported_schema_version(self):
         doc = graph_to_doc(two_class_graph())
@@ -545,82 +547,86 @@ _ENDPOINTS = st.sampled_from([True, False, 1.0, 0.5, "0", None, [0], -1, 99, 10*
 _WEIGHTS = st.sampled_from(
     [[1], {"w": 1}, "nan", "-1/2", "1/0", "1e5000", "x", " 3 ", 0.5, 2, -1, True, None, float("nan")]
 )
-_NOT_OBJECTS = st.sampled_from([[0, 1, "1"], "edge", 3, None])
-_NOT_LISTS = st.sampled_from([{"u": 0, "v": 1, "weight": "1"}, "u", 5, None])
+_NOT_LISTS = st.sampled_from([{"u": [0]}, "u", 5, None, (0,)])
+# what the class_edges section may be replaced by: not an object of columns,
+# the list of edge objects of schema 1 among them
+_NOT_COLUMNS = st.sampled_from([[{"u": 0, "v": 1, "weight": "1"}], [], "edges", 3, None])
+_COLUMNS = ("u", "v", "weight")
 
 
 @st.composite
 def mutated_graph_docs(draw) -> dict:
-    """A valid graph document whose ``class_edges`` then takes one to three
-    mutations: a bad endpoint or weight, a missing key, an entry that is not
-    an object, a reversed, out-of-range or repeated pair, or a list that is
-    not a list."""
+    """A valid graph document whose ``class_edges`` columns then take one
+    to three mutations: a bad endpoint or weight, a missing column, a
+    column that is not a list, a column one entry longer or shorter, a
+    reversed, out-of-range or repeated pair, or a section that is not an
+    object of columns."""
     doc = graph_to_doc(draw(small_graphs()))
     n = len(doc["classes"])
     edges = doc["class_edges"]
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(
-            ["endpoint", "weight", "missing", "entry", "reverse", "range", "parallel", "container"]
+            ["endpoint", "weight", "missing", "column", "length", "reverse", "range", "parallel",
+             "container"]
         ))
-        if not isinstance(edges, list) or not edges or kind == "container":
-            edges = doc["class_edges"] = draw(_NOT_LISTS) if kind == "container" else [
-                {"u": 0, "v": 1, "weight": "1"}
-            ]
+        if kind == "container":
+            doc["class_edges"] = draw(_NOT_COLUMNS)
+            return doc
+        if kind == "missing":
+            edges.pop(draw(st.sampled_from(_COLUMNS)), None)
             continue
-        i = draw(st.integers(0, len(edges) - 1))
-        edge = edges[i]
-        if not isinstance(edge, dict):
+        if kind == "column":
+            edges[draw(st.sampled_from(_COLUMNS))] = draw(_NOT_LISTS)
             continue
+        columns = [edges.get(key) for key in _COLUMNS]
+        if not all(type(column) is list for column in columns):
+            continue
+        if kind == "length":
+            column = draw(st.sampled_from(columns))
+            if column and draw(st.booleans()):
+                column.pop()
+            else:
+                column.append(column[-1] if column else 0)
+            continue
+        length = min(map(len, columns))
+        if not length:
+            continue
+        i = draw(st.integers(0, length - 1))
+        u, v, weight = columns
         if kind == "endpoint":
-            edge[draw(st.sampled_from("uv"))] = draw(_ENDPOINTS)
+            draw(st.sampled_from([u, v]))[i] = draw(_ENDPOINTS)
         elif kind == "weight":
-            edge["weight"] = draw(_WEIGHTS)
-        elif kind == "missing":
-            edge.pop(draw(st.sampled_from(["u", "v", "weight"])), None)
-        elif kind == "entry":
-            edges[i] = draw(_NOT_OBJECTS)
+            weight[i] = draw(_WEIGHTS)
         elif kind == "reverse":
-            edge["u"], edge["v"] = edge.get("v"), edge.get("u")
+            u[i], v[i] = v[i], u[i]
         elif kind == "range":
-            edge["v"] = n + draw(st.integers(0, 3))
+            v[i] = n + draw(st.integers(0, 3))
         else:
-            edges.insert(draw(st.integers(0, len(edges))), copy.deepcopy(edge))
+            j = draw(st.integers(0, length))
+            for column in columns:
+                column.insert(j, copy.deepcopy(column[i]))
     return doc
 
 
 class TestReaderMatchesPerEdgeReference:
-    """``graph_from_doc`` reads class edges column by column; on any edit of
-    a valid document's edges it raises exactly what reading them edge by
-    edge, a column at a time, and then checking each edge raises, and
-    reads the same edges when that accepts them."""
+    """``graph_from_doc`` reads class edges as whole columns; on any edit of
+    a valid document's edges it raises exactly what checking the columns'
+    shape, reading them edge by edge and then checking each edge raises,
+    and reads the same edges when that accepts them."""
 
     @settings(max_examples=400)
     @given(mutated_graph_docs())
     @example({  # several bad weight strings: the first in document order is named
         "classes": [{"id": i, "name": f"N{i}"} for i in range(4)],
-        "class_edges": [
-            {"u": 0, "v": 1, "weight": "1"},
-            {"u": 0, "v": 2, "weight": "x"},
-            {"u": 1, "v": 2, "weight": "1/0"},
-            {"u": 1, "v": 3, "weight": "nan"},
-            {"u": 2, "v": 3, "weight": "1e5000"},
-        ],
+        "class_edges": {"u": [0, 0, 1, 1, 2], "v": [1, 2, 2, 3, 3], "weight": ["1", "x", "1/0", "nan", "1e5000"]},
     })
     @example({  # a missing weight is named before a bad one and before any endpoint
         "classes": [{"id": i, "name": f"N{i}"} for i in range(3)],
-        "class_edges": [
-            {"u": 1.0, "v": 1, "weight": "1"},
-            {"u": 0, "v": 2.0, "weight": "x"},
-            {"u": 0.0, "v": 1},
-        ],
+        "class_edges": {"u": [1.0, 0, 0.0], "v": [1, 2.0, 1], "weight": ["1", "x"]},
     })
     @example({  # the graph names every float endpoint, on one line
         "classes": [{"id": i, "name": f"N{i}"} for i in range(3)],
-        "class_edges": [
-            {"u": 1.0, "v": 1, "weight": "1"},
-            {"u": 0, "v": 2.0, "weight": "1/2"},
-            {"u": 1, "v": 2, "weight": 2},
-        ],
+        "class_edges": {"u": [1.0, 0, 1], "v": [1, 2.0, 2], "weight": ["1", "1/2", 2]},
     })
     def test_same_error_or_same_edges(self, doc):
         expected = graph_reader_error_reference(doc)
